@@ -16,9 +16,22 @@ same failure mode as the real mechanism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Iterable, List, Set
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _url_key(url: str) -> int:
+    """First 64 bits of ``sha256(url)``, shared by every digest.
+
+    A pure function of the URL (the hash space only enters through
+    :meth:`CacheDigest._hash`'s modulus), so one bounded process-wide
+    memo serves every digest.  Being outside the digests, it is not
+    pickled with them into long-run checkpoints.
+    """
+    return int.from_bytes(hashlib.sha256(url.encode()).digest()[:8], "big")
 
 
 class CacheDigest:
@@ -40,8 +53,7 @@ class CacheDigest:
         self._hashes: Set[int] = {self._hash(url) for url in url_list}
 
     def _hash(self, url: str) -> int:
-        digest = hashlib.sha256(url.encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self._space
+        return _url_key(url) % self._space
 
     def __contains__(self, url: str) -> bool:
         return self._hash(url) in self._hashes

@@ -41,6 +41,7 @@ import json
 import math
 import pickle
 import random
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -473,13 +474,17 @@ def checkpoint_roundtrip(
     serialise/restore cycle at ``checkpoint_at_hours`` (default: half
     the horizon), and compares the final report fingerprints.  Under
     ``REPRO_AUDIT=1`` a mismatch raises instead of merely reporting.
+    ``straight_wall_s`` is the wall time of the uninterrupted run alone,
+    the divisor for a per-run throughput.
     """
     at = (
         checkpoint_at_hours
         if checkpoint_at_hours is not None
         else spec.horizon_hours / 2.0
     )
+    started = time.perf_counter()
     straight = run_scenario(spec)
+    straight_wall = time.perf_counter() - started
     first = LongRunner(spec).run_to(at)
     blob = first.to_checkpoint_bytes()
     resumed = LongRunner.from_checkpoint_bytes(blob)
@@ -497,5 +502,6 @@ def checkpoint_roundtrip(
         "straight_fingerprint": straight["fingerprint"],
         "resumed_fingerprint": resumed_report["fingerprint"],
         "match": match,
+        "straight_wall_s": straight_wall,
         "report": straight,
     }

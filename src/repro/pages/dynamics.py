@@ -101,6 +101,21 @@ def rotation_epoch(spec: ResourceSpec, when_hours: float) -> Optional[int]:
     return int(when_hours // spec.lifetime_hours)
 
 
+def has_flux(spec: ResourceSpec) -> bool:
+    """Whether ``spec``'s URL can differ between stamps.
+
+    :func:`resolve_url` reads the stamp only for a rotating, nonce,
+    device-dependent or personalised spec; any other spec resolves to
+    the same URL under every stamp.
+    """
+    return (
+        spec.lifetime_hours is not None
+        or spec.unpredictable
+        or spec.device_dependent
+        or spec.personalized
+    )
+
+
 def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:
     """The concrete URL ``spec`` resolves to under ``stamp``.
 

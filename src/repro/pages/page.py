@@ -4,16 +4,22 @@ A :class:`PageBlueprint` is the timeless description of a page: the resource
 specs and their parent/child structure.  :meth:`PageBlueprint.materialize`
 resolves every spec under a :class:`~repro.pages.dynamics.LoadStamp` into a
 :class:`PageSnapshot` — the exact set of resources one load fetches, with
-URLs, sizes, bodies and a root-document processing order.
+URLs, sizes and a root-document processing order.  Bodies are rendered
+from the finished tree when first read (see
+:class:`~repro.pages.resources.Resource`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.pages import markup
-from repro.pages.dynamics import LoadStamp, resolve_size, resolve_url
+from repro.pages.dynamics import (
+    LoadStamp,
+    has_flux,
+    resolve_size,
+    resolve_url,
+)
 from repro.pages.resources import (
     Discovery,
     Resource,
@@ -32,6 +38,7 @@ class PageBlueprint:
 
     def __post_init__(self) -> None:
         self._children_cache: Optional[Dict[str, List[ResourceSpec]]] = None
+        self._skeleton_cache: Optional[_Skeleton] = None
 
     def add(self, spec: ResourceSpec) -> ResourceSpec:
         if spec.name in self.specs:
@@ -42,6 +49,7 @@ class PageBlueprint:
             )
         self.specs[spec.name] = spec
         self._children_cache = None
+        self._skeleton_cache = None
         return spec
 
     @property
@@ -104,53 +112,138 @@ class PageBlueprint:
                 seen.add(node)
                 node = self.specs[node].parent
 
-    def materialize(self, stamp: LoadStamp) -> "PageSnapshot":
-        """Resolve every spec under ``stamp`` into a concrete snapshot."""
-        resources: Dict[str, Resource] = {}
-        for spec in self.specs.values():
-            resources[spec.name] = Resource(
-                spec=spec,
-                url=resolve_url(spec, stamp),
-                size=resolve_size(spec, stamp),
+    def materialize(self, stamp: LoadStamp) -> "PageSnapshot":  # repro: hotpath
+        """Resolve every spec under ``stamp`` into a concrete snapshot.
+
+        One pass over the memoised :class:`_Skeleton` builds the tree in
+        pre-order, so each resource gets its processing order, iframe
+        flags, parent and place among its siblings as it is created, and
+        the pass's output doubles as the snapshot's walk.  Bodies are not
+        rendered here: :attr:`Resource.body` renders on first read.
+        """
+        skeleton = self._skeleton()
+        walk: List[Resource] = []
+        append = walk.append
+        for order, (spec, parent_row, iframe_doc, in_iframe, url) in enumerate(
+            skeleton.rows
+        ):
+            parent = walk[parent_row] if parent_row >= 0 else None
+            # Positional in field order: keywords cost ~15% of the pass.
+            resource = Resource(
+                spec,
+                resolve_url(spec, stamp) if url is None else url,
+                resolve_size(spec, stamp),
+                [],
+                parent,
+                iframe_doc,
+                in_iframe,
+                order,
             )
-        for name, resource in resources.items():
+            if parent is not None:
+                parent.children.append(resource)
+            append(resource)
+        nodes = walk
+        if skeleton.strays:
+            nodes = walk + self._materialize_strays(skeleton.strays, stamp)
+        # repro: allow[PERF405] one snapshot per call, not per resource.
+        snapshot = PageSnapshot(
+            page=self.name,
+            stamp=stamp,
+            root=walk[0],
+            resources={name: nodes[row] for name, row in skeleton.slots},
+        )
+        snapshot._walk_cache = walk
+        return snapshot
+
+    def _materialize_strays(
+        self, strays: List[ResourceSpec], stamp: LoadStamp
+    ) -> List[Resource]:
+        """Resources for specs the root cannot reach, linked among
+        themselves but outside the walk (unvalidated blueprints only)."""
+        by_name = {
+            spec.name: Resource(
+                spec, resolve_url(spec, stamp), resolve_size(spec, stamp)
+            )
+            for spec in strays
+        }
+        for name, resource in by_name.items():
             for child_spec in self.children_of(name):
-                child = resources[child_spec.name]
+                child = by_name[child_spec.name]
                 child.parent = resource
                 resource.children.append(child)
+        return list(by_name.values())
 
-        root = resources[self.root]
-        self._mark_frames(root)
-        self._assign_process_order(root)
-        for resource in resources.values():
-            if resource.processable:
-                resource.body = markup.render_body(resource)
-        return PageSnapshot(
-            page=self.name, stamp=stamp, root=root, resources=resources
-        )
+    def _skeleton(self) -> "_Skeleton":
+        """The stamp-independent shape of every snapshot (memoised).
 
-    @staticmethod
-    def _mark_frames(root: Resource) -> None:
-        for resource in root.descendants():
-            if resource.is_document:
-                resource.is_iframe_doc = True
-            parent = resource.parent
-            while parent is not None:
-                if parent.is_document and parent.parent is not None:
-                    resource.in_iframe = True
-                    break
-                parent = parent.parent
-
-    @staticmethod
-    def _assign_process_order(root: Resource) -> None:
-        """Pre-order walk assigning the client's processing order index."""
-        order = 0
-        stack = [root]
+        Built from :meth:`children_of` and dropped with it on :meth:`add`.
+        """
+        skeleton = self._skeleton_cache
+        if skeleton is not None:
+            return skeleton
+        rows: List[_Row] = []
+        row_of: Dict[str, int] = {}
+        # (spec, parent row, parent's in_iframe or parent is an iframe doc)
+        stack = [(self.specs[self.root], -1, False)]
         while stack:
-            node = stack.pop()
-            node.process_order = order
-            order += 1
-            stack.extend(reversed(node.children))
+            spec, parent_row, in_iframe = stack.pop()
+            row = len(rows)
+            row_of[spec.name] = row
+            iframe_doc = parent_row >= 0 and spec.is_document
+            url = None if has_flux(spec) else resolve_url(spec, _ANY_STAMP)
+            rows.append((spec, parent_row, iframe_doc, in_iframe, url))
+            below = in_iframe or iframe_doc
+            for child in reversed(self.children_of(spec.name)):
+                stack.append((child, row, below))
+        strays = [
+            spec for spec in self.specs.values() if spec.name not in row_of
+        ]
+        for offset, spec in enumerate(strays):
+            row_of[spec.name] = len(rows) + offset
+        # repro: allow[PERF405] a NamedTuple carries no dict, and this
+        # runs once per blueprint.
+        skeleton = self._skeleton_cache = _Skeleton(
+            rows=rows,
+            strays=strays,
+            slots=[(name, row_of[name]) for name in self.specs],
+        )
+        return skeleton
+
+    def __getstate__(self) -> dict:
+        # The skeleton is a memo that rebuilds on demand; pickled
+        # blueprints (long-run checkpoints, worker payloads) leave it out.
+        state = dict(self.__dict__)
+        del state["_skeleton_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._skeleton_cache = None
+
+
+#: One pre-order row of a :class:`_Skeleton`: the spec, its parent's row
+#: (-1 for the root), ``is_iframe_doc``, ``in_iframe``, and the URL when
+#: the spec has no flux (``None`` means resolve it per stamp).
+_Row = Tuple[ResourceSpec, int, bool, bool, Optional[str]]
+
+#: Any stamp: a spec without flux resolves to the same URL under all.
+_ANY_STAMP = LoadStamp(when_hours=0.0)
+
+
+class _Skeleton(NamedTuple):
+    """What every materialisation of one blueprint shares.
+
+    ``rows`` lists the resources the root reaches, in the client's
+    pre-order processing order.  A child is in an iframe if its parent
+    is, or if its parent is a document other than the root.  ``strays``
+    are specs the root does not reach, and ``slots`` maps each spec name,
+    in spec order, to its index in ``rows + strays``: the key order of
+    :attr:`PageSnapshot.resources`.
+    """
+
+    rows: List[_Row]
+    strays: List[ResourceSpec]
+    slots: List[Tuple[str, int]]
 
 
 @dataclass

@@ -3,7 +3,8 @@
 A :class:`ResourceSpec` is the *template* for a resource inside a page
 blueprint — it carries all the knobs that determine how the resource's URL
 and body vary across loads.  A :class:`Resource` is a concrete instance
-inside one materialised load (a snapshot): fixed URL, fixed size, fixed body.
+inside one materialised load (a snapshot): fixed URL, fixed size, and a
+body rendered from the frozen tree the first time it is read.
 """
 
 from __future__ import annotations
@@ -132,9 +133,20 @@ class ResourceSpec:
         return self.rtype is ResourceType.HTML
 
 
-@dataclass
+@dataclass(slots=True)
 class Resource:
-    """A concrete resource inside one materialised page load."""
+    """A concrete resource inside one materialised page load.
+
+    :attr:`body` is the synthetic body (markup for documents, CSS and JS;
+    empty for binaries).  It is a pure function of the resource and its
+    children, and nothing mutates a tree once
+    :meth:`~repro.pages.page.PageBlueprint.materialize` returns, so the
+    body is rendered by :func:`repro.pages.markup.render_body` the first
+    time it is read and cached on the resource.  A body read later is
+    byte-identical to one rendered eagerly; callers that only need URLs
+    never pay for rendering.  Assigning :attr:`body` replaces the cached
+    value.  The cache takes no part in ``repr`` or ``==``.
+    """
 
     spec: ResourceSpec
     url: str
@@ -142,17 +154,30 @@ class Resource:
     #: Names resolved to concrete child resources, ordered by position.
     children: List["Resource"] = field(default_factory=list)
     parent: Optional["Resource"] = None
-    #: The synthetic body (markup for documents/CSS/JS; empty for binaries).
-    body: str = ""
     #: True if this document is an embedded (iframe) HTML, not the root.
     is_iframe_doc: bool = False
     #: True if this resource lives inside an iframe's subtree.
     in_iframe: bool = False
     #: Position of this document's subtree in root processing order.
     process_order: int = -1
+    #: The rendered body, or ``None`` until :attr:`body` is first read.
+    _body: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __hash__(self) -> int:
         return hash((id(self.spec), self.url))
+
+    @property
+    def body(self) -> str:  # repro: hotpath
+        body = self._body
+        if body is None:
+            body = self._body = markup.render_body(self)
+        return body
+
+    @body.setter
+    def body(self, value: str) -> None:
+        self._body = value
 
     @property
     def name(self) -> str:
@@ -202,3 +227,7 @@ def split_url(url: str) -> Tuple[str, str]:
     """Split ``domain/path`` into ``(domain, path)``."""
     domain, _, path = url.partition("/")
     return domain, path
+
+
+# ``markup`` renders bodies from the classes above, so it is imported last.
+from repro.pages import markup  # noqa: E402

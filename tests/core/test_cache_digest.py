@@ -1,5 +1,8 @@
 """Tests for cache digests (push suppression, footnote 2)."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.browser.cache import BrowserCache
@@ -49,6 +52,27 @@ class TestCacheDigest:
             CacheDigest([], bits_per_entry=12).false_positive_rate
             < CacheDigest([], bits_per_entry=6).false_positive_rate
         )
+
+
+    def test_hash_is_sha256_prefix_mod_space(self):
+        """The memoised URL key leaves every digest's hashes unchanged."""
+        urls = [f"a.com/k{i}.css" for i in range(50)]
+        for bits in (1, 8, 20):
+            digest = CacheDigest(urls, bits_per_entry=bits)
+            for url in urls + ["b.com/absent.js"]:
+                prefix = hashlib.sha256(url.encode()).digest()[:8]
+                assert digest._hash(url) == (
+                    int.from_bytes(prefix, "big") % digest._space
+                )
+
+    def test_pickle_carries_no_url_memo(self):
+        urls = [f"a.com/p{i}.js" for i in range(20)]
+        digest = CacheDigest(urls)
+        clone = pickle.loads(pickle.dumps(digest))
+        assert vars(clone).keys() == {
+            "bits_per_entry", "entry_count", "_space", "_hashes"
+        }
+        assert all(url in clone for url in urls)
 
 
 class TestIntegration:
