@@ -26,16 +26,12 @@ checked *while a load runs* instead:
   event-coalesced fast path) only ever jumps strictly forward and
   strictly before the next pending heap event, so coalescing is
   unobservable to every other model.
-* **busy-set-cache** — the batched executor's incrementally maintained
+* **busy-set-cache** — the fast engine's incrementally maintained
   busy-channel set always equals a fresh recomputation from stream
   state (stale entries would silently misallocate bandwidth).
 * **waterfill-fast-path** — the closed-form 1–3-connection
   water-filling allocation is bit-identical to the general iterative
   solver on the same inputs.
-* **scanner-wakeup-bound** — a demand-driven scanner arming fires no
-  later than the legacy 5 ms poll loop would have armed the same
-  document (within one poll interval of the fetch-created transition
-  that requested it), so eliding the poll is unobservable.
 
 This module sits at layer 0 of the package DAG (like
 :mod:`repro.calibration`): it imports nothing from ``repro``, so every
@@ -72,7 +68,6 @@ __all__ = [
     "fast_forward_bounds",
     "busy_set_matches",
     "waterfill_equivalent",
-    "scanner_wakeup_bound",
 ]
 
 
@@ -287,36 +282,6 @@ def waterfill_equivalent(
             "waterfill-fast-path",
             f"closed-form allocation {fast!r} != general solver "
             f"{general!r} for caps {caps!r} budget {budget!r}",
-        )
-
-
-def scanner_wakeup_bound(
-    armed_at: float,
-    requested_at: float,
-    interval: float,
-) -> None:
-    """A demand-driven scanner arming is never later than the poll's.
-
-    ``requested_at`` is when the earliest pending fetch-created
-    transition asked for a wakeup; the legacy loop would examine that
-    document at the first poll tick strictly after it, at most
-    ``interval`` later.  An arming beyond that bound (or before the
-    request) means the event-driven engine drifted off the poll grid.
-    The nanosecond of slack absorbs the float error the iterated
-    grid addition legitimately accumulates.
-    """
-    if armed_at < requested_at:
-        raise AuditError(
-            "scanner-wakeup-bound",
-            f"scanner armed at {armed_at!r}, before the wakeup request "
-            f"at {requested_at!r}",
-        )
-    if armed_at - requested_at > interval + 1e-9:
-        raise AuditError(
-            "scanner-wakeup-bound",
-            f"scanner armed at {armed_at!r}, more than one poll "
-            f"interval ({interval!r}) after the wakeup request at "
-            f"{requested_at!r} — later than the poll loop would arm",
         )
 
 

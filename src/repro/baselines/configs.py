@@ -61,10 +61,6 @@ def run_config(
     user: str = "user0",
     fault_plan: Optional[FaultPlan] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    link_fast_forward: Optional[bool] = None,
-    batched_timeline: Optional[bool] = None,
-    vectorized_flow: Optional[bool] = None,
-    event_driven_browser: Optional[bool] = None,
     loss_rate: Optional[float] = None,
 ) -> LoadMetrics:
     """Load ``snapshot`` under the named configuration.
@@ -73,15 +69,9 @@ def run_config(
     (http1/http2/vroom variants and polaris); the CPU- and network-bound
     lower bounds and the hybrid study build their own transports and run
     fault-free.  Both default to None, which is bit-identical to the
-    pre-resilience behaviour.  ``link_fast_forward``,
-    ``batched_timeline``, ``vectorized_flow`` and
-    ``event_driven_browser`` override the engine's
-    execution-mode knobs (None keeps the :class:`NetworkConfig`
-    defaults); results are bit-identical across every combination — the
-    equivalence suites run them against each other and assert so.
-    ``loss_rate`` overrides the link's per-packet loss probability the
-    same way (None keeps the default), so equivalence sweeps can cover
-    lossy links without rebuilding the transport by hand.
+    pre-resilience behaviour.  ``loss_rate`` overrides the link's
+    per-packet loss probability (None keeps the default), so sweeps can
+    cover lossy links without rebuilding the transport by hand.
     """
     when = snapshot.stamp.when_hours
     browser = BrowserConfig(
@@ -95,14 +85,6 @@ def run_config(
             config.request_timeout = resilience.request_timeout
             config.max_retries = resilience.max_retries
             config.retry_backoff = resilience.retry_backoff
-        if link_fast_forward is not None:
-            config.link_fast_forward = link_fast_forward
-        if batched_timeline is not None:
-            config.batched_timeline = batched_timeline
-        if vectorized_flow is not None:
-            config.vectorized_flow = vectorized_flow
-        if event_driven_browser is not None:
-            config.event_driven_browser = event_driven_browser
         if loss_rate is not None:
             config.loss_rate = loss_rate
         return config

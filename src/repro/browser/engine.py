@@ -10,7 +10,7 @@ policies supplied by other packages).  Its output is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro import audit
 from repro.browser.cache import BrowserCache
@@ -29,11 +29,7 @@ from repro.net.simulator import ArraySimulator, Simulator, SimulatorLike
 from repro.pages.page import PageSnapshot
 from repro.pages.resources import PROCESSABLE_TYPES, Resource, ResourceType
 
-#: The preload scanner's poll interval in seconds.  The event-driven
-#: engine reproduces this exact time grid — iterated addition from
-#: zero, matching the legacy loop's repeated ``schedule_drop``
-#: arithmetic float for float — so demand-driven armings land at
-#: bit-identical timestamps to the poll's.
+#: The preload scanner's poll interval in seconds.
 SCANNER_POLL_INTERVAL = 0.005
 
 #: Network priority by role; lower sorts earlier on HTTP/1.1 queues and
@@ -164,18 +160,13 @@ class PageLoadEngine:
         self.snapshot = snapshot
         self.snapshot_urls = snapshot.by_url()
         self.net_config = net_config or NetworkConfig()
-        # Both executors share one contract and produce bit-identical
-        # event traces; batched_timeline only changes how much each event
-        # costs in wall time (see net/simulator.py).
+        # The only thing the engine choice decides: the executor.  Both
+        # produce bit-identical metrics (see net/simulator.py).
         self.sim: SimulatorLike = (
-            ArraySimulator()
-            if self.net_config.batched_timeline
-            else Simulator()
+            Simulator()
+            if self.net_config.engine == "reference"
+            else ArraySimulator()
         )
-        # Microtask batching rides the event-driven flag: consecutive
-        # call_soon deferrals collapse into one heap event (order proven
-        # identical by the seq-gap guard in call_soon itself).
-        self.sim.microtask_batching = self.net_config.event_driven_browser
         self.browser_config = browser_config or BrowserConfig()
         self.cpu_profile = self.browser_config.cpu_profile()
         self.cpu = CpuQueue(self.sim)
@@ -211,20 +202,11 @@ class PageLoadEngine:
         self._done_blocker: Optional[str] = None
         self.wasted_bytes = 0.0
 
-        #: Scanner-wakeup bookkeeping, shared by the poll loop and the
-        #: event-driven path (see :meth:`_arm_scanners_event_driven`).
-        self._event_driven = self.net_config.event_driven_browser
+        #: Documents whose preload scanner is not armed yet (see
+        #: :meth:`_arm_scanners_loop`).
         self._scanner_waiting: List[Resource] = []
-        self._scanner_waiting_urls: Set[str] = set()
-        #: First 5 ms grid tick not yet accounted as fired or elided.
-        self._scanner_next_tick = SCANNER_POLL_INTERVAL
-        #: Absolute time of the pending coalesced wakeup event, if any.
-        self._scanner_arm_at: Optional[float] = None
-        #: Earliest not-yet-served condition-true transition (audit bound).
-        self._scanner_requested_at: Optional[float] = None
-        #: Deterministic wakeup counters (surfaced in engine_counters).
+        #: Scanner poll ticks run (surfaced in engine_counters).
         self._browser_wakeups = 0
-        self._scanner_polls_elided = 0
 
     # -- CPU helpers -------------------------------------------------------
 
@@ -313,7 +295,6 @@ class PageLoadEngine:
                 self.browser_config.cache_hit_latency,
                 lambda: self._fetched(url, from_cache=True),
             )
-            self._scanner_wakeup(url)
             return
         self.cookies.cookie_for(url.partition("/")[0])
         # A fetch of a URL the page has not referenced yet is a speculative
@@ -330,9 +311,6 @@ class PageLoadEngine:
             on_complete=lambda fetch: self._fetched(url, fetch=fetch),
             on_error=lambda fetch: self._fetch_failed(url, fetch),
         )
-        # The fetch is registered with the client now, so the poll
-        # condition for this document (if it is one) just became true.
-        self._scanner_wakeup(url)
 
     def _headers_arrived(self, fetch: Fetch) -> None:
         if fetch.response is not None and fetch.response.error:
@@ -392,9 +370,6 @@ class PageLoadEngine:
         push.on_complete = _merge(
             push.on_complete, lambda fetch: self._fetched(push.url, fetch=fetch)
         )
-        # Pushed documents become scannable at header arrival (the push
-        # is already in ``client.fetches``): same transition as a fetch.
-        self._scanner_wakeup(push.url)
 
     def _fetched(
         self,
@@ -826,21 +801,8 @@ class PageLoadEngine:
             for resource in self.snapshot.all_resources():
                 self.discover(resource.url, via="preknown")
         # Arm scanners lazily: once per document, when its fetch exists.
-        if self._event_driven:
-            self._arm_scanners_event_driven()
-        else:
-            self._arm_scanners_loop()
+        self._arm_scanners_loop()
         self.sim.run(until=time_limit)
-        if self._event_driven and self._scanner_waiting:
-            # A document never started fetching (terminal failure or an
-            # undiscovered iframe).  The reference loop keeps polling to
-            # the time horizon in that case; count those ticks so
-            # ``scanner_polls_elided`` reports the full saving.
-            tick = self._scanner_next_tick
-            while tick <= time_limit:
-                tick += SCANNER_POLL_INTERVAL
-                self._scanner_polls_elided += 1
-            self._scanner_next_tick = tick
         if self.onload_at is None:
             pending = self._pending_obligations()
             raise RuntimeError(
@@ -866,121 +828,37 @@ class PageLoadEngine:
 
         sample()
 
-    def _scanner_sweep(self) -> None:
-        """One pass of the scanner poll body at the current timestamp.
-
-        Arms every still-waiting document whose fetch now exists (the
-        exact condition the legacy tick checks) and drops it from the
-        to-do list.  Both drivers — the standing 5 ms poll and the
-        demand-driven wakeup — run this same body, so an arming's side
-        effects are identical whichever driver reached the timestamp.
-        """
-        self._browser_wakeups += 1
-        still_waiting: List[Resource] = []
-        for doc in self._scanner_waiting:
-            state = self._states.get(doc.url)
-            started = state is not None and (
-                state.fetch_requested
-                and (
-                    state.timeline.from_cache
-                    or doc.url in self.client.fetches
-                )
-            )
-            if started:
-                self._arm_scanner(doc)
-            else:
-                still_waiting.append(doc)
-        self._scanner_waiting = still_waiting
-        self._scanner_waiting_urls = {doc.url for doc in still_waiting}
-
     def _arm_scanners_loop(self) -> None:
-        """Reference driver: attach scanners via a standing 5 ms poll.
+        """Attach scanners via a standing 5 ms poll.
 
-        The document set is fixed for the whole load, so the poll tick
-        walks a shrinking to-do list instead of re-deriving the document
-        list (a full resource-tree walk) on every 5 ms tick.  Kept as
-        the reference the event-driven path is equivalence-tested
-        against (``NetworkConfig.event_driven_browser = False``).
+        Each tick arms every still-waiting document whose fetch now
+        exists.  The document set is fixed for the whole load, so the
+        poll walks a shrinking to-do list instead of re-deriving the
+        document list (a full resource-tree walk) on every tick.
         """
         self._scanner_waiting = list(self.snapshot.documents())
 
         def poll() -> None:
-            self._scanner_sweep()
-            if self._scanner_waiting:
+            self._browser_wakeups += 1
+            still_waiting: List[Resource] = []
+            for doc in self._scanner_waiting:
+                state = self._states.get(doc.url)
+                started = state is not None and (
+                    state.fetch_requested
+                    and (
+                        state.timeline.from_cache
+                        or doc.url in self.client.fetches
+                    )
+                )
+                if started:
+                    self._arm_scanner(doc)
+                else:
+                    still_waiting.append(doc)
+            self._scanner_waiting = still_waiting
+            if still_waiting:
                 self.sim.schedule_drop(SCANNER_POLL_INTERVAL, poll)
 
-        # The poll drives itself; the ``_event_driven`` guard in
-        # :meth:`_scanner_wakeup` keeps the demand-driven hooks inert,
-        # so an event-driven arming can never race the reference loop.
         poll()
-
-    def _arm_scanners_event_driven(self) -> None:
-        """Demand-driven driver: arm scanners from fetch-created hooks.
-
-        Replaces the standing poll with coalesced wakeup events placed
-        on the poll's own virtual time grid.  :meth:`_scanner_wakeup`
-        fires whenever a waiting document's poll condition becomes true
-        (end of :meth:`start_fetch`, push header arrival) and schedules
-        one arming event at the first grid tick strictly after ``now`` —
-        exactly when the legacy loop would next examine the document.
-        Grid ticks with no pending wakeup are never scheduled at all
-        (counted by ``scanner_polls_elided``), which is what opens the
-        silent windows the link's batch executor needs.  Discovery
-        timestamps, and therefore :class:`LoadMetrics`, are
-        bit-identical to the poll engine's by construction; the
-        equivalence suite and the ``scanner-wakeup-bound`` audit
-        invariant enforce it.
-        """
-        self._scanner_waiting = list(self.snapshot.documents())
-        self._scanner_waiting_urls = {
-            doc.url for doc in self._scanner_waiting
-        }
-        # The poll's inline t=0 tick: run() calls this after the root
-        # discovery, so the root (and any preknown/cached document) arms
-        # synchronously, exactly as under the reference loop.
-        self._scanner_sweep()
-
-    # repro: hotpath
-    def _scanner_wakeup(self, url: str) -> None:
-        """A fetch for ``url`` now exists; schedule its scanner arming.
-
-        Called from every fetch-start transition, so the fast path is
-        two lookups and no allocation.  The arming lands on the first
-        5 ms grid tick strictly after ``now`` — computed by the same
-        iterated float addition the poll loop performs, so the timestamp
-        is bit-identical to the tick the reference engine would arm at.
-        One pending wakeup serves every document that becomes ready
-        before it fires (the sweep re-checks all of them), mirroring the
-        poll tick's batch semantics.
-        """
-        if not self._event_driven or url not in self._scanner_waiting_urls:
-            return
-        now = self.sim.now
-        if self._scanner_requested_at is None:
-            self._scanner_requested_at = now
-        if self._scanner_arm_at is not None:
-            # The pending wakeup is at the next grid tick after ``now``
-            # already (grid ticks are never scheduled early), so it
-            # covers this document too.
-            return
-        tick = self._scanner_next_tick
-        while tick <= now:
-            tick += SCANNER_POLL_INTERVAL
-            self._scanner_polls_elided += 1
-        self._scanner_arm_at = tick
-        self._scanner_next_tick = tick + SCANNER_POLL_INTERVAL
-        self.sim.schedule_at(tick, self._scanner_wakeup_fired)
-
-    def _scanner_wakeup_fired(self) -> None:
-        if audit.ENABLED and self._scanner_requested_at is not None:
-            audit.scanner_wakeup_bound(
-                self.sim.now,
-                self._scanner_requested_at,
-                SCANNER_POLL_INTERVAL,
-            )
-        self._scanner_arm_at = None
-        self._scanner_requested_at = None
-        self._scanner_sweep()
 
     def _collect_metrics(self) -> LoadMetrics:
         onload = self.onload_at or self.sim.now
@@ -1035,10 +913,7 @@ class PageLoadEngine:
                 "link_batch_runs": self.client.link.batch_runs,
                 "link_batch_steps": self.client.link.batch_steps,
                 "link_wf_fast_hits": self.client.link.wf_fast_hits,
-                "link_tick_keeps": self.client.link.tick_keeps,
-                "soon_coalesced": self.sim.soon_coalesced,
                 "browser_wakeups": self._browser_wakeups,
-                "scanner_polls_elided": self._scanner_polls_elided,
             },
         )
 

@@ -21,8 +21,7 @@ Commands
               service for simulated days with checkpoint/resume and
               paired A/B lanes; writes ``BENCH_longrun.json``
 ``bench``     engine micro-benchmarks; ``bench engine`` compares the
-              four DES executor modes (event-per-tick, fast-forward,
-              batched, event-driven) and writes ``BENCH_engine.json``
+              reference and fast engines and writes ``BENCH_engine.json``
 ``configs``   list the available named configurations
 ``profiles``  list the available network profiles
 
@@ -41,6 +40,7 @@ from repro.analysis.stats import Cdf
 from repro.analysis.waterfall import render_waterfall, summarize_phases
 from repro.baselines.configs import CONFIG_NAMES, run_config
 from repro.calibration import DEFAULT_EVAL_HOUR
+from repro.net.http import ENGINES
 from repro.pages.corpus import (
     accuracy_corpus,
     alexa_top100_corpus,
@@ -661,7 +661,7 @@ def cmd_longrun(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Engine micro-benchmark: the four executor modes, head to head."""
+    """Engine micro-benchmark: the reference and fast engines, head to head."""
     import json
 
     from repro.experiments.engine_bench import (
@@ -683,19 +683,16 @@ def cmd_bench(args) -> int:
 
     def print_rows(report) -> None:
         print(
-            f"{'scenario':<22} {'events ept':>10} {'events bat':>10} "
-            f"{'events ed':>10} {'ed reduc':>8} {'bat spdup':>9} "
-            f"{'ed spdup':>8}"
+            f"{'scenario':<22} {'events ref':>10} {'events fast':>11} "
+            f"{'reduction':>9} {'speedup':>8}"
         )
         for row in report["scenarios"]:
             print(
                 f"{row['scenario']:<22} "
-                f"{row['counters_event_per_tick']['events_scheduled']:>10} "
-                f"{row['counters_batched']['events_scheduled']:>10} "
-                f"{row['counters_event_driven']['events_scheduled']:>10} "
-                f"{row['event_reduction_event_driven']:>7.2f}x "
-                f"{row['wall_batched_speedup']:>8.2f}x "
-                f"{row['wall_event_driven_speedup']:>7.2f}x"
+                f"{row['counters_reference']['events_scheduled']:>10} "
+                f"{row['counters_fast']['events_scheduled']:>11} "
+                f"{row['event_reduction']:>8.2f}x "
+                f"{row['wall_speedup']:>7.2f}x"
             )
 
     if getattr(args, "profile", None):
@@ -1108,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="engine micro-benchmarks (the four DES executor modes)",
+        help="engine micro-benchmarks (the reference and fast engines)",
     )
     bench.add_argument(
         "target",
@@ -1119,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=3,
-        help="wall-clock repeats per mode (best-of; counters are exact)",
+        help="wall-clock repeats per engine (best-of; counters are exact)",
     )
     bench.add_argument(
         "--report",
@@ -1130,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help=(
-            "assert the pinned deterministic counters and the batched "
+            "assert the pinned deterministic counters and the fast-engine "
             "speedup floors"
         ),
     )
@@ -1145,12 +1142,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--profile-mode",
-        choices=["event_per_tick", "fast_forward", "batched", "event_driven"],
-        default="event_driven",
-        help=(
-            "engine mode to profile with --profile (default: the full "
-            "event-driven stack)"
-        ),
+        choices=ENGINES,
+        default="fast",
+        help="engine to profile with --profile (default: fast)",
     )
     _add_audit_arg(bench)
     bench.set_defaults(func=cmd_bench)

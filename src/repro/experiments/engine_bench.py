@@ -1,38 +1,35 @@
-"""Engine micro-benchmark: the four DES executor modes, head to head.
+"""Engine micro-benchmark: the reference and fast engines, head to head.
 
-Each scenario loads one page once per engine mode —
+Each scenario loads one page once per engine (``NetworkConfig.engine``) —
 
-* ``event_per_tick`` — the reference engine: every link refresh tick is
-  its own heap event, no batching anywhere.
-* ``fast_forward`` — the coalescing engine: consecutive silent refresh
-  ticks run inline (single-stream batcher only).
-* ``batched`` — the batched timeline executor: array-backed event
-  storage, multi-stream homogeneous-run batch loop, memoised
-  assignment, closed-form water-filling.
-* ``event_driven`` — the batched executor plus the demand-driven
-  browser: scanner polls become state-transition subscriptions, link
-  refresh reschedules collapse through the lazy-tick flush, and
-  consecutive microtask deferrals share one heap event.
+* ``reference`` — the plain :class:`~repro.net.simulator.Simulator`:
+  every link refresh tick is its own heap event, no batching anywhere.
+  This is the oracle.
+* ``fast`` — the array-backed
+  :class:`~repro.net.simulator.ArraySimulator`: silent refresh ticks run
+  inline, homogeneous runs of them go through the link's batch loop, and
+  assignment is memoised with a closed-form water-filling solver.
 
-— and asserts all four :class:`LoadMetrics` are bit-identical before
+— and asserts both :class:`LoadMetrics` are bit-identical before
 reporting anything.  The report then carries two kinds of numbers:
 
 * **Deterministic counters** (heap events scheduled/executed/cancelled,
-  link pokes, fast-forward steps, rate recomputations): pure functions
-  of the event trace, stable across machines, pinned as CI goldens by
-  ``repro bench engine --smoke``.
+  link pokes, fast-forward steps, batch runs, closed-form allocations):
+  pure functions of the event trace, stable across machines, pinned as
+  CI goldens by ``repro bench engine --smoke``.
 * **Wall-clock** (seconds per load, speedups): machine-dependent,
   recorded in ``BENCH_engine.json`` for the trajectory.  CI only asserts
-  the deliberately conservative per-scenario *speedup floors* — batched
-  must not lose its edge over the fast-forward engine — never the raw
+  the deliberately conservative per-scenario *speedup floors* — the fast
+  engine must not lose its edge over the reference — never the raw
   seconds.
 
 Scenario shapes:
 
 * ``corpus-news`` — a realistic synthetic News/Sports page under the
   push-all + fetch-asap configuration at LTE latency.  Thresholds
-  (completions, preload-scanner watches) dominate, so coalescing is
-  modest by design; this guards the realistic-workload counters.
+  (completions, preload-scanner watches) and the scanner's 5 ms poll
+  dominate, so coalescing is modest by design; this guards the
+  realistic-workload counters.
 * ``push-all-high-rtt`` — the slow-start-heavy shape from the paper's
   motivation: high RTT, lossy link, server push keeping many streams
   concurrent while windows are still opening.  Refresh ticks dominate
@@ -55,7 +52,7 @@ from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.push_policy import PushPolicy
 from repro.core.scheduler import FetchAsapScheduler
 from repro.core.server import vroom_servers
-from repro.net.http import NetworkConfig
+from repro.net.http import ENGINES, NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp
@@ -120,25 +117,12 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "link_batch_runs",
     "link_batch_steps",
     "link_wf_fast_hits",
-    "link_tick_keeps",
-    "soon_coalesced",
     "browser_wakeups",
-    "scanner_polls_elided",
 )
 
-#: The engine modes each scenario runs under, as
-#: ``(name, link_fast_forward, batched_timeline, event_driven_browser)``.
-#: The legacy modes force ``batched_timeline`` and
-#: ``event_driven_browser`` *off* explicitly — both default on in
-#: :class:`NetworkConfig` — so ``fast_forward`` stays the frozen PR 5
-#: engine and ``batched`` the frozen PR 6 engine that the event-driven
-#: browser is measured against.
-MODES: Tuple[Tuple[str, bool, bool, bool], ...] = (
-    ("event_per_tick", False, False, False),
-    ("fast_forward", True, False, False),
-    ("batched", True, True, False),
-    ("event_driven", True, True, True),
-)
+#: The engines each scenario runs under; the first is the reference the
+#: other must match.
+MODES: Tuple[str, ...] = ENGINES
 
 
 def _scenario_page(scenario: EngineScenario) -> PageBlueprint:
@@ -184,9 +168,7 @@ def _load_once(
     snapshot: PageSnapshot,
     store: ReplayStore,
     scenario: EngineScenario,
-    fast_forward: bool,
-    batched: bool,
-    event_driven: bool,
+    engine: str,
 ) -> Tuple[LoadMetrics, float]:
     """One push-all + fetch-asap load; returns (metrics, wall seconds)."""
     servers = vroom_servers(
@@ -195,9 +177,7 @@ def _load_once(
     net_kwargs: Dict[str, object] = {
         "h2_scheduling": StreamScheduling.FAIR,
         "loss_rate": scenario.loss_rate,
-        "link_fast_forward": fast_forward,
-        "batched_timeline": batched,
-        "event_driven_browser": event_driven,
+        "engine": engine,
     }
     if scenario.base_rtt is not None:
         net_kwargs["base_rtt"] = scenario.base_rtt
@@ -217,89 +197,43 @@ def bench_scenario(scenario: EngineScenario, repeats: int = 3) -> dict:
     page, snapshot, store = _materialize(scenario)
     wall: Dict[str, float] = {}
     metrics: Dict[str, LoadMetrics] = {}
-    for mode, fast_forward, batched, event_driven in MODES:
+    for mode in MODES:
         best = None
         for _ in range(max(1, repeats)):
             result, elapsed = _load_once(
-                page,
-                snapshot,
-                store,
-                scenario,
-                fast_forward,
-                batched,
-                event_driven,
+                page, snapshot, store, scenario, mode
             )
             metrics[mode] = result
             best = elapsed if best is None else min(best, elapsed)
         wall[mode] = best or 0.0
-    reference = metrics["event_per_tick"]
-    for mode, _, _, _ in MODES[1:]:
-        if metrics[mode] != reference:
-            raise AssertionError(
-                f"scenario {scenario.name!r}: {mode} diverged from the "
-                f"event-per-tick engine (plt {reference.plt!r} vs "
-                f"{metrics[mode].plt!r})"
-            )
+    reference = metrics["reference"]
+    if metrics["fast"] != reference:
+        raise AssertionError(
+            f"scenario {scenario.name!r}: the fast engine diverged from "
+            f"the reference (plt {reference.plt!r} vs "
+            f"{metrics['fast'].plt!r})"
+        )
     counters = {
         mode: {
             key: metrics[mode].engine_counters[key] for key in COUNTER_KEYS
         }
-        for mode, _, _, _ in MODES
+        for mode in MODES
     }
-    scheduled_ff = max(1, counters["fast_forward"]["events_scheduled"])
-    scheduled_batched = max(1, counters["batched"]["events_scheduled"])
-    scheduled_ed = max(1, counters["event_driven"]["events_scheduled"])
     return {
         "scenario": scenario.name,
         "description": scenario.description,
         "plt": reference.plt,
         "bit_identical": True,
-        "counters_event_per_tick": counters["event_per_tick"],
-        "counters_fast_forward": counters["fast_forward"],
-        "counters_batched": counters["batched"],
-        "counters_event_driven": counters["event_driven"],
+        "counters_reference": counters["reference"],
+        "counters_fast": counters["fast"],
         "event_reduction": (
-            counters["event_per_tick"]["events_scheduled"] / scheduled_ff
+            counters["reference"]["events_scheduled"]
+            / max(1, counters["fast"]["events_scheduled"])
         ),
-        "batched_event_reduction": (
-            counters["event_per_tick"]["events_scheduled"]
-            / scheduled_batched
-        ),
-        #: The PR criterion: heap traffic of the demand-driven browser
-        #: vs the reference engine on the same page.
-        "event_reduction_event_driven": (
-            counters["event_per_tick"]["events_scheduled"] / scheduled_ed
-        ),
-        "wall_event_per_tick_sec": wall["event_per_tick"],
-        "wall_fast_forward_sec": wall["fast_forward"],
-        "wall_batched_sec": wall["batched"],
-        "wall_event_driven_sec": wall["event_driven"],
+        "wall_reference_sec": wall["reference"],
+        "wall_fast_sec": wall["fast"],
         "wall_speedup": (
-            wall["event_per_tick"] / wall["fast_forward"]
-            if wall["fast_forward"] > 0
-            else 0.0
-        ),
-        #: The PR 6 criterion: batched executor vs the frozen PR 5 engine.
-        "wall_batched_speedup": (
-            wall["fast_forward"] / wall["batched"]
-            if wall["batched"] > 0
-            else 0.0
-        ),
-        "wall_batched_vs_event_per_tick": (
-            wall["event_per_tick"] / wall["batched"]
-            if wall["batched"] > 0
-            else 0.0
-        ),
-        #: Event-driven browser vs the frozen PR 6 batched executor.
-        "wall_event_driven_speedup": (
-            wall["batched"] / wall["event_driven"]
-            if wall["event_driven"] > 0
-            else 0.0
-        ),
-        "wall_event_driven_vs_event_per_tick": (
-            wall["event_per_tick"] / wall["event_driven"]
-            if wall["event_driven"] > 0
-            else 0.0
+            wall["reference"] / wall["fast"] if wall["fast"] > 0 else 0.0
         ),
     }
 
@@ -324,92 +258,45 @@ def engine_benchmark(
 #: counters after verifying the change is intentional.
 SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
     "corpus-news": {
-        "events_scheduled_event_per_tick": 1636,
-        "events_scheduled_fast_forward": 1631,
-        "events_scheduled_batched": 1631,
-        "events_scheduled_event_driven": 1004,
-        "events_cancelled_event_driven": 46,
+        "events_scheduled_reference": 1636,
+        "events_scheduled_fast": 1631,
         "link_pokes": 553,
         "link_fast_forward_steps": 5,
         "link_batch_runs": 1,
         "link_batch_steps": 2,
         "link_wf_fast_hits": 60,
-        "link_batch_runs_event_driven": 2,
-        "link_batch_steps_event_driven": 3,
-        "link_tick_keeps": 1,
-        "soon_coalesced": 113,
-        "browser_wakeups": 2,
-        "scanner_polls_elided": 259,
     },
     "push-all-high-rtt": {
-        "events_scheduled_event_per_tick": 317,
-        "events_scheduled_fast_forward": 110,
-        "events_scheduled_batched": 110,
-        "events_scheduled_event_driven": 64,
-        "events_cancelled_event_driven": 1,
+        "events_scheduled_reference": 317,
+        "events_scheduled_fast": 110,
         "link_pokes": 246,
         "link_fast_forward_steps": 207,
         "link_batch_runs": 3,
         "link_batch_steps": 204,
         "link_wf_fast_hits": 0,
-        "link_batch_runs_event_driven": 3,
-        "link_batch_steps_event_driven": 204,
-        "link_tick_keeps": 0,
-        "soon_coalesced": 22,
-        "browser_wakeups": 1,
-        "scanner_polls_elided": 0,
     },
     "single-stream-drain": {
-        "events_scheduled_event_per_tick": 1281,
-        "events_scheduled_fast_forward": 27,
-        "events_scheduled_batched": 27,
-        "events_scheduled_event_driven": 23,
-        "events_cancelled_event_driven": 1,
+        "events_scheduled_reference": 1281,
+        "events_scheduled_fast": 27,
         "link_pokes": 1266,
         "link_fast_forward_steps": 1254,
         "link_batch_runs": 2,
         "link_batch_steps": 1251,
         "link_wf_fast_hits": 0,
-        "link_batch_runs_event_driven": 2,
-        "link_batch_steps_event_driven": 1251,
-        "link_tick_keeps": 0,
-        "soon_coalesced": 1,
-        "browser_wakeups": 1,
-        "scanner_polls_elided": 0,
     },
 }
 
-#: Minimum acceptable ``wall_batched_speedup`` (batched vs the PR 5
-#: fast-forward engine) per scenario.  Deliberately far below the
-#: steady-state measurements (≈1.45x / 1.40x / 1.10x on the reference
-#: container) so shared-runner noise cannot trip CI, while an actual
-#: loss of the batched executor's edge — a regression back to PR 5
-#: wall-clock — still fails the smoke job.
+#: Minimum acceptable ``wall_speedup`` (fast engine vs reference) per
+#: scenario.  Deliberately far below the best-of-3 measurements
+#: (1.2–1.5x / 1.4–1.6x / 1.35–1.6x on a 2-CPU container) so
+#: shared-runner noise cannot trip CI, while a real regression — the fast
+#: engine losing its edge on the tick-dominated shapes, or turning
+#: meaningfully slower than the reference on the realistic page — still
+#: fails the smoke job.
 SPEEDUP_FLOORS: Dict[str, float] = {
-    "corpus-news": 1.05,
+    "corpus-news": 0.90,
     "push-all-high-rtt": 1.05,
-    "single-stream-drain": 0.90,
-}
-
-#: Minimum acceptable ``wall_event_driven_speedup`` (event-driven
-#: browser vs the frozen PR 6 batched engine) per scenario.  On the
-#: tick-dominated shapes the event-driven engine wins outright
-#: (≈1.20x / 1.18x steady-state on an idle reference container), but
-#: those loads finish in single-digit milliseconds and on a busy
-#: machine the ratio hovers near parity — so, like the PR 6 floors
-#: above, these sit deliberately far below the measurements (≥25%
-#: margin) to keep shared-runner noise out of CI while a real
-#: regression (the event-driven engine becoming meaningfully *slower*
-#: than batched) still fails.  On ``corpus-news`` the heap collapse is
-#: real (1.63x fewer events) but the removed events were *cheap* — the
-#: load is assignment-bound (``_assign_and_horizon_batched``), so
-#: wall-clock is parity by design and the floor only guards against an
-#: actual regression.  See ``docs/PERFORMANCE.md`` for the full
-#: census.
-EVENT_DRIVEN_SPEEDUP_FLOORS: Dict[str, float] = {
-    "corpus-news": 0.75,
-    "push-all-high-rtt": 0.80,
-    "single-stream-drain": 0.75,
+    "single-stream-drain": 1.10,
 }
 
 
@@ -417,39 +304,17 @@ def smoke_counters(report: dict) -> Dict[str, Dict[str, int]]:
     """The golden-comparable slice of an :func:`engine_benchmark` report."""
     observed: Dict[str, Dict[str, int]] = {}
     for row in report["scenarios"]:
-        batched = row["counters_batched"]
-        event_driven = row["counters_event_driven"]
+        fast = row["counters_fast"]
         observed[row["scenario"]] = {
-            "events_scheduled_event_per_tick": row[
-                "counters_event_per_tick"
-            ]["events_scheduled"],
-            "events_scheduled_fast_forward": row["counters_fast_forward"][
+            "events_scheduled_reference": row["counters_reference"][
                 "events_scheduled"
             ],
-            "events_scheduled_batched": batched["events_scheduled"],
-            "events_scheduled_event_driven": event_driven[
-                "events_scheduled"
-            ],
-            "events_cancelled_event_driven": event_driven[
-                "events_cancelled"
-            ],
-            "link_pokes": row["counters_fast_forward"]["link_pokes"],
-            "link_fast_forward_steps": row["counters_fast_forward"][
-                "link_fast_forward_steps"
-            ],
-            "link_batch_runs": batched["link_batch_runs"],
-            "link_batch_steps": batched["link_batch_steps"],
-            "link_wf_fast_hits": batched["link_wf_fast_hits"],
-            "link_batch_runs_event_driven": event_driven[
-                "link_batch_runs"
-            ],
-            "link_batch_steps_event_driven": event_driven[
-                "link_batch_steps"
-            ],
-            "link_tick_keeps": event_driven["link_tick_keeps"],
-            "soon_coalesced": event_driven["soon_coalesced"],
-            "browser_wakeups": event_driven["browser_wakeups"],
-            "scanner_polls_elided": event_driven["scanner_polls_elided"],
+            "events_scheduled_fast": fast["events_scheduled"],
+            "link_pokes": fast["link_pokes"],
+            "link_fast_forward_steps": fast["link_fast_forward_steps"],
+            "link_batch_runs": fast["link_batch_runs"],
+            "link_batch_steps": fast["link_batch_steps"],
+            "link_wf_fast_hits": fast["link_wf_fast_hits"],
         }
     return observed
 
@@ -459,13 +324,12 @@ def profile_scenario(
     scenario_name: str = "corpus-news",
     loads: int = 5,
     top: int = 25,
-    mode: str = "event_driven",
+    mode: str = "fast",
 ) -> str:
-    """cProfile ``loads`` loads of one scenario under one engine mode.
+    """cProfile ``loads`` loads of one scenario under one engine.
 
-    ``mode`` is any :data:`MODES` name (``event_per_tick``,
-    ``fast_forward``, ``batched``, ``event_driven``); the default
-    profiles the full event-driven stack.  Dumps the raw ``pstats``
+    ``mode`` is any :data:`MODES` name (``reference`` or ``fast``); the
+    default profiles the production engine.  Dumps the raw ``pstats``
     data to ``stats_path`` (for ``snakeviz`` / ``pstats`` digging
     offline) and returns the top-``top`` cumulative table as text —
     the CI engine-bench job archives both, so every run carries the
@@ -478,21 +342,14 @@ def profile_scenario(
     scenario = next(
         item for item in SCENARIOS if item.name == scenario_name
     )
-    try:
-        _, fast_forward, batched, event_driven = next(
-            row for row in MODES if row[0] == mode
-        )
-    except StopIteration:
-        names = ", ".join(row[0] for row in MODES)
+    if mode not in MODES:
+        names = ", ".join(MODES)
         raise ValueError(f"unknown engine mode {mode!r} (one of: {names})")
     page, snapshot, store = _materialize(scenario)
 
     def run() -> None:
         for _ in range(loads):
-            _load_once(
-                page, snapshot, store, scenario,
-                fast_forward, batched, event_driven,
-            )
+            _load_once(page, snapshot, store, scenario, mode)
 
     run()  # warm caches so the profile reflects steady state
     profiler = cProfile.Profile()
@@ -516,26 +373,16 @@ def smoke_run() -> dict:
 
 
 #: Counters that measure which *implementation* ran, not the trace.
-#: Under ``REPRO_AUDIT=1`` the batch loops stand down (the generic loop
+#: Under ``REPRO_AUDIT=1`` the batch loop stands down (the generic loop
 #: validates every step individually, so runs/steps read zero) and the
-#: memoised allocator is bypassed (so the closed-form solver is hit a
-#: different number of times).  These are not comparable to the goldens
-#: there — but every trace-shaped counter (events, pokes, fast-forward
-#: steps) must still match exactly, and that is what the audited smoke
-#: run asserts.  Microtask batching also stands down under audit (the
-#: seq-gap coalescing guard is an implementation shortcut the auditor
-#: refuses), so the event-driven heap totals and the coalescing counter
-#: shift by exactly the coalesced count; the demand-driven trace
-#: counters (``browser_wakeups``, ``scanner_polls_elided``,
-#: ``link_tick_keeps``, cancellations) stay pinned even when audited.
+#: closed-form solver is hit a different number of times.  These are not
+#: comparable to the goldens there — but every trace-shaped counter
+#: (events, pokes, fast-forward steps) must still match exactly, and
+#: that is what the audited smoke run asserts.
 _IMPLEMENTATION_COUNTERS = (
     "link_batch_runs",
     "link_batch_steps",
     "link_wf_fast_hits",
-    "link_batch_runs_event_driven",
-    "link_batch_steps_event_driven",
-    "events_scheduled_event_driven",
-    "soon_coalesced",
 )
 
 
@@ -545,12 +392,7 @@ def smoke_check(report: dict) -> List[str]:
     observed = smoke_counters(report)
     audited = audit.ENABLED
     speedups = {
-        row["scenario"]: row["wall_batched_speedup"]
-        for row in report["scenarios"]
-    }
-    ed_speedups = {
-        row["scenario"]: row.get("wall_event_driven_speedup")
-        for row in report["scenarios"]
+        row["scenario"]: row["wall_speedup"] for row in report["scenarios"]
     }
     for scenario, golden in SMOKE_GOLDENS.items():
         actual = observed.get(scenario)
@@ -566,27 +408,15 @@ def smoke_check(report: dict) -> List[str]:
                     f"got {actual.get(field)!r}"
                 )
         if audited:
-            # Audited walls time the stand-down engine plus per-step
-            # validation, not the batched executor; no floor applies.
+            # Audited walls time per-step validation, not the fast
+            # engine; no floor applies.
             continue
         floor = SPEEDUP_FLOORS.get(scenario)
         speedup = speedups.get(scenario)
         if floor is not None and speedup is not None and speedup < floor:
             problems.append(
-                f"{scenario}.wall_batched_speedup: {speedup:.2f}x fell "
-                f"below the {floor:.2f}x floor — the batched executor "
-                "lost its wall-clock edge over the fast-forward engine"
-            )
-        ed_floor = EVENT_DRIVEN_SPEEDUP_FLOORS.get(scenario)
-        ed_speedup = ed_speedups.get(scenario)
-        if (
-            ed_floor is not None
-            and ed_speedup is not None
-            and ed_speedup < ed_floor
-        ):
-            problems.append(
-                f"{scenario}.wall_event_driven_speedup: {ed_speedup:.2f}x "
-                f"fell below the {ed_floor:.2f}x floor — the event-driven "
-                "browser lost its wall-clock edge over the batched engine"
+                f"{scenario}.wall_speedup: {speedup:.2f}x fell below the "
+                f"{floor:.2f}x floor — the fast engine lost its wall-clock "
+                "edge over the reference"
             )
     return problems

@@ -2,41 +2,28 @@
 
 The link divides its byte budget across busy connections by iterative
 water-filling: equal shares, with any connection capped below its share
-pinned to its cap and the surplus recycled into the next round
-(:meth:`repro.net.link.AccessLink._channel_rates` is the in-situ
-original).  This module hosts three implementations of that exact
-computation, all bit-identical to the original on the same inputs:
+pinned to its cap and the surplus recycled into the next round.  This
+module hosts two implementations of that exact computation:
 
-* :func:`waterfill` — the general iterative solver on plain lists.
+* :func:`waterfill` — the general iterative solver on plain lists.  The
+  reference engine allocates with it, and the fast engine falls back to
+  it above three busy connections.
 * :func:`waterfill_small` — closed-form unrolled solutions for the 1–3
   busy-connection signatures that dominate real page loads.  Every
   branch performs the same float operations in the same order as the
   iterative solver would, just without building the round's intermediate
   lists; under ``REPRO_AUDIT=1`` the link cross-checks the two on every
   fast-path hit (``audit.waterfill_equivalent``).
-* :func:`waterfill_vectorized` — opt-in (``NetworkConfig.vectorized_flow``)
-  solver using numpy for the elementwise work.  numpy stays a *soft*
-  dependency: the import is guarded and the function silently falls back
-  to :func:`waterfill` when it is absent.  Reductions that the iterative
-  solver performs sequentially (the budget subtraction per capped
-  connection) stay sequential Python-float arithmetic even in numpy
-  mode, because pairwise/SIMD summation would round differently and
-  break the bit-identity contract.
 
 Bit-identity is the load-bearing property here: allocations feed
 per-stream rates, rates feed delivery timestamps, and the equivalence
-suite asserts ``LoadMetrics`` equality across engine configurations down
-to the last ulp.
+suite asserts ``LoadMetrics`` equality between the two engines down to
+the last ulp.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
-
-try:  # numpy is optional; the pure-python paths cover its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 _EPS_BYTES = 1e-6
 
@@ -44,11 +31,10 @@ _EPS_BYTES = 1e-6
 def waterfill(caps: List[float], budget: float) -> List[float]:
     """General iterative water-filling over connection rate caps.
 
-    Returns byte rates aligned with ``caps``.  The float operations and
-    their order replicate ``AccessLink._channel_rates`` exactly: shares
-    are ``budget / len(remaining)``, a connection is capped when its cap
-    is below ``share - _EPS_BYTES``, and capped connections subtract
-    from the budget one at a time in list order.
+    Returns byte rates aligned with ``caps``.  Shares are
+    ``budget / len(remaining)``, a connection is capped when its cap is
+    below ``share - _EPS_BYTES``, and capped connections subtract from
+    the budget one at a time in list order.
     """
     n = len(caps)
     rates = [0.0] * n
@@ -131,43 +117,3 @@ def waterfill_small(caps: List[float], budget: float) -> Optional[List[float]]:
         rest = budget - cap_b - cap_c
         return [cap_a if cap_a < rest - _EPS_BYTES else rest, cap_b, cap_c]
     return None
-
-
-def numpy_available() -> bool:
-    """Whether the vectorised solver would actually use numpy."""
-    return _np is not None
-
-
-def waterfill_vectorized(caps: List[float], budget: float) -> List[float]:
-    """Water-filling with numpy elementwise comparisons; soft dependency.
-
-    The per-round capped-set test (``caps < share - eps``) runs as one
-    vector comparison; the budget subtraction stays a sequential Python
-    loop in index order so the result is bit-identical to
-    :func:`waterfill` (vector reductions would associate differently).
-    Falls back to the pure-python solver when numpy is unavailable.
-    """
-    if _np is None:
-        return waterfill(caps, budget)
-    n = len(caps)
-    arr = _np.asarray(caps, dtype=_np.float64)
-    rates = [0.0] * n
-    alive = _np.ones(n, dtype=bool)
-    count = n
-    for _ in range(n + 1):
-        if count == 0:
-            break
-        share = budget / count
-        capped_mask = alive & (arr < share - _EPS_BYTES)
-        capped = _np.nonzero(capped_mask)[0]
-        if capped.size == 0:
-            for i in _np.nonzero(alive)[0]:
-                rates[i] = share
-            break
-        for i in capped:
-            cap = caps[i]
-            rates[i] = cap
-            budget -= cap
-        alive &= ~capped_mask
-        count = int(alive.sum())
-    return rates

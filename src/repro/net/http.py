@@ -33,6 +33,10 @@ from repro.net.origin import OriginServer, Response
 from repro.net.simulator import SimulatorLike
 
 
+#: Valid :attr:`NetworkConfig.engine` values, the oracle first.
+ENGINES = ("reference", "fast")
+
+
 class HttpVersion(enum.Enum):
     HTTP1 = "http/1.1"
     HTTP2 = "http/2"
@@ -67,26 +71,45 @@ class NetworkConfig:
     max_retries: int = 0
     #: First retry delay in seconds; doubles with each further retry.
     retry_backoff: float = 0.25
-    #: Coalesce the link's refresh ticks into inline clock advances.
-    #: Bit-identical to the event-per-tick path; off exists for the
-    #: equivalence suite and for bisecting engine regressions.
-    link_fast_forward: bool = True
-    #: Batched timeline executor: array-backed event storage
-    #: (:class:`~repro.net.simulator.ArraySimulator`) plus the link's
-    #: homogeneous-run batch loop, busy-set cache and closed-form
-    #: water-filling.  Bit-identical to the reference engine; off selects
-    #: the PR-5 per-object engine for equivalence and bisection.
-    batched_timeline: bool = True
-    #: Route general water-filling recomputes through the numpy-backed
-    #: vectorised solver (:mod:`repro.net.flow`).  Opt-in; numpy is a
-    #: soft dependency — without it the solver falls back to pure python.
-    vectorized_flow: bool = False
-    #: Demand-driven browser wakeups: the preload scanner arms from
-    #: fetch-created callbacks landing on the legacy poll's exact 5 ms
-    #: grid, eliding every no-op poll tick so silent link windows stay
-    #: open for batch runs.  Bit-identical to the poll engine; off keeps
-    #: the standing poll loop for equivalence and bisection.
-    event_driven_browser: bool = True
+    #: Which executor runs the load: ``"fast"`` (the array-backed
+    #: :class:`~repro.net.simulator.ArraySimulator`, on which the link
+    #: fast-forwards and batches its refresh ticks) or ``"reference"``
+    #: (the plain :class:`~repro.net.simulator.Simulator`: one heap event
+    #: per callback and per refresh tick).  Both give bit-identical
+    #: :class:`~repro.browser.metrics.LoadMetrics`; the reference is the
+    #: oracle the fast engine is tested against.
+    engine: str = "fast"
+
+    def __post_init__(self) -> None:
+        """Reject values the transport cannot simulate, naming the field."""
+        checks = (
+            ("downlink_bps", self.downlink_bps > 0, "must be positive"),
+            ("uplink_bps", self.uplink_bps > 0, "must be positive"),
+            ("base_rtt", self.base_rtt >= 0, "must be non-negative"),
+            (
+                "max_conns_per_domain",
+                self.max_conns_per_domain >= 1,
+                "must be at least 1",
+            ),
+            ("loss_rate", 0.0 <= self.loss_rate < 1.0, "must be in [0, 1)"),
+            (
+                "request_timeout",
+                self.request_timeout >= 0,
+                "must be non-negative (0 disables timeouts)",
+            ),
+            ("max_retries", self.max_retries >= 0, "must be non-negative"),
+            ("retry_backoff", self.retry_backoff >= 0, "must be non-negative"),
+            (
+                "engine",
+                self.engine in ENGINES,
+                f"must be one of {', '.join(ENGINES)}",
+            ),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(
+                    f"NetworkConfig.{name} {rule}, got {getattr(self, name)!r}"
+                )
 
     def rtt_to(self, server: OriginServer) -> float:
         if self.zero_latency:
@@ -196,13 +219,7 @@ class HttpClient:
         self.servers = servers
         self.config = config or NetworkConfig()
         self.link = AccessLink(
-            sim,
-            self.config.downlink_bps,
-            loss_rate=self.config.loss_rate,
-            fast_forward=self.config.link_fast_forward,
-            batched=self.config.batched_timeline,
-            vectorized_flow=self.config.vectorized_flow,
-            lazy_ticks=self.config.event_driven_browser,
+            sim, self.config.downlink_bps, loss_rate=self.config.loss_rate
         )
         self._domains: Dict[str, _DomainState] = {}
         #: url -> Fetch for every exchange ever started (including pushes).

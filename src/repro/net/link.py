@@ -18,12 +18,21 @@ the moment a particular byte of an HTML response arrives.
 
 The link is also the simulation's hottest loop: while any connection is in
 slow start it refreshes its piecewise-constant rates every ``min_rtt / 2``.
-With ``fast_forward`` enabled (the default), consecutive refresh steps run
-in a tight inline loop via :meth:`Simulator.advance_inline` instead of a
-schedule/cancel/pop heap round-trip per step.  The inline path performs the
-identical piecewise updates at the identical simulated times, and drops
-back to the heap whenever any foreign event could observe the difference,
-so results are bit-identical either way (see ``docs/ARCHITECTURE.md``).
+It takes one of two paths, chosen by the simulator it is given:
+
+* On the reference :class:`~repro.net.simulator.Simulator` every refresh
+  step is its own heap event: :meth:`AccessLink._step` integrates and
+  fires due watches, and :meth:`AccessLink._assign_and_horizon`
+  water-fills and picks the next tick.  This is the oracle.
+* On the fast :class:`~repro.net.simulator.ArraySimulator` consecutive
+  refresh steps run inline via ``advance_inline`` instead of a
+  schedule/cancel/pop heap round-trip per step, a silent run of them is
+  absorbed in locals by :meth:`AccessLink._run_batch`, and the per-poke
+  assignment is memoised (:meth:`AccessLink._assign_and_horizon_batched`).
+  It performs the identical piecewise updates at the identical simulated
+  times, and drops back to the heap whenever any foreign event could
+  observe the difference, so results are bit-identical to the reference
+  (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -33,16 +42,11 @@ import enum
 import itertools
 import math
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import audit
-from repro.net.flow import waterfill, waterfill_small, waterfill_vectorized
-from repro.net.simulator import (
-    ArraySimulator,
-    EventLike,
-    Simulator,
-    SimulatorLike,
-)
+from repro.net.flow import waterfill, waterfill_small
+from repro.net.simulator import ArraySimulator, Event, SimulatorLike
 
 _EPS_BYTES = 1e-6
 _EPS_TIME = 1e-12
@@ -297,7 +301,7 @@ class Channel:
     def invalidate_active(self) -> None:
         self._active_cache = None
         # Channel membership in the link's busy set may have changed too;
-        # neither the batched executor's busy cache nor its assignment
+        # neither the fast engine's busy cache nor its assignment
         # memo (rates already written to an unchanged stream set) may
         # survive this.  The generation counter keys the membership-
         # scoped memos (FIFO heads, refresh span, weight totals).
@@ -314,6 +318,16 @@ class Channel:
             ]
         return active
 
+    def audit_fifo(self, head: StreamHandle) -> None:
+        """Check that FIFO scheduling serves only ``head``, the queue head."""
+        active = self.active_streams()
+        audit.fifo_discipline(
+            self.ordinal,
+            [(stream.weight, stream.id) for stream in active if stream.rate > 0],
+            (head.weight, head.id),
+            [(stream.weight, stream.id) for stream in active],
+        )
+
     def assign_rates(self, byte_rate: float) -> None:
         """Distribute this connection's byte rate across its streams."""
         active = self.active_streams()
@@ -329,16 +343,7 @@ class Channel:
             head = min(active, key=lambda stream: (-stream.weight, stream.id))
             head.rate = byte_rate
             if audit.ENABLED:
-                audit.fifo_discipline(
-                    self.ordinal,
-                    [
-                        (stream.weight, stream.id)
-                        for stream in active
-                        if stream.rate > 0
-                    ],
-                    (head.weight, head.id),
-                    [(stream.weight, stream.id) for stream in active],
-                )
+                self.audit_fifo(head)
         elif self.scheduling is StreamScheduling.WEIGHTED:
             total = sum(stream.weight for stream in active)
             for stream in active:
@@ -357,10 +362,6 @@ class AccessLink:
         sim: SimulatorLike,
         downlink_bps: float,
         loss_rate: float = 0.0,
-        fast_forward: bool = True,
-        batched: bool = False,
-        vectorized_flow: bool = False,
-        lazy_ticks: bool = False,
     ):
         if downlink_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -370,58 +371,29 @@ class AccessLink:
         self.downlink_bps = downlink_bps
         #: Per-packet loss probability (halves a connection's window).
         self.loss_rate = loss_rate
-        #: Coalesce consecutive refresh ticks into inline clock advances.
-        #: Bit-identical either way; off is the reference event-per-tick
-        #: path the equivalence suite compares against.
-        self.fast_forward = fast_forward
-        #: Batched timeline executor: run homogeneous refresh/delivery
-        #: runs through :meth:`_run_batch` (the multi-stream
-        #: generalisation of :meth:`_coalesce`), cache the busy-channel
-        #: set, skip zero-dt sweeps, and use the closed-form water-filling
-        #: fast path.  Bit-identical to the reference paths by the same
-        #: contract as ``fast_forward``.
-        self.batched = batched
-        #: Route general water-filling recomputes through the numpy-backed
-        #: solver (soft dependency; see :mod:`repro.net.flow`).
-        self.vectorized_flow = vectorized_flow
-        #: Lazy refresh-tick discipline (the event-driven browser mode):
-        #: :meth:`_reschedule` records the desired absolute tick target
-        #: and defers the heap push to the simulator's pre-advance hook,
-        #: so the many same-timestamp reschedules a poke cascade produces
-        #: collapse into at most one real heap event — and none at all
-        #: when the net target equals the already-pending tick's time.
-        #: Bit-identical by the usual contract: the materialised tick
-        #: lands at exactly the time the last eager reschedule would have
-        #: used.  Off keeps the eager cancel-and-reschedule reference.
-        self.lazy_ticks = lazy_ticks
         self.channels: List[Channel] = []
         self._last_update = sim.now
-        self._tick_event: Optional[EventLike] = None
-        #: With the array-backed executor the refresh tick skips the
-        #: per-event :class:`EventHandle`: the link keeps only the raw
-        #: storage slot (-1 when no tick is pending).  The invariant that
-        #: makes slot-cancel safe: the slot is recorded only by
+        #: The fast engine's simulator, or None on the reference engine.
+        #: Only the fast engine fast-forwards, batches silent runs and
+        #: memoises assignment (see the module docstring).
+        self._raw_sim = sim if isinstance(sim, ArraySimulator) else None
+        #: Reference engine: handle of the pending refresh tick.
+        self._tick_event: Optional[Event] = None
+        #: Fast engine: the refresh tick skips the per-event
+        #: :class:`EventHandle`; the link keeps only the raw storage slot
+        #: (-1 when no tick is pending).  The invariant that makes
+        #: slot-cancel safe: the slot is recorded only by
         #: :meth:`_reschedule` and cleared either there (cancel) or at
         #: :meth:`_tick` entry (execution), so a recorded slot is always
         #: still pending in the heap.
-        self._raw_sim = sim if isinstance(sim, ArraySimulator) else None
         self._tick_slot = -1
-        #: Lazy discipline bookkeeping: absolute time of the live heap
-        #: tick (None when none is pending) and the deferred target not
-        #: yet materialised (None when clean).
-        self._tick_at: Optional[float] = None
-        self._tick_want: Optional[float] = None
         self._in_poke = False
-        #: Memoised water-filling result: signature of (channel id, cap)
-        #: pairs -> rates.  Valid until the busy set or any cap changes.
-        self._rates_sig: Optional[tuple] = None
-        self._rates: Dict[int, float] = {}
-        #: Batched mode: memoised busy-channel list (in ``channels``
+        #: Fast engine: memoised busy-channel list (in ``channels``
         #: order, which the allocator's budget walk observes bitwise).
         #: Invalidated by every stream start/completion/abort via
         #: :meth:`Channel.invalidate_active`; None when stale.
         self._busy_cache: Optional[List[Channel]] = None
-        #: Batched mode: assignment memo.  While ``_assign_valid`` holds
+        #: Fast engine: assignment memo.  While ``_assign_valid`` holds
         #: and the per-connection window caps equal ``_alloc_caps``, the
         #: streams already carry exactly the rates a fresh allocation
         #: would assign (every write since the last assignment wrote the
@@ -438,7 +410,7 @@ class AccessLink:
         self._memo_heads: List[Optional[StreamHandle]] = []
         self._memo_wtotals: List[float] = []
         self._memo_refresh = 0.0
-        #: Batched mode: force the next :meth:`_step` to run its full
+        #: Fast engine: force the next :meth:`_step` to run its full
         #: watch/completion scan even at zero dt (set when a batch run
         #: exits on a threshold crossing it has not fired yet).
         self._scan_forced = False
@@ -452,19 +424,15 @@ class AccessLink:
         self.busy_time = 0.0
         #: Deterministic perf counters: poke sweeps (direct calls plus one
         #: per refresh step, inline or heap), refresh steps taken inline,
-        #: and full water-filling recomputations (signature misses).
+        #: and general iterative water-filling solves.
         self.pokes = 0
         self.ff_steps = 0
         self.rate_recomputes = 0
-        #: Batched-executor counters: homogeneous runs executed, total
-        #: steps those runs absorbed, and closed-form water-filling hits.
+        #: Fast-engine counters: homogeneous runs executed, total steps
+        #: those runs absorbed, and closed-form water-filling hits.
         self.batch_runs = 0
         self.batch_steps = 0
         self.wf_fast_hits = 0
-        #: Lazy-tick counter: pending refresh ticks kept in place because
-        #: the cascade's net target equalled their time (heap push and
-        #: cancel both elided).
-        self.tick_keeps = 0
 
     def open_channel(
         self,
@@ -512,12 +480,12 @@ class AccessLink:
         self._last_update = now
 
     def _busy_channels(self) -> List[Channel]:
-        if not self.batched:
-            return [
-                channel
-                for channel in self.channels
-                if channel.active_streams()
-            ]
+        """Fast engine: the memoised list of channels carrying streams.
+
+        In ``channels`` order, which the allocator's budget walk observes
+        bitwise.  Under audit every cache hit is checked against a fresh
+        recomputation.
+        """
         busy = self._busy_cache
         if busy is None:
             busy = self._busy_cache = [
@@ -536,81 +504,25 @@ class AccessLink:
             )
         return busy
 
-    def _channel_rates(self, busy: List[Channel]) -> Dict[int, float]:
-        """Water-filling: equal shares, with cwnd-capped surplus recycled.
-
-        The full computation only reruns when the connection set or some
-        connection's window cap has changed since the previous call; an
-        unchanged signature reuses the memoised allocation, and the common
-        single-connection case short-circuits entirely.
-        """
-        total_byte_rate = self.downlink_bps / 8.0
-        if len(busy) == 1:
-            channel = busy[0]
-            return {channel.id: min(total_byte_rate, channel.rate_cap())}
-        signature = tuple(
-            (channel.id, channel.rate_cap()) for channel in busy
-        )
-        if signature == self._rates_sig:
-            return self._rates
-        self.rate_recomputes += 1
-        rates: Dict[int, float]
-        if self.vectorized_flow:
-            # Same allocation via the numpy-backed solver (soft
-            # dependency; bit-identical by construction, see flow.py).
-            alloc = waterfill_vectorized(
-                [cap for _, cap in signature], total_byte_rate
-            )
-            rates = {
-                channel.id: rate for channel, rate in zip(busy, alloc)
-            }
-        else:
-            rates = {}
-            remaining = list(busy)
-            budget = total_byte_rate
-            for _ in range(len(busy) + 1):
-                if not remaining:
-                    break
-                share = budget / len(remaining)
-                # repro: allow[PERF401] water-filling rebuilds the capped
-                # set each round by construction; rounds are bounded by
-                # the (small) busy-channel count.
-                capped = [
-                    channel
-                    for channel in remaining
-                    if channel.rate_cap() < share - _EPS_BYTES
-                ]
-                if not capped:
-                    for channel in remaining:
-                        rates[channel.id] = share
-                    break
-                for channel in capped:
-                    rates[channel.id] = channel.rate_cap()
-                    budget -= channel.rate_cap()
-                    remaining.remove(channel)
-        self._rates_sig = signature
-        self._rates = rates
-        return rates
-
     def _assign_and_horizon(self) -> Optional[float]:
         """Assign per-stream rates; return seconds until they next change.
 
         Returns None when the link is idle or nothing bounds the current
-        piecewise-constant segment (no refresh tick is needed).
+        piecewise-constant segment (no refresh tick is needed).  The body
+        below is the reference engine's; the fast engine runs the
+        memoised :meth:`_assign_and_horizon_batched` instead.
         """
-        if self.batched and not audit.ENABLED:
-            # The batched executor's memoised variant; under audit the
-            # reference body below runs instead so every poke is checked
-            # (it still exercises the closed-form allocator, which the
-            # audit cross-validates against the iterative solver).
+        if self._raw_sim is not None:
             return self._assign_and_horizon_batched()
-        busy = self._busy_channels()
+        busy = [
+            channel for channel in self.channels if channel.active_streams()
+        ]
         if not busy:
             return None
         if len(busy) == 1:
             # Fast path for the dominant case (one connection carrying
             # traffic, e.g. HTTP/2 push-all): same arithmetic as the
-            # generic path below, minus the dict and method-call churn.
+            # generic path below, minus the list and method-call churn.
             channel = busy[0]
             cap = channel.rate_cap()
             rate = min(self.downlink_bps / 8.0, cap)
@@ -631,43 +543,16 @@ class AccessLink:
                 eta = remaining / stream_rate if remaining > 0 else 0.0
                 if horizon is None or eta < horizon:
                     horizon = eta
-        elif self.batched and len(busy) <= 3:
-            # Closed-form water-filling for the dominant 2–3-connection
-            # signatures: same floats as the general solver (audited
-            # below), minus the signature tuple, memo dict and per-call
-            # method churn.  Assignment and horizon sweeps keep the
-            # generic path's channel-then-stream order.
+        else:
+            # Water-filling: equal shares, with cwnd-capped surplus
+            # recycled (see :func:`repro.net.flow.waterfill`).
             caps = [channel.rate_cap() for channel in busy]
-            total_byte_rate = self.downlink_bps / 8.0
-            alloc = waterfill_small(caps, total_byte_rate)
-            self.wf_fast_hits += 1
-            if audit.ENABLED:
-                audit.waterfill_equivalent(
-                    caps,
-                    total_byte_rate,
-                    list(alloc or []),
-                    waterfill(caps, total_byte_rate),
-                )
+            self.rate_recomputes += 1
+            alloc = waterfill(caps, self.downlink_bps / 8.0)
             cwnd_limited = False
-            for channel, rate, cap in zip(busy, alloc or [], caps):
+            for channel, rate, cap in zip(busy, alloc, caps):
                 channel.assign_rates(rate)
                 if cap <= rate + _EPS_BYTES:
-                    cwnd_limited = True
-            horizon = None
-            for channel in busy:
-                for stream in channel.active_streams():
-                    if stream.rate <= 0:
-                        continue
-                    eta = stream.next_threshold() / stream.rate
-                    if horizon is None or eta < horizon:
-                        horizon = eta
-        else:
-            rates = self._channel_rates(busy)
-            cwnd_limited = False
-            for channel in busy:
-                rate = rates.get(channel.id, 0.0)
-                channel.assign_rates(rate)
-                if channel.rate_cap() <= rate + _EPS_BYTES:
                     cwnd_limited = True
             horizon = None
             for channel in busy:
@@ -692,7 +577,8 @@ class AccessLink:
     def _assign_and_horizon_batched(self) -> Optional[float]:
         """Memoised, loop-fused :meth:`_assign_and_horizon` equivalent.
 
-        Bit-identical to the reference body by construction:
+        The fast engine's assignment.  Bit-identical to the reference
+        body by construction:
 
         * Window caps are compared against the previous assignment's; on
           a match the per-stream rates already hold exactly the values a
@@ -707,14 +593,11 @@ class AccessLink:
           ``min_j(rem_j) / each`` equals ``min_j(rem_j / each)`` exactly
           (a non-positive minimum collapses to the same 0.0 the
           reference's ``max(0.0, ...)`` produces).
+
+        Under audit every closed-form allocation is checked against the
+        general iterative solver.
         """
-        busy = self._busy_cache
-        if busy is None:
-            busy = self._busy_cache = [
-                channel
-                for channel in self.channels
-                if channel.active_streams()
-            ]
+        busy = self._busy_channels()
         if not busy:
             return None
         if self._heads_gen != self._member_gen:
@@ -777,13 +660,17 @@ class AccessLink:
                 small = waterfill_small(caps, total_byte_rate)
                 if small is not None:
                     self.wf_fast_hits += 1
+                    if audit.ENABLED:
+                        audit.waterfill_equivalent(
+                            caps,
+                            total_byte_rate,
+                            small,
+                            waterfill(caps, total_byte_rate),
+                        )
                     alloc = small
                 else:
                     self.rate_recomputes += 1
-                    if self.vectorized_flow:
-                        alloc = waterfill_vectorized(caps, total_byte_rate)
-                    else:
-                        alloc = waterfill(caps, total_byte_rate)
+                    alloc = waterfill(caps, total_byte_rate)
             cwnd_limited = False
             for i in range(len(busy)):
                 if caps[i] <= alloc[i] + _EPS_BYTES:
@@ -808,6 +695,8 @@ class AccessLink:
                     for stream in active:
                         stream.rate = 0.0
                     head.rate = rate
+                    if audit.ENABLED:
+                        channel.audit_fifo(head)
                 if rate > 0:
                     target = head.bytes_total
                     watches = head._watches
@@ -881,12 +770,9 @@ class AccessLink:
         return horizon
 
     def _reschedule(self, horizon: Optional[float]) -> None:
-        if self.lazy_ticks:
-            self._reschedule_lazy(horizon)
-            return
         raw = self._raw_sim
         if raw is not None:
-            # Handle-free tick bookkeeping on the array executor: the
+            # Handle-free tick bookkeeping on the fast engine: the
             # recorded slot is pending by the invariant documented at
             # ``_tick_slot``, so a plain slot-cancel replaces the handle.
             # Sequence numbers, heap entries and counters are identical
@@ -906,87 +792,11 @@ class AccessLink:
         if horizon is not None:
             self._tick_event = self.sim.schedule(max(0.0, horizon), self._tick)
 
-    # repro: hotpath
-    def _reschedule_lazy(self, horizon: Optional[float]) -> None:
-        """Deferred-materialisation variant of :meth:`_reschedule`.
-
-        Records the desired absolute target and arms the simulator's
-        pre-advance hook instead of touching the heap, so a cascade of
-        same-timestamp reschedules performs one heap push at most — at
-        exactly the time the *last* eager reschedule would have used
-        (``now + max(0, horizon)`` evaluated here, with ``now`` frozen
-        until the flush).  Same-time wakeups (``horizon <= 0``) cannot be
-        deferred — they must queue behind already-pending same-time
-        events in seq order — so those fall through to the eager path.
-        """
-        now = self.sim.now
-        if self._tick_at is not None and self._tick_at <= now:
-            # The live tick is due at the current timestamp but a newer
-            # scheduling decision supersedes it; the eager path would
-            # have cancelled it here too.
-            self._cancel_tick()
-        if horizon is None:
-            self._tick_want = None
-            self._cancel_tick()
-            self.sim.cancel_deferred()
-            return
-        target = now + (horizon if horizon > 0.0 else 0.0)
-        if target <= now:
-            self._tick_want = None
-            self.sim.cancel_deferred()
-            self._cancel_tick()
-            self._schedule_tick_at(target)
-            return
-        self._tick_want = target
-        self.sim.defer(self._materialize_tick)
-
-    # repro: hotpath
-    def _materialize_tick(self) -> None:
-        """Pre-advance flush: push the deferred tick, or keep the live one.
-
-        When the net target of the cascade equals the live pending
-        tick's time bit-for-bit, the pending event already *is* the one
-        the eager path would have ended up with (modulo its sequence
-        number, which only same-time float collisions could observe —
-        the equivalence suites arbitrate) and both the cancel and the
-        push are elided entirely.
-        """
-        want = self._tick_want
-        if want is None:
-            return
-        self._tick_want = None
-        if want == self._tick_at:
-            self.tick_keeps += 1
-            return
-        self._cancel_tick()
-        self._schedule_tick_at(want)
-
-    def _cancel_tick(self) -> None:
-        raw = self._raw_sim
-        if raw is not None:
-            slot = self._tick_slot
-            if slot >= 0:
-                raw._cancel_slot(slot)
-                self._tick_slot = -1
-        elif self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
-        self._tick_at = None
-
-    def _schedule_tick_at(self, target: float) -> None:
-        raw = self._raw_sim
-        if raw is not None:
-            self._tick_slot = raw.schedule_raw_at(target, self._tick)
-        else:
-            self._tick_event = self.sim.schedule_at(target, self._tick)
-        self._tick_at = target
-
     def _step(self) -> None:
         """Integrate progress to ``sim.now`` and fire due watches/completions."""
-        if self.batched:
+        if self._raw_sim is not None:
             self._step_batched()
             return
-        self._scan_forced = False
         self._advance()
         sim = self.sim
         for channel in self.channels:
@@ -1005,7 +815,7 @@ class AccessLink:
                 ]
 
     def _step_batched(self) -> None:
-        """Fused single-walk :meth:`_step` for the batched executor.
+        """Fused single-walk :meth:`_step` for the fast engine.
 
         Integration (:meth:`_advance`'s body, with window growth inlined)
         and the watch/completion scan run in one pass over the channels
@@ -1140,158 +950,49 @@ class AccessLink:
         """Refresh-tick callback: one poke, then fast-forward while silent.
 
         Each loop iteration performs exactly the work one scheduled poke
-        would have, at exactly the time that poke would have run; the jump
-        to the next step happens via :meth:`Simulator.advance_inline`,
-        which refuses whenever any pending heap event — a foreign model's
-        callback, a watch just fired through ``call_soon``, or the run's
-        ``until`` cap — could observe the coalescing.  A refused advance
-        falls back to scheduling a regular tick, reproducing the
-        event-per-tick trace bit for bit.
+        would have, at exactly the time that poke would have run.  On the
+        fast engine the jump to the next step happens via
+        :meth:`ArraySimulator.advance_inline`, which refuses whenever any
+        pending heap event — a foreign model's callback, a watch just
+        fired through ``call_soon``, or the run's ``until`` cap — could
+        observe the coalescing.  A refused advance, and every step on the
+        reference engine, schedules a regular tick instead, so both
+        engines run the same steps at the same times.
         """
         if self._in_poke:
             return
         self._tick_event = None
         self._tick_slot = -1
-        self._tick_at = None
-        self._tick_want = None
+        raw = self._raw_sim
         self._in_poke = True
         try:
             while True:
                 self.pokes += 1
                 self._step()
                 horizon = self._assign_and_horizon()
-                if horizon is None:
-                    # repro: allow[PERF403] at most one _reschedule call
-                    # runs per poke — every site returns immediately.
-                    self._reschedule(None)
-                    return
-                if not self.fast_forward:
-                    self._reschedule(horizon)
-                    return
-                if not self.sim.advance_inline(
-                    self.sim.now + max(0.0, horizon)
+                if (
+                    horizon is None
+                    or raw is None
+                    or not raw.advance_inline(raw.now + max(0.0, horizon))
                 ):
+                    # repro: allow[PERF403] at most one _reschedule call
+                    # runs per poke — the loop returns right after it.
                     self._reschedule(horizon)
                     return
                 self.ff_steps += 1
                 if not audit.ENABLED:
                     # Batch the rest of the silent run in locals.  Under
-                    # audit both batchers stand down so the generic loop
-                    # above validates every step individually.
-                    if self.batched:
-                        self._run_batch()
-                    else:
-                        self._coalesce()
+                    # audit the batch loop stands down so the generic
+                    # loop above validates every step individually.
+                    self._run_batch()
         finally:
             self._in_poke = False
-
-    def _coalesce(self) -> None:
-        """Batch consecutive silent refresh steps entirely in locals.
-
-        Specialised for the dominant slow-start drain shape — one FAIR
-        connection carrying one stream — this performs the same per-step
-        float operations in the same order as the generic loop in
-        :meth:`_tick`, but keeps all state in locals and checks the heap
-        head once (nothing can schedule or cancel during the silent
-        window, so it cannot change).  On any deviation from that regime
-        it writes the state back and returns; the generic loop then
-        redoes the boundary step from unchanged observable state.
-        """
-        busy = self._busy_channels()
-        if len(busy) != 1:
-            return
-        channel = busy[0]
-        if channel.scheduling is not StreamScheduling.FAIR or channel.rtt <= 0:
-            return
-        active = channel.active_streams()
-        if len(active) != 1:
-            return
-        stream = active[0]
-        rate_s = stream.rate
-        if rate_s <= 0:
-            return
-        sim = self.sim
-        next_heap = sim.peek_time()
-        until = sim._until
-        share = self.downlink_bps / 8.0
-        rtt = channel.rtt
-        refresh = rtt / 2.0
-        lossy = self.loss_rate > 0
-        total = stream.bytes_total
-        cursor = stream._watch_cursor
-        if cursor < len(stream._watches):
-            watch = stream._watches[cursor][0]
-            target_bytes = watch if watch < total else total
-        else:
-            target_bytes = total
-        now = sim._now
-        last_update = self._last_update
-        done = stream.bytes_done
-        cwnd = channel.cwnd
-        btnl = channel._bytes_to_next_loss
-        loss_count = channel._loss_count
-        delivered = self.bytes_delivered
-        busy_time = self.busy_time
-        last_busy = None
-        steps = 0
-        while True:
-            dt = now - last_update
-            if dt > _EPS_TIME:
-                # One stream: channel_delivered == delta, exactly.
-                delta = rate_s * dt
-                done = min(total, done + delta)
-                delivered += delta
-                cwnd = min(MAX_CWND_BYTES, cwnd + delta)
-                if lossy:
-                    btnl -= delta
-                    while btnl <= 0:
-                        loss_count += 1
-                        cwnd = max(INITIAL_CWND_BYTES, cwnd / 2.0)
-                        btnl += channel._sample_loss_gap(
-                            seed_extra=loss_count
-                        )
-                busy_time += dt
-                last_busy = now
-            last_update = now
-            if done + _EPS_BYTES >= target_bytes:
-                break
-            cap = min(cwnd, MAX_CWND_BYTES) / rtt
-            rate = min(share, cap)
-            # FAIR split over one stream: byte_rate / 1 == byte_rate.
-            rate_s = rate
-            remaining = target_bytes - done
-            eta = remaining / rate_s if remaining > 0 else 0.0
-            horizon = min(eta, refresh) if cap <= rate + _EPS_BYTES else eta
-            target_t = now + (horizon if horizon > 0.0 else 0.0)
-            if target_t <= now:
-                break
-            if until is not None and target_t > until:
-                break
-            if next_heap is not None and next_heap <= target_t:
-                break
-            now = target_t
-            steps += 1
-        stream.bytes_done = done
-        stream.rate = rate_s
-        channel.cwnd = cwnd
-        channel._bytes_to_next_loss = btnl
-        channel._loss_count = loss_count
-        if last_busy is not None:
-            channel._last_busy_at = last_busy
-        self.bytes_delivered = delivered
-        self.busy_time = busy_time
-        self._last_update = last_update
-        sim._now = now
-        sim.inline_advances += steps
-        self.pokes += steps
-        self.ff_steps += steps
 
     # repro: hotpath
     def _run_batch(self) -> None:
         """Execute a homogeneous run of silent refresh steps in one call.
 
-        The batched-executor generalisation of :meth:`_coalesce`: any
-        number of busy connections, any scheduling mode, any stream
+        Any number of busy connections, any scheduling mode, any stream
         count.  During a silent window nothing outside the link runs, so
         the busy set, each connection's scheduling head/weights, and
         every stream's next threshold are all *fixed* — they are hoisted
@@ -1310,19 +1011,6 @@ class AccessLink:
         nch = len(busy)
         if nch == 0:
             return
-        if nch == 1:
-            channel = busy[0]
-            active = channel.active_streams()
-            # FAIR over one stream and FIFO's head-takes-all both give
-            # the stream the whole connection rate (x / 1.0 is exact),
-            # so the scalar loop covers either; WEIGHTED would compute
-            # rate * w / w, which is not an identity in floats.
-            if (
-                len(active) == 1
-                and channel.scheduling is not StreamScheduling.WEIGHTED
-            ):
-                self._run_batch_single(channel, active[0])
-                return
         # -- hoist fixed per-channel / per-stream state into locals ------
         actives: List[List[StreamHandle]] = []
         rtts: List[float] = []
@@ -1389,7 +1077,6 @@ class AccessLink:
         lossy = self.loss_rate > 0
         min_rtt = min((rtt for rtt in rtts if rtt > 0), default=0.0)
         refresh = min_rtt / 2.0 if min_rtt > 0 else 0.0
-        vectorized = self.vectorized_flow
         now = sim._now
         last_update = self._last_update
         delivered = self.bytes_delivered
@@ -1465,8 +1152,6 @@ class AccessLink:
             elif nch <= 3:
                 alloc = waterfill_small(caps, total_rate) or []
                 wf_fast += 1
-            elif vectorized:
-                alloc = waterfill_vectorized(caps, total_rate)
             else:
                 alloc = waterfill(caps, total_rate)
             cwnd_limited = False
@@ -1543,123 +1228,6 @@ class AccessLink:
         self.pokes += steps
         self.ff_steps += steps
         self.wf_fast_hits += wf_fast
-        if steps:
-            self.batch_runs += 1
-            self.batch_steps += steps
-        if crossing:
-            self._scan_forced = True
-
-    def _run_batch_single(self, channel: Channel, stream: StreamHandle) -> None:
-        """Scalar batch loop for the one-connection / one-stream run.
-
-        The dominant drain shape: all hoisted state fits in scalar
-        locals, so each step costs a handful of float operations instead
-        of :meth:`_run_batch`'s list indexing.  Float operations and
-        their order are those of :meth:`_coalesce`, generalised to
-        RTT-less connections (infinite cap: the rate pins to the link
-        share and no refresh clamp applies, exactly as the reference
-        path computes); exit conditions and counter accounting are those
-        of :meth:`_run_batch`, including the forced boundary scan after
-        a threshold crossing.
-        """
-        rate_s = stream.rate
-        if rate_s <= 0:
-            return
-        sim = self.sim
-        next_heap = sim.peek_time()
-        until = sim._until
-        share = self.downlink_bps / 8.0
-        rtt = channel.rtt
-        grows = rtt > 0
-        refresh = rtt / 2.0 if grows else 0.0
-        lossy = self.loss_rate > 0
-        total = stream.bytes_total
-        watches = stream._watches
-        if watches:
-            offset = watches[stream._watch_cursor][0]
-            target_bytes = offset if offset < total else total
-        else:
-            target_bytes = total
-        now = sim._now
-        last_update = self._last_update
-        done = stream.bytes_done
-        cwnd = channel.cwnd
-        btnl = channel._bytes_to_next_loss
-        loss_count = channel._loss_count
-        delivered = self.bytes_delivered
-        busy_time = self.busy_time
-        last_busy = None
-        steps = 0
-        crossing = False
-        while True:
-            dt = now - last_update
-            if dt > _EPS_TIME:
-                # One stream: channel_delivered == delta, exactly.
-                delta = rate_s * dt
-                grown = done + delta
-                done = total if total <= grown else grown
-                delivered += delta
-                if grows:
-                    grown_w = cwnd + delta
-                    cwnd = (
-                        MAX_CWND_BYTES
-                        if MAX_CWND_BYTES <= grown_w
-                        else grown_w
-                    )
-                if lossy:
-                    btnl -= delta
-                    while btnl <= 0:
-                        loss_count += 1
-                        halved = cwnd / 2.0
-                        cwnd = (
-                            INITIAL_CWND_BYTES
-                            if INITIAL_CWND_BYTES >= halved
-                            else halved
-                        )
-                        btnl += channel._sample_loss_gap(
-                            seed_extra=loss_count
-                        )
-                busy_time += dt
-                last_busy = now
-            last_update = now
-            if done + _EPS_BYTES >= target_bytes:
-                crossing = True
-                break
-            if grows:
-                cap = min(cwnd, MAX_CWND_BYTES) / rtt
-                rate = share if share <= cap else cap
-                limited = cap <= rate + _EPS_BYTES
-            else:
-                rate = share
-                limited = False
-            rate_s = rate
-            remaining = target_bytes - done
-            eta = remaining / rate_s if remaining > 0 else 0.0
-            horizon = (eta if eta <= refresh else refresh) if limited else eta
-            target_t = now + (horizon if horizon > 0.0 else 0.0)
-            if target_t <= now:
-                break
-            if until is not None and target_t > until:
-                break
-            if next_heap is not None and next_heap <= target_t:
-                break
-            now = target_t
-            steps += 1
-        stream.bytes_done = done
-        stream.rate = rate_s
-        channel.cwnd = cwnd
-        if lossy:
-            channel._bytes_to_next_loss = btnl
-            channel._loss_count = loss_count
-        if last_busy is not None:
-            channel._last_busy_at = last_busy
-        self.bytes_delivered = delivered
-        self.busy_time = busy_time
-        self._last_update = last_update
-        sim._now = now
-        sim.inline_advances += steps
-        self.pokes += steps
-        self.ff_steps += steps
         if steps:
             self.batch_runs += 1
             self.batch_steps += steps

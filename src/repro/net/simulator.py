@@ -11,33 +11,32 @@ drag a long tail of dead events through every ``heappop``.  The live-event
 count is maintained incrementally, making :meth:`Simulator.pending` O(1)
 instead of an O(n) scan.
 
-For models that tick themselves repeatedly (again, the link's refresh
-tick), :meth:`Simulator.advance_inline` lets the *currently executing*
-callback move the clock forward without a heap round-trip.  The advance is
-refused unless it is unobservable — strictly forward, strictly before the
-next pending event, and within the active ``run(until=...)`` cap — so a
-model that checks the return value executes the exact same callbacks at
-the exact same times as its event-per-tick equivalent.
+Two executors share one scheduling contract, and ``NetworkConfig.engine``
+picks between them:
 
-Two executors share that contract:
-
-* :class:`Simulator` — the reference engine: one :class:`Event` object per
-  scheduled callback, popped and dispatched one at a time.
-* :class:`ArraySimulator` — the batched timeline executor's storage layer:
-  struct-of-arrays event state (a heap of packed ``(time, seq, slot)``
-  tuples ordered entirely by C-level tuple comparison, plus slot-indexed
-  parallel lists for callback and generation) with a tiny ``__slots__``
-  :class:`EventHandle` handed out only at the API boundary.  It executes
-  the exact same callbacks at the exact same times in the exact same order
-  as :class:`Simulator` — the heap ordering key is identical — it just
-  stops allocating one Python object and one rich-comparison call chain
-  per event.  Selected by ``NetworkConfig.batched_timeline``.
+* :class:`Simulator` — the reference engine (``engine="reference"``): one
+  :class:`Event` object per scheduled callback, popped and dispatched one
+  at a time.  It is the oracle the fast engine is tested against.
+* :class:`ArraySimulator` — the fast engine's executor (``engine="fast"``,
+  the default): struct-of-arrays event state (a heap of packed
+  ``(time, seq, slot)`` tuples ordered entirely by C-level tuple
+  comparison, plus slot-indexed parallel lists for callback and
+  generation) with a tiny ``__slots__`` :class:`EventHandle` handed out
+  only at the API boundary.  The heap ordering key is identical, so it
+  executes the same callbacks in the same order; it just stops
+  allocating one Python object and one rich-comparison call chain per
+  event.  It also offers :meth:`ArraySimulator.advance_inline`, which
+  lets the *currently executing* callback move the clock forward without
+  a heap round-trip.  The advance is refused unless it is unobservable —
+  strictly forward, strictly before the next pending event, and within
+  the active ``run(until=...)`` cap — so the access link, its only user,
+  produces the same observables as the reference engine's one heap event
+  per refresh tick.
 
 The deterministic perf counters (``events_scheduled``, ``executed``,
 ``events_cancelled``, ``inline_advances``, ``compactions``) depend only on
 the event trace, never on wall time, so they are stable across machines
-and usable as CI regression goldens.  Both executors maintain them with
-identical semantics.
+and usable as CI regression goldens.
 """
 
 from __future__ import annotations
@@ -87,22 +86,6 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
-        #: ``until`` cap of the active :meth:`run`, honoured by
-        #: :meth:`advance_inline`; None outside a capped run.
-        self._until: Optional[float] = None
-        #: Deferred materialisation hook (see :meth:`defer`).
-        self._deferred: Optional[Callable[[], None]] = None
-        #: Microtask batching (see :meth:`call_soon`).  Off by default —
-        #: the event-driven browser engine opts in; the reference trace
-        #: every equivalence suite compares against keeps one heap event
-        #: per deferral.
-        self.microtask_batching = False
-        self._soon_batch: Optional[List[Callable[[], None]]] = None
-        self._soon_last = -1
-        self._soon_event: Optional[Event] = None
-        #: Microtask-batch counter: deferrals appended to a pending batch
-        #: instead of pushed as their own heap event.
-        self.soon_coalesced = 0
         #: Cancelled events still sitting in the heap.
         self._cancelled = 0
         #: Total events executed (exposed for runaway detection / stats).
@@ -110,7 +93,8 @@ class Simulator:
         #: Heap rebuilds performed by lazy compaction (exposed for tests).
         self.compactions = 0
         #: Deterministic perf counters: heap events pushed, in-heap events
-        #: cancelled, and clock advances taken inline (no heap event).
+        #: cancelled, and clock advances taken inline (no heap event —
+        #: always zero here, the reference engine never advances inline).
         self.events_scheduled = 0
         self.events_cancelled = 0
         self.inline_advances = 0
@@ -146,10 +130,9 @@ class Simulator:
 
         The event lands at exactly ``max(now, time)`` — not at
         ``now + (time - now)``, whose round trip through a relative
-        delay can be off by one ulp.  Callers that must hit a shared
-        absolute grid point bit-exactly (the browser's event-driven
-        scanner wakeups reproducing the legacy poll grid) depend on
-        this.
+        delay can be off by one ulp.  Callers that must hit a
+        precomputed absolute time bit-exactly (a connection's ready
+        time, the CPU's busy-until mark) depend on this.
         """
         event = Event(max(self._now, time), next(self._seq), callback)
         event.sim = self
@@ -159,78 +142,8 @@ class Simulator:
 
     # repro: hotpath
     def call_soon(self, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at the current time, after pending same-time events.
-
-        With :attr:`microtask_batching` enabled (the event-driven browser
-        mode), *consecutive* deferrals drain through one heap event: a
-        ``call_soon`` whose allocated sequence number immediately follows
-        the previous batched deferral's — proof that nothing else was
-        scheduled in between, so no event can possibly order between the
-        two — appends to the pending batch instead of pushing.  Execution
-        order is identical by construction, not by measure: same-time
-        events interleave purely by sequence number, and the guard
-        guarantees the gap between batched neighbours is empty.  Appends
-        remain sound *during* the batch's own drain (a drained callback's
-        first deferral lands exactly where the reference would run it);
-        the batch seals when the drain returns.  Stands down under
-        ``REPRO_AUDIT=1`` so the audited trace keeps one executed event
-        per deferral for the per-event clock checks.  Batched deferrals
-        share one :class:`Event`; no caller in the tree cancels a
-        soon-event, so the shared handle is safe.
-        """
-        if self.microtask_batching and not audit.ENABLED:
-            seq = next(self._seq)
-            batch = self._soon_batch
-            if batch is not None and seq == self._soon_last + 1:
-                batch.append(callback)
-                self._soon_last = seq
-                self.soon_coalesced += 1
-                return self._soon_event  # type: ignore[return-value]
-            batch = [callback]
-            self._soon_batch = batch
-            self._soon_last = seq
-
-            def drain() -> None:
-                try:
-                    i = 0
-                    while i < len(batch):
-                        batch[i]()
-                        i += 1
-                finally:
-                    if self._soon_batch is batch:
-                        self._soon_batch = None
-
-            event = Event(self._now, seq, drain)
-            event.sim = self
-            heapq.heappush(self._queue, event)
-            self.events_scheduled += 1
-            self._soon_event = event
-            return event
+        """Run ``callback`` at the current time, after pending same-time events."""
         return self.schedule(0.0, callback)
-
-    def defer(self, materialize: Callable[[], None]) -> None:
-        """Run ``materialize`` once, just before the clock next advances.
-
-        The hook fires when the executor is about to leave the current
-        timestamp — before executing any strictly-later event, before
-        concluding a drained or ``until``-capped run, and before any
-        :meth:`peek_time` heap inspection — so whatever events it pushes
-        land in the heap exactly when an eager caller's would become
-        *observable*.  Callers that re-derive one wakeup many times
-        within a single timestamp (the access link's refresh tick) use
-        it to collapse every same-timestamp schedule/cancel pair into at
-        most one real heap push.  Single-slot by contract: at most one
-        component per simulator defers (a second owner would overwrite
-        the first), which the access link — its only user — satisfies.
-        The hook must only push events at strictly future times;
-        same-time wakeups must be scheduled eagerly, or they would jump
-        the queue of already-pending same-time events.
-        """
-        self._deferred = materialize
-
-    def cancel_deferred(self) -> None:
-        """Drop a pending :meth:`defer` hook without running it."""
-        self._deferred = None
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -270,35 +183,18 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
-        self._until = until
         heappop = heapq.heappop
         heappush = heapq.heappush
         try:
             # Callbacks may cancel events and trigger a compaction that
             # replaces ``self._queue``, so re-read the attribute each loop.
-            while True:
-                # repro: allow[PERF403] hoisting would pin the
-                # pre-compaction queue object and silently drop events.
-                if not self._queue:
-                    deferred = self._deferred
-                    if deferred is None:
-                        break
-                    self._deferred = None
-                    deferred()
-                    continue
+            # repro: allow[PERF403] hoisting would pin the
+            # pre-compaction queue object and silently drop events.
+            while self._queue:
                 event = heappop(self._queue)
                 if event.cancelled:
                     event.sim = None
                     self._cancelled -= 1
-                    continue
-                if self._deferred is not None and event.time > self._now:
-                    # About to leave the current timestamp: let the
-                    # deferred hook materialise its wakeup first (it may
-                    # land earlier than this event), then re-enter.
-                    heappush(self._queue, event)
-                    deferred = self._deferred
-                    self._deferred = None
-                    deferred()
                     continue
                 if until is not None and event.time > until:
                     heappush(self._queue, event)
@@ -324,43 +220,10 @@ class Simulator:
                     event.callback()
         finally:
             self._running = False
-            self._until = None
         return self._now
 
-    def advance_inline(self, target: float) -> bool:
-        """Move the clock to ``target`` from inside a running callback.
-
-        Returns True and advances only when the jump is *unobservable*:
-        strictly forward, strictly before the next pending event, and not
-        past the active ``run(until=...)`` cap.  Otherwise returns False
-        and leaves the clock untouched, so the caller falls back to
-        scheduling a regular heap event — which keeps the executed event
-        trace bit-identical to the event-per-tick engine.
-        """
-        if target <= self._now:
-            return False
-        if self._until is not None and target > self._until:
-            return False
-        next_time = self.peek_time()
-        if next_time is not None and next_time <= target:
-            return False
-        if audit.ENABLED:
-            audit.fast_forward_bounds(self._now, target, next_time)
-        self._now = target
-        self.inline_advances += 1
-        return True
-
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, if any.
-
-        Flushes a pending :meth:`defer` hook first: a deferred wakeup is
-        a scheduling decision already taken, so any heap inspection must
-        see the event it will push.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            deferred()
+        """Time of the next pending event, if any."""
         queue = self._queue
         while queue and queue[0].cancelled:
             dead = heapq.heappop(queue)
@@ -431,14 +294,9 @@ class ArraySimulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
+        #: ``until`` cap of the active :meth:`run`, honoured by
+        #: :meth:`advance_inline`; None outside a capped run.
         self._until: Optional[float] = None
-        #: Deferred materialisation hook (see :meth:`Simulator.defer`).
-        self._deferred: Optional[Callable[[], None]] = None
-        #: Microtask batching (see :meth:`Simulator.call_soon`).
-        self.microtask_batching = False
-        self._soon_batch: Optional[List[Callable[[], None]]] = None
-        self._soon_last = -1
-        self.soon_coalesced = 0
         self._cancelled = 0
         self.executed = 0
         self.compactions = 0
@@ -515,8 +373,7 @@ class ArraySimulator:
 
         Exact-time semantics match :meth:`Simulator.schedule_at`: the
         heap entry carries ``max(now, time)`` itself, never a value
-        re-derived from a relative delay (one ulp of drift there would
-        break the scanner-wakeup grid's bit-identity contract).
+        re-derived from a relative delay.
         """
         when = max(self._now, time)
         seq = next(self._seq)
@@ -533,32 +390,6 @@ class ArraySimulator:
         self.events_scheduled += 1
         return EventHandle(self, seq, slot, when)
 
-    def schedule_raw_at(
-        self, time: float, callback: Callable[[], None]
-    ) -> int:
-        """:meth:`schedule_at` without building an :class:`EventHandle`.
-
-        Returns the storage slot, with the same exact-time heap entry
-        (``max(now, time)``) as :meth:`schedule_at` and the same
-        slot/cancel contract as :meth:`schedule_raw`.  Used by the
-        access link's deferred tick materialisation, which must land on
-        a previously computed absolute target bit-exactly.
-        """
-        when = max(self._now, time)
-        seq = next(self._seq)
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._cb[slot] = callback
-            self._slot_seq[slot] = seq
-        else:
-            slot = len(self._cb)
-            self._cb.append(callback)
-            self._slot_seq.append(seq)
-        heapq.heappush(self._queue, (when, seq, slot))
-        self.events_scheduled += 1
-        return slot
-
     # repro: hotpath
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the current time, after pending same-time events.
@@ -568,59 +399,8 @@ class ArraySimulator:
         on what is (with watch fires and completions) one of the hottest
         scheduling paths.  Scheduling semantics and counters are exactly
         :meth:`schedule` with zero delay.
-
-        With :attr:`microtask_batching` enabled, consecutive deferrals
-        coalesce into one heap event under the sequence-gap guard proven
-        in :meth:`Simulator.call_soon`; stands down under audit.
         """
-        if self.microtask_batching and not audit.ENABLED:
-            seq = next(self._seq)
-            batch = self._soon_batch
-            if batch is not None and seq == self._soon_last + 1:
-                batch.append(callback)
-                self._soon_last = seq
-                self.soon_coalesced += 1
-                return
-            batch = [callback]
-            self._soon_batch = batch
-            self._soon_last = seq
-
-            def drain() -> None:
-                try:
-                    i = 0
-                    while i < len(batch):
-                        batch[i]()
-                        i += 1
-                finally:
-                    if self._soon_batch is batch:
-                        self._soon_batch = None
-
-            free = self._free
-            if free:
-                slot = free.pop()
-                self._cb[slot] = drain
-                self._slot_seq[slot] = seq
-            else:
-                slot = len(self._cb)
-                self._cb.append(drain)
-                self._slot_seq.append(seq)
-            heapq.heappush(self._queue, (self._now, seq, slot))
-            self.events_scheduled += 1
-            return
         self.schedule_raw(0.0, callback)
-
-    def defer(self, materialize: Callable[[], None]) -> None:
-        """Run ``materialize`` just before the clock next advances.
-
-        Contract identical to :meth:`Simulator.defer`: single slot, must
-        only push strictly-future events, flushed before any strictly
-        later event executes and before any heap inspection.
-        """
-        self._deferred = materialize
-
-    def cancel_deferred(self) -> None:
-        """Drop a pending :meth:`defer` hook without running it."""
-        self._deferred = None
 
     def _cancel_slot(self, slot: int) -> None:
         self._cb[slot] = None
@@ -681,29 +461,13 @@ class ArraySimulator:
         free = self._free
         audit_enabled = audit.ENABLED
         try:
-            while True:
-                if not queue:
-                    deferred = self._deferred
-                    if deferred is None:
-                        break
-                    self._deferred = None
-                    deferred()
-                    continue
+            while queue:
                 time, seq, slot = heappop(queue)
                 callback = cb[slot]
                 if callback is None:
                     slot_seq[slot] = -1
                     free.append(slot)
                     self._cancelled -= 1
-                    continue
-                if self._deferred is not None and time > self._now:
-                    # About to leave the current timestamp: let the
-                    # deferred hook materialise its wakeup first (it may
-                    # land earlier than this event), then re-enter.
-                    heappush(queue, (time, seq, slot))
-                    deferred = self._deferred
-                    self._deferred = None
-                    deferred()
                     continue
                 if until is not None and time > until:
                     heappush(queue, (time, seq, slot))
@@ -737,9 +501,12 @@ class ArraySimulator:
     def advance_inline(self, target: float) -> bool:
         """Move the clock to ``target`` from inside a running callback.
 
-        Identical contract to :meth:`Simulator.advance_inline`: the jump
-        must be strictly forward, strictly before the next pending event,
-        and within the active ``run(until=...)`` cap.
+        Returns True and advances only when the jump is *unobservable*:
+        strictly forward, strictly before the next pending event, and not
+        past the active ``run(until=...)`` cap.  Otherwise returns False
+        and leaves the clock untouched, so the caller falls back to
+        scheduling a regular heap event — which keeps every observable
+        identical to the reference engine's one event per step.
         """
         if target <= self._now:
             return False
@@ -755,15 +522,7 @@ class ArraySimulator:
         return True
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, if any.
-
-        Flushes a pending :meth:`defer` hook first, exactly as
-        :meth:`Simulator.peek_time` does.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            deferred()
+        """Time of the next pending event, if any."""
         queue = self._queue
         cb = self._cb
         while queue and cb[queue[0][2]] is None:
@@ -781,6 +540,3 @@ class ArraySimulator:
 #: Either executor; they implement one contract (see module docstring), so
 #: models annotate against the union and stay engine-agnostic.
 SimulatorLike = Union[Simulator, ArraySimulator]
-
-#: Either engine's cancellation handle.
-EventLike = Union[Event, EventHandle]

@@ -358,12 +358,10 @@ class TestFailureModes:
 
 
 class TestScannerDrivers:
-    """The preload-scanner drivers: reference poll vs demand-driven."""
+    """The preload scanner's 5 ms poll driver."""
 
     @staticmethod
-    def _run_counting_documents(event_driven):
-        from repro.net.http import NetworkConfig
-
+    def _run_counting_documents():
         # The iframe's fetch starts only once the root parse reaches it,
         # so the scanner to-do list stays non-empty past t=0 and the
         # poll grid actually gets walked.
@@ -386,8 +384,7 @@ class TestScannerDrivers:
         engine = PageLoadEngine(
             snapshot,
             build_servers(store),
-            NetworkConfig(event_driven_browser=event_driven),
-            BrowserConfig(when_hours=STAMP.when_hours),
+            browser_config=BrowserConfig(when_hours=STAMP.when_hours),
         )
         metrics = engine.run()
         return len(calls), metrics
@@ -397,14 +394,9 @@ class TestScannerDrivers:
     # regression to per-tick rebuilding would show up as hundreds.
 
     def test_poll_loop_builds_document_list_once(self):
-        """Regression: the reference 5 ms poll must hoist the document
-        list — one resource-tree walk per load, not one per tick."""
-        calls, metrics = self._run_counting_documents(event_driven=False)
+        """Regression: the 5 ms poll must hoist the document list — one
+        resource-tree walk per load, not one per tick."""
+        calls, metrics = self._run_counting_documents()
         assert calls == 2
         # Sanity: the poll actually ran (many grid ticks on this page).
         assert metrics.engine_counters["browser_wakeups"] > 1
-
-    def test_event_driven_builds_document_list_once(self):
-        calls, metrics = self._run_counting_documents(event_driven=True)
-        assert calls == 2
-        assert metrics.engine_counters["scanner_polls_elided"] > 0

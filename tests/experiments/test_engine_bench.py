@@ -31,7 +31,7 @@ def test_smoke_check_flags_drift(smoke_report):
     import copy
 
     drifted = copy.deepcopy(smoke_report)
-    drifted["scenarios"][0]["counters_fast_forward"]["link_pokes"] += 1
+    drifted["scenarios"][0]["counters_fast"]["link_pokes"] += 1
     problems = smoke_check(drifted)
     assert len(problems) == 1
     assert "link_pokes" in problems[0]
@@ -48,7 +48,7 @@ def test_smoke_check_flags_lost_speedup(smoke_report):
     import copy
 
     drifted = copy.deepcopy(smoke_report)
-    drifted["scenarios"][0]["wall_batched_speedup"] = 0.5
+    drifted["scenarios"][0]["wall_speedup"] = 0.5
     problems = smoke_check(drifted)
     assert any("lost its wall-clock edge" in problem for problem in problems)
 
@@ -59,10 +59,6 @@ def test_acceptance_ratios(smoke_report):
     rows = {row["scenario"]: row for row in smoke_report["scenarios"]}
     assert rows["push-all-high-rtt"]["event_reduction"] >= 2.0
     assert rows["single-stream-drain"]["event_reduction"] >= 2.0
-    # The event-driven browser's headline: the realistic page's heap
-    # traffic actually collapses (was 1.003x before the scanner poll
-    # was replaced by demand-driven wakeups).
-    assert rows["corpus-news"]["event_reduction_event_driven"] >= 1.5
     for row in rows.values():
         assert row["bit_identical"] is True
         assert row["plt"] > 0
@@ -71,59 +67,32 @@ def test_acceptance_ratios(smoke_report):
 def test_counters_cover_all_modes(smoke_report):
     observed = smoke_counters(smoke_report)
     for scenario, counters in observed.items():
-        assert counters["events_scheduled_fast_forward"] <= (
-            counters["events_scheduled_event_per_tick"]
+        # The fast engine only ever removes heap events (inline steps
+        # replace refresh ticks one for one), never adds any.
+        assert counters["events_scheduled_fast"] <= (
+            counters["events_scheduled_reference"]
         ), scenario
-        # Seq-parity: the batched executor schedules exactly the events
-        # the fast-forward engine does — savings are per-event cost,
-        # batch-loop absorption, never trace divergence.
-        assert counters["events_scheduled_batched"] == (
-            counters["events_scheduled_fast_forward"]
-        ), scenario
-        # The event-driven browser, by contrast, is *allowed* to shrink
-        # the schedule (elided polls, kept ticks, coalesced microtasks)
-        # — but never to grow it.
-        assert counters["events_scheduled_event_driven"] <= (
-            counters["events_scheduled_batched"]
-        ), scenario
+    for row in smoke_report["scenarios"]:
+        reference = row["counters_reference"]
+        assert reference["link_fast_forward_steps"] == 0, row["scenario"]
+        assert reference["inline_advances"] == 0, row["scenario"]
+        assert reference["link_batch_runs"] == 0, row["scenario"]
+        assert reference["link_pokes"] == row["counters_fast"]["link_pokes"]
 
 
 def test_batched_counters_present(smoke_report):
     rows = {row["scenario"]: row for row in smoke_report["scenarios"]}
     for scenario, row in rows.items():
-        batched = row["counters_batched"]
-        assert batched["link_batch_steps"] >= batched["link_batch_runs"]
-        assert row["wall_batched_sec"] > 0
-        assert row["wall_batched_speedup"] > 0
-    # The batch loop engages hardest where fast-forward's single-stream
-    # coalescer already ran, and the closed-form allocator where several
-    # connections share the link.
-    assert rows["single-stream-drain"]["counters_batched"][
+        fast = row["counters_fast"]
+        assert fast["link_batch_steps"] >= fast["link_batch_runs"]
+        assert row["wall_fast_sec"] > 0
+        assert row["wall_speedup"] > 0
+    # The batch loop engages hardest on the single-stream drain, and the
+    # closed-form allocator where several connections share the link.
+    assert rows["single-stream-drain"]["counters_fast"][
         "link_batch_steps"
     ] > 1000
-    assert rows["corpus-news"]["counters_batched"]["link_wf_fast_hits"] > 0
-
-
-def test_event_driven_counters_present(smoke_report):
-    rows = {row["scenario"]: row for row in smoke_report["scenarios"]}
-    for scenario, row in rows.items():
-        event_driven = row["counters_event_driven"]
-        assert row["wall_event_driven_sec"] > 0
-        assert row["wall_event_driven_speedup"] > 0
-        # Legacy modes keep the demand-driven machinery inert.
-        for mode in ("event_per_tick", "fast_forward", "batched"):
-            legacy = row[f"counters_{mode}"]
-            assert legacy["scanner_polls_elided"] == 0, (scenario, mode)
-            assert legacy["link_tick_keeps"] == 0, (scenario, mode)
-            assert legacy["soon_coalesced"] == 0, (scenario, mode)
-    news = rows["corpus-news"]["counters_event_driven"]
-    # The realistic page is where the poll wall lived: nearly every
-    # grid tick is elided, and batch runs grow past PR 6's ceiling.
-    assert news["scanner_polls_elided"] > 200
-    assert news["soon_coalesced"] > 50
-    assert news["link_batch_runs"] > (
-        rows["corpus-news"]["counters_batched"]["link_batch_runs"]
-    )
+    assert rows["corpus-news"]["counters_fast"]["link_wf_fast_hits"] > 0
 
 
 def test_custom_scenario_runs_and_verifies():

@@ -254,3 +254,37 @@ class TestBodyWatches:
         sim.run()
         assert len(hits) == 1
         assert hits[0] < fetch.completed_at
+
+
+class TestNetworkConfigValidation:
+    """Bad transport knobs fail at construction, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("downlink_bps", -1),
+            ("uplink_bps", -5),
+            ("base_rtt", -0.05),
+            ("max_conns_per_domain", 0),
+            ("loss_rate", 1.5),
+            ("request_timeout", -1),
+            ("max_retries", -3),
+            ("retry_backoff", -0.25),
+            ("engine", "turbo"),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"NetworkConfig.{field} "):
+            NetworkConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        config = NetworkConfig(
+            base_rtt=0.0,
+            loss_rate=0.0,
+            request_timeout=0.0,
+            max_retries=0,
+            retry_backoff=0.0,
+            max_conns_per_domain=1,
+            engine="reference",
+        )
+        assert config.engine == "reference"

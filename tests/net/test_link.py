@@ -304,13 +304,12 @@ class TestWatchCursor:
 
 
 class TestFastForwardMode:
-    """The coalesced hot path must match event-per-tick bit for bit."""
+    """The fast engine (:class:`ArraySimulator`) must match the reference
+    :class:`Simulator`'s event-per-tick link bit for bit."""
 
-    def _drain(self, fast_forward, loss_rate=0.0):
-        sim = Simulator()
-        link = AccessLink(
-            sim, 8.0e6, loss_rate=loss_rate, fast_forward=fast_forward
-        )
+    def _drain(self, fast, loss_rate=0.0):
+        sim = ArraySimulator() if fast else Simulator()
+        link = AccessLink(sim, 8.0e6, loss_rate=loss_rate)
         channel = link.open_channel(rtt=0.2)
         done = []
         hits = []
@@ -329,11 +328,9 @@ class TestFastForwardMode:
         assert off[3] > 0, "loss must actually occur for this to test RNG"
 
     def test_fast_forward_coalesces_heap_events(self):
-        def events_scheduled(fast_forward):
-            sim = Simulator()
-            link = AccessLink(
-                sim, 8.0e6, loss_rate=0.02, fast_forward=fast_forward
-            )
+        def events_scheduled(fast):
+            sim = ArraySimulator() if fast else Simulator()
+            link = AccessLink(sim, 8.0e6, loss_rate=0.02)
             channel = link.open_channel(rtt=0.2)
             channel.start_stream(8_000_000, lambda: None)
             sim.run()
@@ -346,7 +343,7 @@ class TestFastForwardMode:
 
 
 class TestBatchedRunDetection:
-    """Boundary behaviour of the batched executor's run detection.
+    """Boundary behaviour of the fast engine's batch-run detection.
 
     A *run* is a maximal stretch of silent refresh steps that
     ``_run_batch`` absorbs in one call.  These tests pin where runs must
@@ -360,9 +357,7 @@ class TestBatchedRunDetection:
         # whole drain stays cwnd-limited and every silent stretch is a
         # sequence of rtt/2 = 0.1 s refresh steps the batch loop can eat.
         sim = ArraySimulator() if batched else Simulator()
-        link = AccessLink(
-            sim, 8.0e8, fast_forward=batched, batched=batched
-        )
+        link = AccessLink(sim, 8.0e8)
         done = []
         for index in range(channels):
             channel = link.open_channel(rtt=rtt)
@@ -453,7 +448,7 @@ class TestBatchedRunDetection:
         )
 
     def test_single_stream_scalar_batch_matches(self):
-        """The one-connection drain takes the scalar fast path and still
+        """The one-connection drain goes through the batch loop and still
         mirrors the reference trace exactly."""
         ref_sim, ref_link, ref_done = self._build(batched=False, channels=1)
         ref_sim.run()

@@ -181,16 +181,17 @@ class TestRunControls:
 
 
 class TestInlineAdvance:
-    """Fast-forward contract: only silent, strictly-forward windows."""
+    """Fast-forward contract (the fast engine's :class:`ArraySimulator`):
+    only silent, strictly-forward windows."""
 
     def test_advance_moves_clock_and_counts(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         assert sim.advance_inline(1.5) is True
         assert sim.now == 1.5
         assert sim.inline_advances == 1
 
     def test_declines_backward_and_same_time(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         sim.advance_inline(1.0)
         assert sim.advance_inline(1.0) is False
         assert sim.advance_inline(0.5) is False
@@ -198,7 +199,7 @@ class TestInlineAdvance:
         assert sim.inline_advances == 1
 
     def test_declines_when_event_pending_at_or_before_target(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         sim.schedule(2.0, lambda: None)
         assert sim.advance_inline(2.0) is False
         assert sim.advance_inline(2.5) is False
@@ -208,7 +209,7 @@ class TestInlineAdvance:
     def test_cancelled_head_does_not_block(self):
         """Only *live* events bound the jump; lazily-cancelled heap
         heads are drained by peek_time rather than declining forever."""
-        sim = Simulator()
+        sim = ArraySimulator()
         event = sim.schedule(2.0, lambda: None)
         sim.schedule(5.0, lambda: None)
         event.cancel()
@@ -217,7 +218,7 @@ class TestInlineAdvance:
         assert sim.advance_inline(6.0) is False
 
     def test_declines_past_run_until(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         outcomes = []
 
         def probe():
