@@ -8,7 +8,8 @@ Each scenario loads one page once per engine (``NetworkConfig.engine``) —
 * ``fast`` — the array-backed
   :class:`~repro.net.simulator.ArraySimulator`: silent refresh ticks run
   inline, homogeneous runs of them go through the link's batch loop, and
-  assignment is memoised with a closed-form water-filling solver.
+  each step visits only the streams that can move, allocating with a
+  closed-form water-filling solver.
 
 — and asserts both :class:`LoadMetrics` are bit-identical before
 reporting anything.  The report then carries two kinds of numbers:
@@ -258,27 +259,27 @@ def engine_benchmark(
 #: counters after verifying the change is intentional.
 SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
     "corpus-news": {
-        "events_scheduled_reference": 1636,
-        "events_scheduled_fast": 1631,
-        "link_pokes": 553,
+        "events_scheduled_reference": 1451,
+        "events_scheduled_fast": 1446,
+        "link_pokes": 368,
         "link_fast_forward_steps": 5,
         "link_batch_runs": 1,
         "link_batch_steps": 2,
         "link_wf_fast_hits": 60,
     },
     "push-all-high-rtt": {
-        "events_scheduled_reference": 317,
-        "events_scheduled_fast": 110,
-        "link_pokes": 246,
+        "events_scheduled_reference": 300,
+        "events_scheduled_fast": 93,
+        "link_pokes": 229,
         "link_fast_forward_steps": 207,
         "link_batch_runs": 3,
         "link_batch_steps": 204,
         "link_wf_fast_hits": 0,
     },
     "single-stream-drain": {
-        "events_scheduled_reference": 1281,
-        "events_scheduled_fast": 27,
-        "link_pokes": 1266,
+        "events_scheduled_reference": 1278,
+        "events_scheduled_fast": 24,
+        "link_pokes": 1263,
         "link_fast_forward_steps": 1254,
         "link_batch_runs": 2,
         "link_batch_steps": 1251,

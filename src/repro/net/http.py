@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.calibration import (
     DNS_LOOKUP_TIME,
@@ -153,11 +153,14 @@ class Fetch:
         """Fire ``callback`` when ``offset`` bytes of the *body* arrived."""
         entry = (offset, callback)
         self._body_watches.append(entry)
-        if self._stream is not None:
-            self._arm_watch(entry)
-
-    def _arm_watch(self, entry) -> None:
         stream = self._stream
+        if stream is not None:
+            stream.watch_offset(*self._stream_watch(entry, stream.bytes_total))
+
+    def _stream_watch(
+        self, entry, total: float
+    ) -> Tuple[float, Callable[[], None]]:
+        """``entry`` as an (offset, callback) watch on a stream of ``total``."""
         offset, callback = entry
 
         def fire() -> None:
@@ -167,9 +170,7 @@ class Fetch:
                 pass
             callback()
 
-        stream.watch_offset(
-            min(offset + self._header_bytes, stream.bytes_total), fire
-        )
+        return min(offset + self._header_bytes, total), fire
 
     @property
     def in_flight(self) -> bool:
@@ -474,27 +475,34 @@ class HttpClient:
             response.hints
         )
         total = header_bytes + response.size
-        stream = conn.channel.start_stream(
-            total,
-            on_complete=lambda: self._response_done(conn, fetch),
-            weight=1.0 / max(fetch.priority, 0.05),
-        )
-        fetch._stream = stream
         fetch._header_bytes = float(header_bytes)
-        stream.watch_offset(
-            min(header_bytes, total), lambda: self._headers_arrived(fetch)
+        # Headers first, then the re-armed body watches, then the planned
+        # drop: all registered with the stream, so it costs one link poke.
+        watches: List[Tuple[float, Callable[[], None]]] = [
+            (min(header_bytes, total), lambda: self._headers_arrived(fetch))
+        ]
+        watches.extend(
+            fetch._stream_watch(entry, total) for entry in fetch._body_watches
         )
-        for entry in list(fetch._body_watches):
-            fetch._arm_watch(entry)
         if fetch._drop_planned:
             fraction = self.config.fault_plan.drop_fraction(
                 fetch.url, fetch.attempt
             )
             drop_at = min(max(1.0, fraction * total), max(0.0, total - 1.0))
-            stream.watch_offset(
-                drop_at,
-                lambda: self._connection_dropped(conn, fetch, stream),
+            # ``stream`` is bound below, before any watch can fire.
+            watches.append(
+                (
+                    drop_at,
+                    lambda: self._connection_dropped(conn, fetch, stream),
+                )
             )
+        stream = conn.channel.start_stream(
+            total,
+            on_complete=lambda: self._response_done(conn, fetch),
+            weight=1.0 / max(fetch.priority, 0.05),
+            watches=watches,
+        )
+        fetch._stream = stream
         # Server push rides the same connection, after this response starts.
         if (
             self.config.push_enabled

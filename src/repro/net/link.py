@@ -14,7 +14,9 @@ divided across streams according to the connection's scheduling mode:
   priorities).
 
 Streams expose *offset watches* so the browser's preload scanner can react
-the moment a particular byte of an HTML response arrives.
+the moment a particular byte of an HTML response arrives.  A stream's
+initial watches are registered by :meth:`Channel.start_stream` itself, so
+starting a response costs one link *poke* (integrate, fire, reassign).
 
 The link is also the simulation's hottest loop: while any connection is in
 slow start it refreshes its piecewise-constant rates every ``min_rtt / 2``.
@@ -26,13 +28,16 @@ It takes one of two paths, chosen by the simulator it is given:
   water-fills and picks the next tick.  This is the oracle.
 * On the fast :class:`~repro.net.simulator.ArraySimulator` consecutive
   refresh steps run inline via ``advance_inline`` instead of a
-  schedule/cancel/pop heap round-trip per step, a silent run of them is
-  absorbed in locals by :meth:`AccessLink._run_batch`, and the per-poke
-  assignment is memoised (:meth:`AccessLink._assign_and_horizon_batched`).
-  It performs the identical piecewise updates at the identical simulated
-  times, and drops back to the heap whenever any foreign event could
-  observe the difference, so results are bit-identical to the reference
-  (see ``docs/ARCHITECTURE.md``).
+  schedule/cancel/pop heap round-trip per step, and a silent run of them
+  is absorbed in locals by :meth:`AccessLink._run_batch`.  Each poke
+  visits only the streams that can move: the busy channels, and on a FIFO
+  connection only the one stream holding its rate
+  (:meth:`AccessLink._step_batched`,
+  :meth:`AccessLink._assign_and_horizon_batched`).  It performs the
+  identical piecewise updates at the identical simulated times, and drops
+  back to the heap whenever any foreign event could observe the
+  difference, so results are bit-identical to the reference (see
+  ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import enum
 import itertools
 import math
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import audit
 from repro.net.flow import waterfill, waterfill_small
@@ -106,9 +111,15 @@ class StreamHandle:
 
     def watch_offset(self, offset: float, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` once ``offset`` bytes of the body have arrived."""
-        if self.done or self.bytes_done + _EPS_BYTES >= offset:
+        if self._add_watch(offset, callback):
+            self.channel.link.poke()
+        else:
             self.channel.link.sim.call_soon(callback)
-            return
+
+    def _add_watch(self, offset: float, callback: Callable[[], None]) -> bool:
+        """Store a watch that is not yet due; False if it is due already."""
+        if self.done or self.bytes_done + _EPS_BYTES >= offset:
+            return False
         # A stored offset strictly exceeds bytes_done, hence every fired
         # offset, so insertion always lands at or after the cursor.  Equal
         # offsets keep registration order (insort is right-biased), exactly
@@ -116,7 +127,7 @@ class StreamHandle:
         bisect.insort(
             self._watches, (offset, callback), key=lambda pair: pair[0]
         )
-        self.channel.link.poke()
+        return True
 
     def abort(self) -> None:
         """Tear the stream down without completing it (drop/timeout).
@@ -166,6 +177,15 @@ class StreamHandle:
             sim.call_soon(self.on_complete)
 
 
+def _fifo_order(stream: StreamHandle) -> Tuple[float, int]:
+    """FIFO service order: request order within a priority class.
+
+    An urgent stream (higher weight) jumps ahead, as nghttpx honours
+    HTTP/2 priority frames even when the server serialises its responses.
+    """
+    return (-stream.weight, stream.id)
+
+
 #: Initial congestion window (10 segments of ~1460 B, RFC 6928).
 INITIAL_CWND_BYTES = 14600.0
 
@@ -193,6 +213,9 @@ class Channel:
         "cwnd",
         "streams",
         "_active_cache",
+        "_head",
+        "_wtotal",
+        "_holder",
         "_last_busy_at",
         "_bytes_to_next_loss",
         "_loss_count",
@@ -220,6 +243,14 @@ class Channel:
         #: starts and completions invalidate it, so the per-poke rate loops
         #: stop re-filtering (and re-allocating) an unchanged set.
         self._active_cache: Optional[List[StreamHandle]] = None
+        #: Fast engine, same lifetime as ``_active_cache``: the FIFO queue
+        #: head and the WEIGHTED weight total (None when stale).
+        self._head: Optional[StreamHandle] = None
+        self._wtotal: Optional[float] = None
+        #: Fast engine, FIFO only: the one stream carrying the connection's
+        #: rate since the last assignment (every other stream's rate is
+        #: 0.0), or None before the first.
+        self._holder: Optional[StreamHandle] = None
         self._last_busy_at = link.sim.now
         #: Cached loss RNG, reseeded per draw on the (ordinal, loss_count)
         #: scheme so sequences match the historical fresh-instance-per-draw
@@ -276,7 +307,17 @@ class Channel:
         nbytes: float,
         on_complete: Callable[[], None],
         weight: float = 1.0,
+        watches: Iterable[Tuple[float, Callable[[], None]]] = (),
     ) -> StreamHandle:
+        """Start a body of ``nbytes`` and register its offset ``watches``.
+
+        The watches are stored before the stream's single link poke, so
+        that poke's horizon already accounts for them and no follow-up
+        poke is needed; equal offsets fire in registration order.  A
+        watch already due at registration fires after the poke's own
+        callbacks, as a :meth:`StreamHandle.watch_offset` call made right
+        after this one would.
+        """
         if nbytes < 0:
             raise ValueError("stream size must be non-negative")
         # TCP slow-start-after-idle: a connection quiet for more than an
@@ -294,21 +335,23 @@ class Channel:
             stream.fire_ready(self.link.sim)
             self.streams.remove(stream)
             self.invalidate_active()
-        else:
+        due = [
+            callback
+            for offset, callback in watches
+            if not stream._add_watch(offset, callback)
+        ]
+        if nbytes:
             self.link.poke()
+        for callback in due:
+            self.link.sim.call_soon(callback)
         return stream
 
     def invalidate_active(self) -> None:
         self._active_cache = None
-        # Channel membership in the link's busy set may have changed too;
-        # neither the fast engine's busy cache nor its assignment
-        # memo (rates already written to an unchanged stream set) may
-        # survive this.  The generation counter keys the membership-
-        # scoped memos (FIFO heads, refresh span, weight totals).
-        link = self.link
-        link._busy_cache = None
-        link._assign_valid = False
-        link._member_gen += 1
+        self._head = None
+        self._wtotal = None
+        # Channel membership in the link's busy set may have changed too.
+        self.link._busy_cache = None
 
     def active_streams(self) -> List[StreamHandle]:
         active = self._active_cache
@@ -336,11 +379,7 @@ class Channel:
         if not active:
             return
         if self.scheduling is StreamScheduling.FIFO:
-            # One response at a time, in request order within a priority
-            # class — but an urgent stream (higher weight) jumps ahead, as
-            # nghttpx honours HTTP/2 priority frames even when the server
-            # serialises its responses.
-            head = min(active, key=lambda stream: (-stream.weight, stream.id))
+            head = min(active, key=_fifo_order)
             head.rate = byte_rate
             if audit.ENABLED:
                 self.audit_fifo(head)
@@ -375,7 +414,7 @@ class AccessLink:
         self._last_update = sim.now
         #: The fast engine's simulator, or None on the reference engine.
         #: Only the fast engine fast-forwards, batches silent runs and
-        #: memoises assignment (see the module docstring).
+        #: skips streams that cannot move (see the module docstring).
         self._raw_sim = sim if isinstance(sim, ArraySimulator) else None
         #: Reference engine: handle of the pending refresh tick.
         self._tick_event: Optional[Event] = None
@@ -393,23 +432,9 @@ class AccessLink:
         #: Invalidated by every stream start/completion/abort via
         #: :meth:`Channel.invalidate_active`; None when stale.
         self._busy_cache: Optional[List[Channel]] = None
-        #: Fast engine: assignment memo.  While ``_assign_valid`` holds
-        #: and the per-connection window caps equal ``_alloc_caps``, the
-        #: streams already carry exactly the rates a fresh allocation
-        #: would assign (every write since the last assignment wrote the
-        #: same values), so the poke skips both the water-filling and the
-        #: per-stream assignment and only re-derives the horizon.
-        self._assign_valid = False
-        self._alloc_caps: List[float] = []
-        self._alloc_rates: List[float] = []
-        self._alloc_limited = False
-        #: Membership generation: bumped by every stream start /
-        #: completion / abort.  Keys the membership-scoped memos below.
-        self._member_gen = 0
-        self._heads_gen = -1
-        self._memo_heads: List[Optional[StreamHandle]] = []
-        self._memo_wtotals: List[float] = []
-        self._memo_refresh = 0.0
+        #: Fast engine: the slow-start refresh span (half the busy set's
+        #: smallest RTT; 0.0 if none), derived with ``_busy_cache``.
+        self._refresh = 0.0
         #: Fast engine: force the next :meth:`_step` to run its full
         #: watch/completion scan even at zero dt (set when a batch run
         #: exits on a threshold crossing it has not fired yet).
@@ -483,8 +508,8 @@ class AccessLink:
         """Fast engine: the memoised list of channels carrying streams.
 
         In ``channels`` order, which the allocator's budget walk observes
-        bitwise.  Under audit every cache hit is checked against a fresh
-        recomputation.
+        bitwise.  A rebuild also re-derives the refresh span.  Under audit
+        every cache hit is checked against a fresh recomputation.
         """
         busy = self._busy_cache
         if busy is None:
@@ -493,6 +518,11 @@ class AccessLink:
                 for channel in self.channels
                 if channel.active_streams()
             ]
+            min_rtt = min(
+                (channel.rtt for channel in busy if channel.rtt > 0),
+                default=0.0,
+            )
+            self._refresh = min_rtt / 2.0 if min_rtt > 0 else 0.0
         elif audit.ENABLED:
             audit.busy_set_matches(
                 [channel.id for channel in busy],
@@ -509,8 +539,8 @@ class AccessLink:
 
         Returns None when the link is idle or nothing bounds the current
         piecewise-constant segment (no refresh tick is needed).  The body
-        below is the reference engine's; the fast engine runs the
-        memoised :meth:`_assign_and_horizon_batched` instead.
+        below is the reference engine's; the fast engine runs
+        :meth:`_assign_and_horizon_batched` instead.
         """
         if self._raw_sim is not None:
             return self._assign_and_horizon_batched()
@@ -575,18 +605,18 @@ class AccessLink:
         return horizon
 
     def _assign_and_horizon_batched(self) -> Optional[float]:
-        """Memoised, loop-fused :meth:`_assign_and_horizon` equivalent.
+        """Loop-fused :meth:`_assign_and_horizon` equivalent.
 
         The fast engine's assignment.  Bit-identical to the reference
         body by construction:
 
-        * Window caps are compared against the previous assignment's; on
-          a match the per-stream rates already hold exactly the values a
-          fresh water-filling would assign, so allocation and assignment
-          are skipped outright and only the horizon is re-derived.
-        * FIFO heads, WEIGHTED weight totals and the slow-start refresh
-          span depend only on busy-set membership, so they are memoised
-          on the membership generation.
+        * A FIFO connection's only rated stream is its ``_holder``, so
+          instead of zeroing every active stream the assignment zeroes
+          the previous holder alone when the head changes hands.  The
+          head itself and a WEIGHTED connection's weight total depend
+          only on the connection's membership, so they are memoised on
+          the channel (reset by :meth:`Channel.invalidate_active`); the
+          refresh span is memoised with the busy list.
         * The FAIR horizon uses one division per connection instead of
           one per stream: all streams share the rate ``each``, and IEEE
           division by a positive constant is monotonic, so
@@ -595,44 +625,12 @@ class AccessLink:
           reference's ``max(0.0, ...)`` produces).
 
         Under audit every closed-form allocation is checked against the
-        general iterative solver.
+        general iterative solver, and every FIFO assignment against the
+        queue discipline.
         """
         busy = self._busy_channels()
         if not busy:
             return None
-        if self._heads_gen != self._member_gen:
-            heads: List[Optional[StreamHandle]] = []
-            wtotals: List[float] = []
-            heads_append = heads.append
-            wtotals_append = wtotals.append
-            for channel in busy:
-                if channel.scheduling is StreamScheduling.FIFO:
-                    heads_append(
-                        min(
-                            channel.active_streams(),
-                            key=lambda stream: (-stream.weight, stream.id),
-                        )
-                    )
-                    wtotals_append(0.0)
-                elif channel.scheduling is StreamScheduling.WEIGHTED:
-                    heads_append(None)
-                    wtotals_append(
-                        sum(
-                            stream.weight
-                            for stream in channel.active_streams()
-                        )
-                    )
-                else:
-                    heads_append(None)
-                    wtotals_append(0.0)
-            self._memo_heads = heads
-            self._memo_wtotals = wtotals
-            min_rtt = min(
-                (channel.rtt for channel in busy if channel.rtt > 0),
-                default=0.0,
-            )
-            self._memo_refresh = min_rtt / 2.0 if min_rtt > 0 else 0.0
-            self._heads_gen = self._member_gen
         total_byte_rate = self.downlink_bps / 8.0
         caps: List[float] = []
         for channel in busy:
@@ -645,58 +643,47 @@ class AccessLink:
                 )
             else:
                 caps.append(_INF)
-        if self._assign_valid and caps == self._alloc_caps:
-            alloc = self._alloc_rates
-            cwnd_limited = self._alloc_limited
-            assign = False
+        if len(busy) == 1:
+            cap = caps[0]
+            alloc = [total_byte_rate if total_byte_rate <= cap else cap]
         else:
-            nch = len(busy)
-            if nch == 1:
-                cap = caps[0]
-                alloc = [
-                    total_byte_rate if total_byte_rate <= cap else cap
-                ]
+            small = waterfill_small(caps, total_byte_rate)
+            if small is not None:
+                self.wf_fast_hits += 1
+                if audit.ENABLED:
+                    audit.waterfill_equivalent(
+                        caps,
+                        total_byte_rate,
+                        small,
+                        waterfill(caps, total_byte_rate),
+                    )
+                alloc = small
             else:
-                small = waterfill_small(caps, total_byte_rate)
-                if small is not None:
-                    self.wf_fast_hits += 1
-                    if audit.ENABLED:
-                        audit.waterfill_equivalent(
-                            caps,
-                            total_byte_rate,
-                            small,
-                            waterfill(caps, total_byte_rate),
-                        )
-                    alloc = small
-                else:
-                    self.rate_recomputes += 1
-                    alloc = waterfill(caps, total_byte_rate)
-            cwnd_limited = False
-            for i in range(len(busy)):
-                if caps[i] <= alloc[i] + _EPS_BYTES:
-                    cwnd_limited = True
-                    break
-            self._alloc_caps = caps
-            self._alloc_rates = alloc
-            self._alloc_limited = cwnd_limited
-            self._assign_valid = True
-            assign = True
+                self.rate_recomputes += 1
+                alloc = waterfill(caps, total_byte_rate)
+        cwnd_limited = False
         horizon: Optional[float] = None
-        heads = self._memo_heads
-        wtotals = self._memo_wtotals
         for i, channel in enumerate(busy):
             rate = alloc[i]
-            active = channel.active_streams()
-            head = heads[i]
-            if head is not None:
-                # FIFO: the head takes the whole connection rate, so it
-                # alone bounds the horizon.
-                if assign:
-                    for stream in active:
-                        stream.rate = 0.0
-                    head.rate = rate
-                    if audit.ENABLED:
-                        channel.audit_fifo(head)
+            if caps[i] <= rate + _EPS_BYTES:
+                cwnd_limited = True
+            scheduling = channel.scheduling
+            if scheduling is StreamScheduling.FIFO:
+                # The head takes the whole connection rate, so it alone
+                # bounds the horizon.
+                head = channel._head
+                if head is None:
+                    head = channel._head = min(
+                        channel.active_streams(), key=_fifo_order
+                    )
+                holder = channel._holder
+                if holder is not head:
+                    if holder is not None and not holder.done:
+                        holder.rate = 0.0
+                    channel._holder = head
+                head.rate = rate
+                if audit.ENABLED:
+                    channel.audit_fifo(head)
                 if rate > 0:
                     target = head.bytes_total
                     watches = head._watches
@@ -708,14 +695,16 @@ class AccessLink:
                     eta = rem / rate if rem > 0 else 0.0
                     if horizon is None or eta < horizon:
                         horizon = eta
-            elif channel.scheduling is StreamScheduling.WEIGHTED:
-                wtotal = wtotals[i]
+            elif scheduling is StreamScheduling.WEIGHTED:
+                active = channel.active_streams()
+                wtotal = channel._wtotal
+                if wtotal is None:
+                    wtotal = channel._wtotal = sum(
+                        stream.weight for stream in active
+                    )
                 for stream in active:
-                    if assign:
-                        srate = rate * stream.weight / wtotal
-                        stream.rate = srate
-                    else:
-                        srate = stream.rate
+                    srate = rate * stream.weight / wtotal
+                    stream.rate = srate
                     if srate <= 0:
                         continue
                     target = stream.bytes_total
@@ -729,41 +718,26 @@ class AccessLink:
                     if horizon is None or eta < horizon:
                         horizon = eta
             else:
+                active = channel.active_streams()
                 each = rate / len(active)
+                min_rem = _INF
+                for stream in active:
+                    stream.rate = each
+                    target = stream.bytes_total
+                    watches = stream._watches
+                    if watches:
+                        offset = watches[stream._watch_cursor][0]
+                        if offset < target:
+                            target = offset
+                    rem = target - stream.bytes_done
+                    if rem < min_rem:
+                        min_rem = rem
                 if each > 0:
-                    min_rem: Optional[float] = None
-                    if assign:
-                        for stream in active:
-                            stream.rate = each
-                            target = stream.bytes_total
-                            watches = stream._watches
-                            if watches:
-                                offset = watches[stream._watch_cursor][0]
-                                if offset < target:
-                                    target = offset
-                            rem = target - stream.bytes_done
-                            if min_rem is None or rem < min_rem:
-                                min_rem = rem
-                    else:
-                        for stream in active:
-                            target = stream.bytes_total
-                            watches = stream._watches
-                            if watches:
-                                offset = watches[stream._watch_cursor][0]
-                                if offset < target:
-                                    target = offset
-                            rem = target - stream.bytes_done
-                            if min_rem is None or rem < min_rem:
-                                min_rem = rem
-                    if min_rem is not None:
-                        eta = min_rem / each if min_rem > 0 else 0.0
-                        if horizon is None or eta < horizon:
-                            horizon = eta
-                elif assign:
-                    for stream in active:
-                        stream.rate = each
+                    eta = min_rem / each if min_rem > 0 else 0.0
+                    if horizon is None or eta < horizon:
+                        horizon = eta
         if cwnd_limited:
-            refresh = self._memo_refresh
+            refresh = self._refresh
             if refresh > 0:
                 if horizon is None or horizon > refresh:
                     horizon = refresh
@@ -818,82 +792,61 @@ class AccessLink:
         """Fused single-walk :meth:`_step` for the fast engine.
 
         Integration (:meth:`_advance`'s body, with window growth inlined)
-        and the watch/completion scan run in one pass over the channels
-        instead of two.  Interleaving them per channel is exact: a
-        channel's integration touches only its own streams' ``rate`` /
-        ``bytes_done`` and its own window and loss state, and a scan only
-        marks that channel's streams done and defers callbacks through
-        ``call_soon`` — nothing a later channel's integration reads.  The
-        link-level delivered/busy accumulators are carried in locals and
-        written back once, in the same channel order as the two-pass
-        reference, so every float lands identically.
+        and the watch/completion scan run in one pass over the busy
+        channels instead of two over all of them.  Interleaving them per
+        channel is exact: a channel's integration touches only its own
+        streams' ``rate`` / ``bytes_done`` and its own window and loss
+        state, and a scan only marks that channel's streams done and
+        defers callbacks through ``call_soon`` — nothing a later channel's
+        integration reads.  The link-level delivered/busy accumulators are
+        carried in locals and written back once, in the same channel order
+        as the two-pass reference, so every float lands identically.
+
+        Only streams that can move are visited: every active stream of a
+        FAIR or WEIGHTED connection, but only the ``_holder`` of a FIFO
+        one.  Skipping the rest is exact.  A zero-rate stream adds ``0.0``
+        to its own bytes and to both delivered totals.  A stream whose
+        ``bytes_done`` did not change cannot newly cross a watch or its
+        end, because ``watch_offset`` fires already-due offsets itself.
+        An idle channel holds only done streams awaiting pruning, which
+        nothing reads; like a busy channel's, they are pruned when one of
+        its streams next retires.  For the same reason a zero-dt sweep is
+        a no-op and returns at once, unless a batch run just crossed a
+        threshold and forced the scan.
 
         The scan inlines :meth:`StreamHandle.fire_ready`'s entry guards
         (a due watch, else a due completion) so the ~90% of streams with
-        nothing due skip the call entirely.  A zero-dt sweep — unless a
-        batch run just crossed a threshold and forced the scan — is a
-        proven no-op and returns immediately: no bytes moved since the
-        previous scan, and ``watch_offset`` fires already-due offsets
-        through ``call_soon`` directly.  Matching the reference
+        nothing due skip the call entirely.  Matching the reference
         integrator, the sub-epsilon time sliver is dropped, not
-        accumulated; only the pruning of done streams is deferred, which
-        the next real scan performs identically.
+        accumulated.
         """
         sim = self.sim
         now = sim.now
         dt = now - self._last_update
         self._last_update = now
-        eps = _EPS_BYTES
-        if dt <= _EPS_TIME:
-            if not self._scan_forced:
-                return
-            self._scan_forced = False
-            for channel in self.channels:
-                streams = channel.streams
-                if not streams:
-                    continue
-                retired = False
-                for stream in streams:
-                    watches = stream._watches
-                    if (
-                        watches
-                        and watches[stream._watch_cursor][0]
-                        <= stream.bytes_done + eps
-                    ):
-                        stream.fire_ready(sim)
-                    elif (
-                        not stream.done
-                        and stream.bytes_done + eps >= stream.bytes_total
-                    ):
-                        stream.fire_ready(sim)
-                    if stream.done:
-                        retired = True
-                if retired:
-                    # repro: allow[PERF401] compaction list is built only
-                    # on the ticks where a stream actually retired.
-                    channel.streams = [
-                        stream for stream in streams if not stream.done
-                    ]
+        moved = dt > _EPS_TIME
+        if not moved and not self._scan_forced:
             return
         self._scan_forced = False
+        eps = _EPS_BYTES
         delivered_total = self.bytes_delivered
         lossy = self.loss_rate > 0
-        busy = False
-        for channel in self.channels:
-            streams = channel.streams
-            if not streams:
-                continue
-            active = channel.active_streams()
-            if active:
-                busy = True
+        busy = self._busy_channels()
+        for channel in busy:
+            if channel.scheduling is StreamScheduling.FIFO:
+                holder = channel._holder
+                movers: Sequence[StreamHandle] = (
+                    () if holder is None or holder.done else (holder,)
+                )
+            else:
+                movers = channel.active_streams()
+            if moved:
                 channel_delivered = 0.0
-                for stream in active:
+                for stream in movers:
                     delta = stream.rate * dt
                     grown = stream.bytes_done + delta
                     total = stream.bytes_total
-                    stream.bytes_done = (
-                        total if total <= grown else grown
-                    )
+                    stream.bytes_done = total if total <= grown else grown
                     channel_delivered += delta
                     delivered_total += delta
                 if channel.rtt > 0:
@@ -908,30 +861,26 @@ class AccessLink:
                 if channel_delivered > 0:
                     channel._last_busy_at = now
             retired = False
-            for stream in streams:
+            for stream in movers:
                 watches = stream._watches
                 if (
                     watches
                     and watches[stream._watch_cursor][0]
                     <= stream.bytes_done + eps
-                ):
+                ) or stream.bytes_done + eps >= stream.bytes_total:
                     stream.fire_ready(sim)
-                elif (
-                    not stream.done
-                    and stream.bytes_done + eps >= stream.bytes_total
-                ):
-                    stream.fire_ready(sim)
-                if stream.done:
-                    retired = True
+                    if stream.done:
+                        retired = True
             if retired:
                 # repro: allow[PERF401] compaction list is built only on
                 # the ticks where a stream actually retired.
                 channel.streams = [
-                    stream for stream in streams if not stream.done
+                    stream for stream in channel.streams if not stream.done
                 ]
-        if busy:
-            self.busy_time += dt
-        self.bytes_delivered = delivered_total
+        if moved:
+            if busy:
+                self.busy_time += dt
+            self.bytes_delivered = delivered_total
 
     def poke(self) -> None:
         """Advance progress, fire due watches/completions, recompute rates."""
@@ -1040,10 +989,7 @@ class AccessLink:
             last_busys.append(None)
             if channel.scheduling is StreamScheduling.FIFO:
                 modes_append(1)
-                head = min(
-                    active, key=lambda stream: (-stream.weight, stream.id)
-                )
-                heads_append(active.index(head))
+                heads_append(active.index(min(active, key=_fifo_order)))
                 wtotals_append(0.0)
             elif channel.scheduling is StreamScheduling.WEIGHTED:
                 modes_append(2)
@@ -1075,8 +1021,7 @@ class AccessLink:
         until = sim._until
         total_rate = self.downlink_bps / 8.0
         lossy = self.loss_rate > 0
-        min_rtt = min((rtt for rtt in rtts if rtt > 0), default=0.0)
-        refresh = min_rtt / 2.0 if min_rtt > 0 else 0.0
+        refresh = self._refresh
         now = sim._now
         last_update = self._last_update
         delivered = self.bytes_delivered

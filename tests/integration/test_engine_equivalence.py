@@ -5,16 +5,17 @@ plain :class:`~repro.net.simulator.Simulator`, one heap event per
 callback and per link refresh tick.  ``"fast"`` (the default) runs the
 array-backed :class:`~repro.net.simulator.ArraySimulator`, on which the
 link fast-forwards silent refresh ticks inline, absorbs runs of them in
-its batch loop and memoises assignment.  The choice may only ever be a
-*performance* knob: every observable — PLT, speed index, byte counts,
-timelines, the critical path — must be identical, so this suite asserts
-full :class:`LoadMetrics` equality (``engine_counters`` is excluded from
-dataclass comparison by design: the counters are *supposed* to differ).
+its batch loop and visits only the streams that can move.  The choice
+may only ever be a *performance* knob: every observable — PLT, speed
+index, byte counts, timelines, the critical path — must be identical, so
+this suite asserts full :class:`LoadMetrics` equality
+(``engine_counters`` is excluded from dataclass comparison by design: the
+counters are *supposed* to differ).
 
-The sample points: a grid of configurations × fault plans × pages, two
-seeded random samples of (loss, fault rate, configuration, page)
-triples, a FAIR push-all load on a clean and a lossy link, and audited
-runs of both engines.
+The sample points: a grid of configurations (FAIR, FIFO and WEIGHTED
+scheduling) × fault plans × pages, two seeded random samples of (loss,
+fault rate, configuration, page) triples, a FAIR push-all load on a clean
+and a lossy link, and audited runs of both engines.
 """
 
 import functools
@@ -39,6 +40,11 @@ from repro.replay.recorder import record_snapshot
 #: The configurations exercising distinct engine paths (client-driven,
 #: hint-driven, and push-everything server behaviour).
 CONFIGS = ["http2", "vroom", "push-all-fetch-asap"]
+
+#: The grid adds polaris, the one WEIGHTED-scheduling configuration.  The
+#: seeded random samples keep drawing from ``CONFIGS`` so their points
+#: stay put.
+GRID_CONFIGS = CONFIGS + ["polaris"]
 
 #: fault plan × resilience pairs: faulted runs need retries/timeouts or
 #: the load legitimately wedges (that guard is its own test elsewhere).
@@ -104,7 +110,7 @@ def _audited(run):
         audit.disable()
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", GRID_CONFIGS)
 @pytest.mark.parametrize("faults", sorted(FAULT_PLANS))
 def test_metrics_bit_identical(corpus, stamp, config, faults):
     """reference == fast for every config × fault plan, across two pages."""

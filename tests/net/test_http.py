@@ -3,6 +3,7 @@
 import pytest
 
 from repro.calibration import HTTP1_MAX_CONNS_PER_DOMAIN
+from repro.net.faults import FaultKind, FaultPlan, FaultRule
 from repro.net.http import HttpClient, HttpVersion, NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.net.origin import OriginServer, Response
@@ -254,6 +255,40 @@ class TestBodyWatches:
         sim.run()
         assert len(hits) == 1
         assert hits[0] < fetch.completed_at
+
+
+class TestResponseStart:
+    def test_one_link_poke_per_response_start(self):
+        """The header watch, the re-armed body watches and the planned
+        drop are all registered with the new stream, which pokes the
+        link exactly once."""
+        plan = FaultPlan().with_rule(
+            FaultRule(kind=FaultKind.CONNECTION_DROP, rate=1.0)
+        )
+        sim, client, _ = make_client(
+            {"a.com/big.html": 1_000_000}, fault_plan=plan
+        )
+        fetch = client.fetch("a.com/big.html")
+        fetch.watch_body_offset(100_000, lambda: None)
+        fetch.watch_body_offset(200_000, lambda: None)
+        starts = []
+        start_response = client._start_response
+
+        def counted(conn, started, response):
+            before = client.link.pokes
+            start_response(conn, started, response)
+            starts.append(
+                (
+                    started._drop_planned,
+                    len(started._stream._watches),
+                    client.link.pokes - before,
+                )
+            )
+
+        client._start_response = counted
+        sim.run()
+        assert starts == [(True, 4, 1)]
+        assert client.drops == 1
 
 
 class TestNetworkConfigValidation:

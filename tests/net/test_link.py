@@ -10,8 +10,8 @@ from repro.net.link import (
 from repro.net.simulator import ArraySimulator, Simulator
 
 
-def make_link(bandwidth_bps=8.0e6):
-    sim = Simulator()
+def make_link(bandwidth_bps=8.0e6, sim_class=Simulator):
+    sim = sim_class()
     return sim, AccessLink(sim, bandwidth_bps)
 
 
@@ -47,8 +47,19 @@ class TestSingleStream:
 
 
 class TestSharing:
+    """Bandwidth sharing across and within connections.
+
+    Runs on the reference engine; :class:`TestSharingFast` reruns every
+    case on the fast engine.
+    """
+
+    sim_class = Simulator
+
+    def make_link(self, bandwidth_bps=8.0e6):
+        return make_link(bandwidth_bps, sim_class=self.sim_class)
+
     def test_two_connections_split_bandwidth(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         done = []
         for _ in range(2):
             channel = link.open_channel()
@@ -58,7 +69,7 @@ class TestSharing:
         assert done == [pytest.approx(1.0, rel=1e-6)] * 2
 
     def test_completion_frees_bandwidth(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         done = {}
         small_channel = link.open_channel()
         big_channel = link.open_channel()
@@ -75,7 +86,7 @@ class TestSharing:
         assert done["big"] == pytest.approx(1.0, rel=1e-6)
 
     def test_fair_within_connection(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.FAIR)
         done = []
         channel.start_stream(500_000, lambda: done.append(("a", sim.now)))
@@ -84,7 +95,7 @@ class TestSharing:
         assert [t for _, t in done] == [pytest.approx(1.0, rel=1e-6)] * 2
 
     def test_fifo_serializes_within_connection(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.FIFO)
         done = []
         channel.start_stream(500_000, lambda: done.append(("a", sim.now)))
@@ -94,26 +105,47 @@ class TestSharing:
         assert done[0][1] == pytest.approx(0.5, rel=1e-6)
         assert done[1][1] == pytest.approx(1.0, rel=1e-6)
 
-    def test_fifo_priority_jump(self):
-        """A heavier-weight stream preempts the FIFO head."""
-        sim, link = make_link(8.0e6)
-        channel = link.open_channel(StreamScheduling.FIFO)
+    @staticmethod
+    def _priority_jump(sim_class, bandwidth_bps=8.0e6, rtt=0.0, jump_at=0.1):
+        """A bulk FIFO transfer preempted mid-way by an urgent stream;
+        returns the completion order and each stream's final state."""
+        sim, link = make_link(bandwidth_bps, sim_class=sim_class)
+        channel = link.open_channel(StreamScheduling.FIFO, rtt=rtt)
         done = []
-        channel.start_stream(
-            800_000, lambda: done.append(("bulk", sim.now)), weight=0.2
-        )
+        streams = [
+            channel.start_stream(
+                800_000, lambda: done.append(("bulk", sim.now)), weight=0.2
+            )
+        ]
 
         def start_urgent():
-            channel.start_stream(
-                100_000, lambda: done.append(("urgent", sim.now)), weight=2.0
+            streams.append(
+                channel.start_stream(
+                    100_000,
+                    lambda: done.append(("urgent", sim.now)),
+                    weight=2.0,
+                )
             )
 
-        sim.schedule(0.1, start_urgent)
+        sim.schedule(jump_at, start_urgent)
         sim.run()
-        assert done[0][0] == "urgent"
+        return done, [
+            (stream.bytes_done, stream.completed_at) for stream in streams
+        ]
+
+    def test_fifo_priority_jump(self):
+        """A heavier-weight stream preempts the FIFO head, and the hand-off
+        in the middle of a transfer lands bit for bit on both engines —
+        also in slow start, where the fast engine batches refresh steps
+        on either side of it."""
+        slow_start = {"bandwidth_bps": 8.0e7, "rtt": 0.2, "jump_at": 0.5}
+        for shape in ({}, slow_start):
+            done, streams = self._priority_jump(self.sim_class, **shape)
+            assert done[0][0] == "urgent"
+            assert (done, streams) == self._priority_jump(Simulator, **shape)
 
     def test_weighted_proportional_shares(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.WEIGHTED)
         done = {}
         channel.start_stream(
@@ -126,6 +158,12 @@ class TestSharing:
         # Rates 0.75 / 0.25 MB/s: both complete at 0.4 s.
         assert done["heavy"] == pytest.approx(0.4, rel=1e-4)
         assert done["light"] == pytest.approx(0.4, rel=1e-4)
+
+
+class TestSharingFast(TestSharing):
+    """Every sharing case on the fast engine (:class:`ArraySimulator`)."""
+
+    sim_class = ArraySimulator
 
 
 class TestOffsetWatches:
@@ -160,6 +198,65 @@ class TestOffsetWatches:
         stream.watch_offset(250_000, lambda: hits.append("early"))
         sim.run()
         assert hits == ["early", "late"]
+
+
+@pytest.mark.parametrize(
+    "sim_class", [Simulator, ArraySimulator], ids=["reference", "fast"]
+)
+class TestStartStreamWatches:
+    """Watches handed to ``start_stream`` cost the link a single poke."""
+
+    def test_initial_watches_poke_once(self, sim_class):
+        sim, link = make_link(8.0e6, sim_class=sim_class)  # 1 MB/s
+        channel = link.open_channel()
+        hits = []
+        stream = channel.start_stream(
+            1_000_000,
+            lambda: hits.append("done"),
+            watches=[
+                (500_000, lambda: hits.append("b")),
+                (250_000, lambda: hits.append("a")),
+                (500_000, lambda: hits.append("b2")),
+            ],
+        )
+        assert link.pokes == 1
+        assert [offset for offset, _ in stream._watches] == [
+            250_000, 500_000, 500_000
+        ]
+        sim.run()
+        assert hits == ["a", "b", "b2", "done"]
+
+    def test_due_watch_fires_after_the_pokes_callbacks(self, sim_class):
+        """A watch already due at registration is deferred past the
+        callbacks of the poke that starts the stream."""
+        sim, link = make_link(8.0e6, sim_class=sim_class)  # 1 MB/s
+        hits = []
+        pokes = []
+        second = link.open_channel()
+
+        def start_second():
+            before = link.pokes
+            second.start_stream(
+                1_000,
+                lambda: hits.append("second done"),
+                watches=[
+                    (0.0, lambda: hits.append("due")),
+                    (500.0, lambda: hits.append("second 500")),
+                ],
+            )
+            pokes.append(link.pokes - before)
+
+        # Scheduled before the first stream exists, so it runs ahead of
+        # the link's own tick at 0.25 s: its poke is the one that finds
+        # the first stream's watch due.
+        sim.schedule(0.25, start_second)
+        first = link.open_channel()
+        stream = first.start_stream(1_000_000, lambda: None)
+        stream.watch_offset(250_000, lambda: hits.append("first 250k"))
+        sim.run()
+        assert pokes == [1]
+        assert hits[:2] == ["first 250k", "due"]
+        assert hits.index("second 500") < hits.index("second done")
 
 
 class TestCongestionWindow:
