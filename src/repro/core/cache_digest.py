@@ -8,10 +8,21 @@ as a Golomb-ish hashed set (a simplified cache digest per the IETF
 ``draft-ietf-httpbis-cache-digest`` design): compact, probabilistic, with
 one-sided error — a digest hit may be a false positive, a miss never is.
 
-The engine consults the digest through ``HttpClient.is_cached``; servers
-then skip pushes for digest hits.  A false positive therefore suppresses
-a useful push (costing a round trip later), never corrupts a load — the
-same failure mode as the real mechanism.
+The long-run runner (:mod:`repro.longrun.runner`) models a warm client:
+each (user, page) visit's served hints become the digest its next visit
+sends, and :func:`filter_pushes` drops the served hints that digest
+claims.  A false positive therefore suppresses a useful push (costing a
+round trip later), never corrupts a load — the same failure mode as the
+real mechanism.
+
+A repeat visit is usually served exactly the list its digest was built
+from.  A live digest keeps a reference to that source list, so
+:meth:`CacheDigest.summarises` recognises it and :func:`filter_pushes`
+returns ``[]`` without hashing: with no false negatives, every URL of
+the source is a digest hit, so the hashed filter would drop them all.
+The source is transient: it is never pickled (a checkpoint carries the
+digest's four summary fields only), and a restored digest summarises no
+list, so it takes the hashed path, with the same result.
 """
 
 from __future__ import annotations
@@ -19,7 +30,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from typing import Iterable, List, Set
+from typing import Iterable, List, Optional, Set
+
+from repro import audit
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -37,6 +50,11 @@ def _url_key(url: str) -> int:
 class CacheDigest:
     """A compact probabilistic summary of cached URLs."""
 
+    #: The URL list this digest was built from, while it lives.  The
+    #: class-level ``None`` is what a digest restored from a pickle
+    #: sees, because :meth:`__getstate__` drops the instance's copy.
+    _source: Optional[List[str]] = None
+
     def __init__(self, urls: Iterable[str], bits_per_entry: int = 8):
         """Build a digest over ``urls``.
 
@@ -49,11 +67,22 @@ class CacheDigest:
         url_list = list(urls)
         self.entry_count = len(url_list)
         # Hash space scales with N * 2^P, as in the draft.
-        self._space = max(1, self.entry_count) * (2 ** bits_per_entry)
-        self._hashes: Set[int] = {self._hash(url) for url in url_list}
+        space = self._space = max(1, self.entry_count) * (2 ** bits_per_entry)
+        self._hashes: Set[int] = {_url_key(url) % space for url in url_list}
+        self._source = url_list
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_source", None)
+        return state
 
     def _hash(self, url: str) -> int:
         return _url_key(url) % self._space
+
+    def summarises(self, urls: List[str]) -> bool:
+        """Whether ``urls`` is the very list this digest was built from."""
+        source = self._source
+        return source is not None and urls == source
 
     def __contains__(self, url: str) -> bool:
         return self._hash(url) in self._hashes
@@ -82,5 +111,19 @@ def digest_from_cache(cache, when_hours: float, **kwargs) -> CacheDigest:
 def filter_pushes(
     pushes: List[str], digest: CacheDigest
 ) -> List[str]:
-    """Drop pushes the digest claims the client already holds."""
-    return [url for url in pushes if url not in digest]
+    """Drop pushes the digest claims the client already holds.
+
+    The digest's own source list filters to ``[]`` without hashing;
+    under ``REPRO_AUDIT=1`` the hashed membership test re-checks that
+    answer.
+    """
+    if digest.summarises(pushes):
+        if audit.ENABLED:
+            audit.require(
+                all(url in digest for url in pushes),
+                "digest-source-filter",
+                "a digest's own source list survived its hashed filter",
+            )
+        return []
+    hashes, space = digest._hashes, digest._space
+    return [url for url in pushes if _url_key(url) % space not in hashes]

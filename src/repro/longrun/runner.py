@@ -248,6 +248,7 @@ class LongRunner:
 
     # -- event handlers ---------------------------------------------------
 
+    # repro: hotpath
     def _process_arrival(self, lookup: Lookup) -> None:
         spec = self.spec
         now_abs = spec.start_hour + lookup.when_hours
@@ -267,9 +268,13 @@ class LongRunner:
                 filtered = filter_pushes(urls, digest)
                 self.digest_lookups += 1
                 self.digest_filtered_urls += len(urls) - len(filtered)
-            if urls:
+            if urls and (digest is None or not digest.summarises(urls)):
                 # This visit's served hints become the next visit's
-                # digest: the warm-client repeat-visit model.
+                # digest: the warm-client repeat-visit model.  A held
+                # digest that summarises them stays, since a rebuild
+                # would be identical.
+                # repro: allow[PERF405] CacheDigest cannot take __slots__
+                # while its pickled fields are pinned as an instance dict.
                 self._digests[key] = CacheDigest(
                     urls, bits_per_entry=spec.digest_filter_bits
                 )

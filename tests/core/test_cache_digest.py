@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro import audit
 from repro.browser.cache import BrowserCache
 from repro.core.cache_digest import (
     CacheDigest,
@@ -93,3 +94,16 @@ class TestIntegration:
         digest = CacheDigest([])
         pushes = [f"a.com/p{i}.js" for i in range(5)]
         assert filter_pushes(pushes, digest) == pushes
+
+    def test_own_list_short_circuit_is_audited(self, monkeypatch):
+        """Under the audit, the short-circuit re-checks its answer with
+        the hashed membership test, so a digest whose hashes no longer
+        claim its source list is caught instead of silently trusted."""
+        urls = [f"a.com/s{i}.js" for i in range(10)]
+        digest = CacheDigest(urls)
+        digest._hashes = set()
+        monkeypatch.setattr(audit, "ENABLED", False)
+        assert filter_pushes(urls, digest) == []
+        monkeypatch.setattr(audit, "ENABLED", True)
+        with pytest.raises(audit.AuditError, match="digest-source-filter"):
+            filter_pushes(urls, digest)

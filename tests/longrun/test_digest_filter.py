@@ -12,7 +12,7 @@ import pytest
 
 import repro.longrun.runner as runner_mod
 from repro.core.cache_digest import CacheDigest, filter_pushes
-from repro.longrun import run_scenario
+from repro.longrun import LongRunner, run_scenario
 from repro.scenario import ScenarioSpec
 
 SMALL = dict(
@@ -67,6 +67,68 @@ class TestScenarioKnob:
         report = run_scenario(ScenarioSpec(**SMALL))
         assert calls, "digest filter was never exercised"
         assert report["digest"]["filtered_lookups"] == len(calls)
+
+    def test_repeat_visit_keeps_digest_changed_list_replaces_it(
+        self, monkeypatch
+    ):
+        """A held digest survives a visit served its own source list
+        (the rebuild would be identical); any other list replaces it
+        with a digest built from that list."""
+        source_of = {}
+        real_digest = runner_mod.CacheDigest
+
+        def building(urls, bits_per_entry):
+            digest = real_digest(urls, bits_per_entry=bits_per_entry)
+            source_of[id(digest)] = list(urls)
+            return digest
+
+        filtered = []
+        real_filter = runner_mod.filter_pushes
+
+        def recording(pushes, digest):
+            filtered.append(list(pushes))
+            return real_filter(pushes, digest)
+
+        monkeypatch.setattr(runner_mod, "CacheDigest", building)
+        monkeypatch.setattr(runner_mod, "filter_pushes", recording)
+        runner = LongRunner(ScenarioSpec(**SMALL))
+        process = runner._process_arrival
+        outcomes = {"kept": 0, "replaced": 0}
+
+        def checked(lookup):
+            key = (lookup.user, lookup.page_index)
+            held = runner._digests.get(key)
+            filtered.clear()
+            process(lookup)
+            after = runner._digests.get(key)
+            if held is None or not filtered or not filtered[0]:
+                return
+            if filtered[0] == source_of[id(held)]:
+                assert after is held
+                outcomes["kept"] += 1
+            else:
+                assert after is not held
+                assert source_of[id(after)] == filtered[0]
+                outcomes["replaced"] += 1
+
+        runner._process_arrival = checked
+        runner.run_to(runner.spec.horizon_hours)
+        assert outcomes["kept"] > 0
+        assert outcomes["replaced"] > 0
+
+    def test_restored_digests_hold_no_source(self):
+        """A checkpoint drops each digest's source list, so a resumed
+        runner's digests summarise nothing until they are rebuilt."""
+        runner = LongRunner(ScenarioSpec(**SMALL)).run_to(0.5)
+        restored = LongRunner.from_checkpoint_bytes(
+            runner.to_checkpoint_bytes()
+        )
+        assert restored._digests.keys() == runner._digests.keys()
+        for key, digest in restored._digests.items():
+            source = runner._digests[key]._source
+            assert runner._digests[key].summarises(source)
+            assert "_source" not in vars(digest)
+            assert not digest.summarises(source)
 
     def test_digest_off_by_default(self):
         report = run_scenario(

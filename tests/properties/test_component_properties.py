@@ -1,5 +1,7 @@
 """Property-based tests for the extension components."""
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.browser.cpu import BAND_DEFER, BAND_EXEC, BAND_PARSER, CpuQueue
@@ -14,13 +16,19 @@ from repro.pages.serialization import (
 # CacheDigest: one-sided error under any input
 # ---------------------------------------------------------------------------
 
-_urls = st.lists(
-    st.text(
-        alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-        min_size=1,
-        max_size=30,
-    ).map(lambda path: f"dom.com/{path}"),
-    max_size=100,
+_url = st.text(
+    alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
+    min_size=1,
+    max_size=30,
+).map(lambda path: f"dom.com/{path}")
+
+_urls = st.lists(_url, max_size=100)
+
+#: URL lists that repeat entries often: many draws come from a small
+#: fixed pool.
+_urls_with_repeats = st.lists(
+    st.sampled_from([f"dom.com/r{i}" for i in range(8)]) | _url,
+    max_size=60,
 )
 
 
@@ -38,6 +46,23 @@ def test_filter_pushes_is_subset_preserving_order(urls):
     # Everything filtered out was claimed cached.
     for url in set(urls) - set(filtered):
         assert url in digest
+
+
+@given(
+    _urls_with_repeats,
+    st.integers(min_value=1, max_value=32),
+    _urls_with_repeats,
+)
+def test_digest_recognises_its_source_only_while_live(urls, bits, other):
+    digest = CacheDigest(urls, bits_per_entry=bits)
+    assert digest.summarises(list(urls))
+    assert filter_pushes(list(urls), digest) == []
+    clone = pickle.loads(pickle.dumps(digest))
+    for pushes in (urls, other, other + urls):
+        assert not clone.summarises(pushes)
+        expected = [url for url in pushes if url not in digest]
+        assert filter_pushes(pushes, clone) == expected
+        assert filter_pushes(pushes, digest) == expected
 
 
 # ---------------------------------------------------------------------------
