@@ -46,9 +46,8 @@ def predictable_partition(
     nonce) fetches it too.
     """
     load = page.materialize(stamp)
-    b2b = page.materialize(stamp.back_to_back())
     universe = {resource.url for resource in hintable_universe(load)}
-    b2b_urls = set(b2b.urls())
+    b2b_urls = set(page.resolve_urls(stamp.back_to_back()))
     predictable = {url for url in universe if url in b2b_urls}
     return predictable, universe - predictable, load
 

@@ -24,8 +24,8 @@ def persistence_fraction(
     page: PageBlueprint, stamp: LoadStamp, horizon_hours: float
 ) -> float:
     """Share of the current load's URLs present ``horizon_hours`` ago."""
-    now_urls = set(page.materialize(stamp).urls())
-    past_urls = set(page.materialize(stamp.earlier(horizon_hours)).urls())
+    now_urls = set(page.resolve_urls(stamp))
+    past_urls = set(page.resolve_urls(stamp.earlier(horizon_hours)))
     if not now_urls:
         return 1.0
     return len(now_urls & past_urls) / len(now_urls)

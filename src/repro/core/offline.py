@@ -1,10 +1,16 @@
 """Offline server-side dependency resolution (Sec 4.1.2).
 
 A Vroom-compliant server loads each page it serves once an hour (in our
-replay world: materialises the page's snapshot at past hours under the
-server's own identity and a fresh nonce per load).  The *stable set* at any
-moment is the set of URLs seen in **all** loads inside the recent window —
+replay world: resolves the page at past hours under the server's own
+identity and a fresh nonce per load).  The *stable set* at any moment is
+the set of URLs seen in **all** loads inside the recent window —
 intersection filters out nonce URLs and anything that rotated mid-window.
+
+Only the newest load of the window is materialised into a snapshot: its
+resources are the stable set's exemplars.  The older loads contribute
+nothing but their URL lists, so they are resolved with
+:meth:`~repro.pages.page.PageBlueprint.resolve_urls`, which returns the
+same list a materialised snapshot's ``urls()`` would.
 
 Device-specific customisation is handled with equivalence classes: the
 server loads each page once per device class (phone, tablet, ...) rather
@@ -69,29 +75,38 @@ class OfflineResolver:
         self.window_loads = window_loads
         self._cache: Dict[tuple, StableSet] = {}
 
-    def offline_loads(
+    def _stamps(
         self, as_of_hours: float, device_class: str
-    ) -> List[PageSnapshot]:
-        """The server's own recent loads of the page, newest last.
+    ) -> List[LoadStamp]:
+        """The stamps of the window's loads, oldest first.
 
         Loads happen at the period boundary: for a 1-hour period and a
-        3-load window, the loads are at 1, 2 and 3 hours before ``as_of``
-        (matching the paper's evaluation, Sec 6.1 methodology).
+        3-load window, the loads are at 3, 2 and 1 hours before ``as_of``
+        (matching the paper's evaluation, Sec 6.1 methodology).  Each
+        draws its nonce from its age, under the server's own identity.
         """
         device = CLASS_EMULATION_DEVICE.get(device_class)
         if device is None:
             raise ValueError(f"unknown device class {device_class!r}")
-        snapshots = []
-        for age in range(self.window_loads, 0, -1):
-            when = as_of_hours - age * self.period_hours
-            stamp = LoadStamp(
-                when_hours=when,
+        return [
+            LoadStamp(
+                when_hours=as_of_hours - age * self.period_hours,
                 device=device,
                 user=SERVER_USER,
                 nonce=stable_nonce(self.page.name, age),
             )
-            snapshots.append(self.page.materialize(stamp))
-        return snapshots
+            for age in range(self.window_loads, 0, -1)
+        ]
+
+    def offline_loads(
+        self, as_of_hours: float, device_class: str
+    ) -> List[PageSnapshot]:
+        """The server's own recent loads of the page (at the stamps of
+        :meth:`_stamps`), newest last."""
+        return [
+            self.page.materialize(stamp)
+            for stamp in self._stamps(as_of_hours, device_class)
+        ]
 
     def prime(self, stable: StableSet) -> None:
         """Install a precomputed stable set into the resolver's cache.
@@ -131,16 +146,23 @@ class OfflineResolver:
     def stable_set(
         self, as_of_hours: float, device_class: str = "phone"
     ) -> StableSet:
-        """Intersection of the recent offline loads for a device class."""
+        """Intersection of the recent offline loads for a device class.
+
+        Only the newest load is materialised: it supplies the exemplars.
+        The older loads contribute nothing but their URL lists, which
+        :meth:`PageBlueprint.resolve_urls` reads off without building a
+        tree.
+        """
         key = (round(as_of_hours, 6), device_class)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        snapshots = self.offline_loads(as_of_hours, device_class)
-        url_sets = [set(snapshot.urls()) for snapshot in snapshots]
-        stable_urls = set.intersection(*url_sets) if url_sets else set()
+        *older, newest = self._stamps(as_of_hours, device_class)
+        latest = self.page.materialize(newest)
+        url_sets = [set(self.page.resolve_urls(stamp)) for stamp in older]
+        url_sets.append(set(latest.urls()))
+        stable_urls = set.intersection(*url_sets)
         exemplars: Dict[str, Resource] = {}
-        latest = snapshots[-1]
         for resource in latest.all_resources():
             if resource.url in stable_urls:
                 exemplars[resource.url] = resource
@@ -158,7 +180,8 @@ class OfflineResolver:
         self, as_of_hours: float, device_class: str = "phone"
     ) -> StableSet:
         """Strawman for Fig 17: everything seen in the most recent load."""
-        latest = self.offline_loads(as_of_hours, device_class)[-1]
+        newest = self._stamps(as_of_hours, device_class)[-1]
+        latest = self.page.materialize(newest)
         exemplars = {
             resource.url: resource for resource in latest.all_resources()
         }
@@ -172,21 +195,27 @@ class OfflineResolver:
 
 
 def stable_set_to_dict(stable: StableSet) -> dict:
-    """Serialise a stable set (what a production server would persist)."""
+    """Serialise a stable set (what a production server would persist).
+
+    Each exemplar's spec is read once, and its type's value through the
+    member's ``_value_`` slot: ``Resource`` properties and the enum's
+    ``value`` descriptor cost more than the rest of the record.
+    """
+    exemplars = {}
+    for url, exemplar in stable.exemplars.items():
+        spec = exemplar.spec
+        exemplars[url] = {
+            "name": spec.name,
+            "size": exemplar.size,
+            "rtype": spec.rtype._value_,
+            "process_order": exemplar.process_order,
+        }
     return {
         "page": stable.page,
         "device_class": stable.device_class,
         "as_of_hours": stable.as_of_hours,
         "urls": sorted(stable.urls),
-        "exemplars": {
-            url: {
-                "name": exemplar.name,
-                "size": exemplar.size,
-                "rtype": exemplar.rtype.value,
-                "process_order": exemplar.process_order,
-            }
-            for url, exemplar in stable.exemplars.items()
-        },
+        "exemplars": exemplars,
     }
 
 
@@ -235,7 +264,7 @@ def device_equivalence_classes(
         stamp = LoadStamp(
             when_hours=as_of_hours, device=device, user=SERVER_USER
         )
-        url_sets[device] = set(page.materialize(stamp).urls())
+        url_sets[device] = set(page.resolve_urls(stamp))
 
     classes: Dict[str, List[str]] = {}
     for device in devices:

@@ -374,7 +374,7 @@ def flux_calibration(count: int = 20) -> Dict[str, List[float]]:
     stamp = _stamp()
     fluxes = []
     for page in alexa_top100_corpus(count):
-        now = set(page.materialize(stamp).urls())
-        b2b = set(page.materialize(stamp.back_to_back()).urls())
+        now = set(page.resolve_urls(stamp))
+        b2b = set(page.resolve_urls(stamp.back_to_back()))
         fluxes.append(1.0 - len(now & b2b) / len(now))
     return {"back_to_back_flux": fluxes}

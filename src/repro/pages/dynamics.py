@@ -74,7 +74,7 @@ class LoadStamp:
 
 
 def _digest(*parts: object) -> str:
-    joined = "|".join(str(part) for part in parts)
+    joined = "|".join(map(str, parts))
     return hashlib.sha1(joined.encode()).hexdigest()[:10]
 
 
@@ -116,25 +116,26 @@ def has_flux(spec: ResourceSpec) -> bool:
     )
 
 
-def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:
+def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:  # repro: hotpath
     """The concrete URL ``spec`` resolves to under ``stamp``.
 
     Deterministic: identical (spec, stamp) pairs always agree, and two
     stamps differing only in fields irrelevant to the spec (e.g. nonce for
-    a stable resource) also agree.
+    a stable resource) also agree.  The URL is ``domain/`` followed by
+    the spec name and one ``_``-separated token per kind of flux, in this
+    order: rotation epoch, nonce digest, device class, personalisation
+    digest.
     """
-    tokens = [spec.name]
-    epoch = rotation_epoch(spec, stamp.when_hours)
-    if epoch is not None:
-        tokens.append(f"e{epoch}")
+    url = f"{spec.domain}/{spec.name}"
+    if spec.lifetime_hours is not None:
+        url = f"{url}_e{rotation_epoch(spec, stamp.when_hours)}"
     if spec.unpredictable:
-        tokens.append("n" + _digest(spec.name, stamp.nonce, stamp.when_hours))
+        url = f"{url}_n{_digest(spec.name, stamp.nonce, stamp.when_hours)}"
     if spec.device_dependent:
-        tokens.append(stamp.device_class)
+        url = f"{url}_{stamp.device_class}"
     if spec.personalized:
-        tokens.append("u" + _digest(spec.domain, stamp.user))
-    ext = _EXT_BY_TYPE[spec.rtype]
-    return f"{spec.domain}/{'_'.join(tokens)}.{ext}"
+        url = f"{url}_u{_digest(spec.domain, stamp.user)}"
+    return f"{url}.{_EXT_BY_TYPE[spec.rtype]}"
 
 
 def resolve_size(spec: ResourceSpec, stamp: LoadStamp) -> int:

@@ -112,27 +112,49 @@ class PageBlueprint:
                 seen.add(node)
                 node = self.specs[node].parent
 
+    def resolve_urls(self, stamp: LoadStamp) -> List[str]:  # repro: hotpath
+        """The URL of every resource the root reaches, in processing order.
+
+        Equal to ``materialize(stamp).urls()`` without building the tree:
+        each row of the memoised :class:`_Skeleton` without flux already
+        carries its URL, so only flux rows call :func:`resolve_url`.
+        Specs the root cannot reach are neither listed nor resolved.
+        """
+        return [
+            resolve_url(spec, stamp) if url is None else url
+            for spec, _, _, _, url, _ in self._skeleton().rows
+        ]
+
     def materialize(self, stamp: LoadStamp) -> "PageSnapshot":  # repro: hotpath
         """Resolve every spec under ``stamp`` into a concrete snapshot.
 
         One pass over the memoised :class:`_Skeleton` builds the tree in
         pre-order, so each resource gets its processing order, iframe
         flags, parent and place among its siblings as it is created, and
-        the pass's output doubles as the snapshot's walk.  Bodies are not
-        rendered here: :attr:`Resource.body` renders on first read.
+        the pass's output doubles as the snapshot's walk.  URLs come from
+        :meth:`resolve_urls` and sizes from the skeleton; a
+        device-dependent row is re-sized only under another device class
+        than the skeleton's.  Bodies are not rendered here:
+        :attr:`Resource.body` renders on first read.
         """
         skeleton = self._skeleton()
+        urls = self.resolve_urls(stamp)
+        resize = skeleton.device_sized and (
+            stamp.device_class != _ANY_STAMP.device_class
+        )
         walk: List[Resource] = []
         append = walk.append
-        for order, (spec, parent_row, iframe_doc, in_iframe, url) in enumerate(
+        for order, (spec, parent_row, iframe_doc, in_iframe, _, size) in enumerate(
             skeleton.rows
         ):
+            if resize and spec.device_dependent:
+                size = resolve_size(spec, stamp)
             parent = walk[parent_row] if parent_row >= 0 else None
             # Positional in field order: keywords cost ~15% of the pass.
             resource = Resource(
                 spec,
-                resolve_url(spec, stamp) if url is None else url,
-                resolve_size(spec, stamp),
+                urls[order],
+                size,
                 [],
                 parent,
                 iframe_doc,
@@ -176,12 +198,14 @@ class PageBlueprint:
     def _skeleton(self) -> "_Skeleton":
         """The stamp-independent shape of every snapshot (memoised).
 
-        Built from :meth:`children_of` and dropped with it on :meth:`add`.
+        Built from :meth:`children_of` in one pre-order pass and dropped
+        with it on :meth:`add`.
         """
         skeleton = self._skeleton_cache
         if skeleton is not None:
             return skeleton
         rows: List[_Row] = []
+        device_sized = False
         row_of: Dict[str, int] = {}
         # (spec, parent row, parent's in_iframe or parent is an iframe doc)
         stack = [(self.specs[self.root], -1, False)]
@@ -191,7 +215,9 @@ class PageBlueprint:
             row_of[spec.name] = row
             iframe_doc = parent_row >= 0 and spec.is_document
             url = None if has_flux(spec) else resolve_url(spec, _ANY_STAMP)
-            rows.append((spec, parent_row, iframe_doc, in_iframe, url))
+            size = resolve_size(spec, _ANY_STAMP)
+            rows.append((spec, parent_row, iframe_doc, in_iframe, url, size))
+            device_sized = device_sized or spec.device_dependent
             below = in_iframe or iframe_doc
             for child in reversed(self.children_of(spec.name)):
                 stack.append((child, row, below))
@@ -204,6 +230,7 @@ class PageBlueprint:
         # runs once per blueprint.
         skeleton = self._skeleton_cache = _Skeleton(
             rows=rows,
+            device_sized=device_sized,
             strays=strays,
             slots=[(name, row_of[name]) for name in self.specs],
         )
@@ -222,11 +249,14 @@ class PageBlueprint:
 
 
 #: One pre-order row of a :class:`_Skeleton`: the spec, its parent's row
-#: (-1 for the root), ``is_iframe_doc``, ``in_iframe``, and the URL when
-#: the spec has no flux (``None`` means resolve it per stamp).
-_Row = Tuple[ResourceSpec, int, bool, bool, Optional[str]]
+#: (-1 for the root), ``is_iframe_doc``, ``in_iframe``, the URL when the
+#: spec has no flux (``None`` means resolve it per stamp), and the size
+#: under :data:`_ANY_STAMP`.
+_Row = Tuple[ResourceSpec, int, bool, bool, Optional[str], int]
 
-#: Any stamp: a spec without flux resolves to the same URL under all.
+#: The stamp the skeleton resolves under.  A spec without flux resolves
+#: to the same URL under every stamp, and only a device-dependent spec
+#: changes size with the stamp, and then only with its device class.
 _ANY_STAMP = LoadStamp(when_hours=0.0)
 
 
@@ -235,13 +265,15 @@ class _Skeleton(NamedTuple):
 
     ``rows`` lists the resources the root reaches, in the client's
     pre-order processing order.  A child is in an iframe if its parent
-    is, or if its parent is a document other than the root.  ``strays``
-    are specs the root does not reach, and ``slots`` maps each spec name,
-    in spec order, to its index in ``rows + strays``: the key order of
-    :attr:`PageSnapshot.resources`.
+    is, or if its parent is a document other than the root.
+    ``device_sized`` says whether any row's size depends on the device
+    class.  ``strays`` are specs the root does not reach, and ``slots``
+    maps each spec name, in spec order, to its index in ``rows +
+    strays``: the key order of :attr:`PageSnapshot.resources`.
     """
 
     rows: List[_Row]
+    device_sized: bool
     strays: List[ResourceSpec]
     slots: List[Tuple[str, int]]
 

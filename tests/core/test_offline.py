@@ -7,6 +7,7 @@ from repro.core.offline import (
     SERVER_USER,
     device_equivalence_classes,
 )
+from repro.pages.page import PageBlueprint
 
 
 class TestOfflineLoads:
@@ -114,3 +115,93 @@ class TestDeviceClasses:
             device_heavy, ["nexus6", "nexus10"], stamp.when_hours
         )
         assert len(classes) == 2
+
+
+def reference_stable_set(resolver, as_of_hours, device_class):
+    """(URLs, exemplars) from every load of the window built in full."""
+    loads = resolver.offline_loads(as_of_hours, device_class)
+    urls = set.intersection(*(set(load.urls()) for load in loads))
+    exemplars = {
+        resource.url: resource
+        for resource in loads[-1].all_resources()
+        if resource.url in urls
+    }
+    return urls, exemplars
+
+
+def _fields(resource):
+    return (
+        resource.spec,
+        resource.url,
+        resource.size,
+        resource.process_order,
+        resource.is_iframe_doc,
+        resource.in_iframe,
+        resource.parent and resource.parent.name,
+        [child.name for child in resource.children],
+        resource.body,
+    )
+
+
+@pytest.fixture
+def count_materialize(monkeypatch):
+    """Counts ``PageBlueprint.materialize`` calls from here on."""
+    calls = []
+    materialize = PageBlueprint.materialize
+
+    def counting(page, stamp):
+        calls.append(stamp)
+        return materialize(page, stamp)
+
+    monkeypatch.setattr(PageBlueprint, "materialize", counting)
+    return calls
+
+
+class TestAgainstFullLoads:
+    @pytest.mark.parametrize("window_loads", [1, 3, 5])
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_stable_set_matches_reference(
+        self, corpus, stamp, window_loads, device_class
+    ):
+        for page in corpus[:3]:
+            resolver = OfflineResolver(page, window_loads=window_loads)
+            stable = resolver.stable_set(stamp.when_hours, device_class)
+            urls, exemplars = reference_stable_set(
+                resolver, stamp.when_hours, device_class
+            )
+            assert stable.urls == urls
+            assert list(stable.exemplars) == list(exemplars)
+            for url, want in exemplars.items():
+                assert _fields(stable.exemplars[url]) == _fields(want)
+
+    def test_window_of_one_is_the_newest_load(self, page, stamp):
+        resolver = OfflineResolver(page, window_loads=1)
+        stable = resolver.stable_set(stamp.when_hours, "phone")
+        (only,) = resolver.offline_loads(stamp.when_hours, "phone")
+        assert stable.urls == set(only.urls())
+
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_single_prior_load_is_the_newest_load(
+        self, page, stamp, device_class
+    ):
+        resolver = OfflineResolver(page, window_loads=3)
+        single = resolver.single_prior_load(stamp.when_hours, device_class)
+        newest = resolver.offline_loads(stamp.when_hours, device_class)[-1]
+        assert single.urls == set(newest.urls())
+        assert list(single.exemplars) == list(newest.by_url())
+        for url, want in newest.by_url().items():
+            assert _fields(single.exemplars[url]) == _fields(want)
+
+    def test_one_tree_per_resolution(self, page, stamp, count_materialize):
+        resolver = OfflineResolver(page, window_loads=3)
+        resolver.stable_set(stamp.when_hours, "phone")
+        assert len(count_materialize) == 1
+        assert count_materialize[0].when_hours == stamp.when_hours - 1.0
+        resolver.stable_set(stamp.when_hours, "phone")
+        assert len(count_materialize) == 1
+        resolver.stable_set(stamp.when_hours, "tablet")
+        assert len(count_materialize) == 2
+        resolver.single_prior_load(stamp.when_hours, "phone")
+        assert len(count_materialize) == 3
+        resolver.single_prior_load(stamp.when_hours, "phone")
+        assert len(count_materialize) == 4

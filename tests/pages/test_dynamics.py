@@ -1,5 +1,8 @@
 """Unit tests for URL flux (rotation, nonces, devices, personalization)."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.pages.dynamics import (
@@ -133,3 +136,98 @@ class TestResolveSize:
     def test_size_never_below_one(self):
         spec = make_spec(size=1)
         assert resolve_size(spec, STAMP) >= 1
+
+
+def _token_digest(*parts):
+    joined = "|".join(str(part) for part in parts)
+    return hashlib.sha1(joined.encode()).hexdigest()[:10]
+
+
+_EXT = {
+    ResourceType.HTML: "html",
+    ResourceType.CSS: "css",
+    ResourceType.JS: "js",
+    ResourceType.IMAGE: "jpg",
+    ResourceType.FONT: "woff2",
+    ResourceType.VIDEO: "mp4",
+    ResourceType.JSON: "json",
+    ResourceType.OTHER: "bin",
+}
+
+
+def token_join_url(spec, stamp):
+    """The token-list URL builder that the one-pass version replaced."""
+    tokens = [spec.name]
+    epoch = rotation_epoch(spec, stamp.when_hours)
+    if epoch is not None:
+        tokens.append(f"e{epoch}")
+    if spec.unpredictable:
+        tokens.append(
+            "n" + _token_digest(spec.name, stamp.nonce, stamp.when_hours)
+        )
+    if spec.device_dependent:
+        tokens.append(stamp.device_class)
+    if spec.personalized:
+        tokens.append("u" + _token_digest(spec.domain, stamp.user))
+    return f"{spec.domain}/{'_'.join(tokens)}.{_EXT[spec.rtype]}"
+
+
+#: Every combination of the four kinds of flux (the lifetime on or off).
+FLUX_COMBINATIONS = [
+    dict(
+        lifetime_hours=lifetime,
+        unpredictable=unpredictable,
+        device_dependent=device,
+        personalized=personalized,
+    )
+    for lifetime, unpredictable, device, personalized in itertools.product(
+        (None, 2.5), (False, True), (False, True), (False, True)
+    )
+]
+
+#: On and next to 2.5-hour epoch boundaries, negative and fractional too.
+BOUNDARY_HOURS = [
+    -5.0, -2.5000001, -2.5, -0.0000001, 0.0, 0.0000001, 1.25,
+    2.4999999, 2.5, 2.5000001, 997.5, 999.9999999, 1000.0,
+]
+
+
+class TestUrlFormatOracle:
+    def test_sixteen_flux_combinations(self):
+        assert len(FLUX_COMBINATIONS) == 16
+
+    def test_matches_token_join(self):
+        for index, flux in enumerate(FLUX_COMBINATIONS):
+            rtype = list(ResourceType)[index % len(ResourceType)]
+            spec = make_spec(
+                name=f"res{index}", rtype=rtype, domain="cdn.b.org", **flux
+            )
+            for hours, device, user, nonce in itertools.product(
+                BOUNDARY_HOURS,
+                ("nexus6", "oneplus3", "nexus10"),
+                ("user0", "user7", "__vroom_server__"),
+                (0, 1, 41_277),
+            ):
+                stamp = LoadStamp(
+                    when_hours=hours, device=device, user=user, nonce=nonce
+                )
+                assert resolve_url(spec, stamp) == token_join_url(spec, stamp)
+
+    def test_non_positive_lifetime_raises(self):
+        for lifetime in (0.0, -1.0):
+            spec = make_spec(lifetime_hours=lifetime, device_dependent=True)
+            stamp = LoadStamp(when_hours=3.0, device="iphone99")
+            with pytest.raises(ValueError, match="non-positive rotation"):
+                resolve_url(spec, stamp)
+            with pytest.raises(ValueError, match="non-positive rotation"):
+                token_join_url(spec, stamp)
+
+    def test_unknown_device_raises_only_for_device_dependent_specs(self):
+        stamp = LoadStamp(when_hours=3.0, device="iphone99")
+        for flux in FLUX_COMBINATIONS:
+            spec = make_spec(**flux)
+            if flux["device_dependent"]:
+                with pytest.raises(ValueError, match="unknown device"):
+                    resolve_url(spec, stamp)
+            else:
+                assert resolve_url(spec, stamp) == token_join_url(spec, stamp)

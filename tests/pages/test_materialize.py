@@ -9,6 +9,8 @@ every field, on walk order and on ``resources`` key order.
 
 import pickle
 
+import pytest
+
 from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.offline import OfflineResolver
 from repro.pages import markup
@@ -162,6 +164,78 @@ class TestAgainstReference:
         assert island.process_order == -1
         assert _names(island.children) == ["island_js"]
         assert "island" not in _names(snapshot.all_resources())
+
+
+def stray_page():
+    """An unvalidated blueprint whose root cannot reach every spec."""
+    page = nested_frames_page()
+    page.specs["island"] = spec("island", ResourceType.HTML)
+    page.specs["island_js"] = spec(
+        "island_js", ResourceType.JS, "island", unpredictable=True
+    )
+    page.specs["loop_a"] = spec("loop_a", ResourceType.JS, "loop_b")
+    page.specs["loop_b"] = spec("loop_b", ResourceType.JS, "loop_a")
+    page._children_cache = None
+    page._skeleton_cache = None
+    return page
+
+
+class TestResolveUrls:
+    def test_strays_stay_out_of_the_list(self):
+        page = stray_page()
+        for stamp in (
+            LoadStamp(when_hours=5.0),
+            LoadStamp(when_hours=5.0, device="nexus10", nonce=3),
+        ):
+            urls = page.resolve_urls(stamp)
+            assert urls == page.materialize(stamp).urls()
+            assert urls == reference_materialize(page, stamp).urls()
+            stray_urls = {
+                resolve_url(page.specs[name], stamp)
+                for name in ("island", "island_js", "loop_a", "loop_b")
+            }
+            assert not stray_urls & set(urls)
+
+    def test_corpus_pages_match_the_tree(self):
+        stamps = [
+            LoadStamp(when_hours=DEFAULT_EVAL_HOUR - 1.0, nonce=5),
+            LoadStamp(
+                when_hours=DEFAULT_EVAL_HOUR, device="nexus10", user="u3"
+            ),
+        ]
+        for page in news_sports_corpus(count=3):
+            for stamp in stamps:
+                assert page.resolve_urls(stamp) == page.materialize(stamp).urls()
+
+    def test_unknown_device_raises_only_with_a_device_dependent_spec(self):
+        stamp = LoadStamp(when_hours=5.0, device="iphone99", nonce=2)
+        page = nested_frames_page()
+        page.add(
+            spec("ad", ResourceType.IMAGE, "root", unpredictable=True)
+        )
+        assert page.resolve_urls(stamp) == page.materialize(stamp).urls()
+        page.add(
+            spec("hero", ResourceType.IMAGE, "frame", device_dependent=True)
+        )
+        with pytest.raises(ValueError, match="unknown device"):
+            page.resolve_urls(stamp)
+        with pytest.raises(ValueError, match="unknown device"):
+            page.materialize(stamp)
+
+    def test_tablet_resizes_only_device_dependent_rows(self):
+        page = nested_frames_page()
+        page.add(
+            spec("hero", ResourceType.IMAGE, "frame", device_dependent=True)
+        )
+        phone = page.materialize(LoadStamp(when_hours=5.0, device="oneplus3"))
+        tablet = page.materialize(LoadStamp(when_hours=5.0, device="nexus10"))
+        resized = [
+            name
+            for name, resource in tablet.resources.items()
+            if resource.size != phone.resources[name].size
+        ]
+        assert resized == ["hero"]
+        assert tablet.find("hero").size == int(900 * 1.6)
 
 
 class TestLazyBodies:

@@ -3,7 +3,8 @@
 Pages are random valid trees with nested iframes and every kind of URL
 flux; each is materialised under several stamps in a row (so the
 memoised skeleton is reused across tablets, personalised users, nonces
-and rotation-epoch boundaries) and compared field by field.
+and rotation-epoch boundaries) and compared field by field.  The
+URL-only ``resolve_urls`` must list exactly the tree's URLs.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -110,3 +111,4 @@ def test_materialize_matches_reference(page, stamp_list):
         assert_same_snapshot(
             page.materialize(stamp), reference_materialize(page, stamp)
         )
+        assert page.resolve_urls(stamp) == page.materialize(stamp).urls()
