@@ -54,9 +54,9 @@ RULES: Dict[str, str] = {
         "rebuilt per call; hoist it out of the hot path"
     ),
     "PERF402": (
-        "per-call construction in a hot region — random.Random, "
-        "re.compile (or implicit re.* compilation), datetime objects; "
-        "build once, reuse per call"
+        "per-call construction in a hot region — random.Random or "
+        "reseeding an RNG (.seed(x)), re.compile (or implicit re.* "
+        "compilation), datetime objects; build once, reuse per call"
     ),
     "PERF403": (
         "repeated attribute-chain loads inside one hot loop — CPython "

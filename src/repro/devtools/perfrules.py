@@ -16,7 +16,9 @@ The rules, in increasing order of judgement required:
 * **PERF402** — per-call construction of engine objects that are meant
   to be built once: ``random.Random``, ``re.compile`` (or implicit
   compilation via module-level ``re.match`` and friends), ``datetime``
-  constructors.
+  constructors.  Reseeding an RNG (``rng.seed(x)``, ``random.seed(x)``)
+  counts too: it re-initialises the whole generator state, so it costs
+  as much as constructing one.
 * **PERF403** — the same attribute chain loaded repeatedly inside one
   loop: CPython resolves ``self.queue.heap`` on every load, so invariant
   chains belong in a local before the loop.
@@ -337,6 +339,18 @@ class _HotFunctionVisitor(ast.NodeVisitor):
                 "PERF402",
                 node,
                 f"`{canon}(...)` constructed per call in a hot region",
+            )
+        elif (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "seed"
+            and (node.args or node.keywords)
+        ):
+            self._emit(
+                "PERF402",
+                node,
+                f"`{canon}(...)` reseeds an RNG per call — as costly as "
+                "constructing one; memoise the draws or thread one "
+                "generator through",
             )
 
 

@@ -289,11 +289,11 @@ SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
 
 #: Minimum acceptable ``wall_speedup`` (fast engine vs reference) per
 #: scenario.  Deliberately far below the best-of-3 measurements
-#: (1.2–1.5x / 1.4–1.6x / 1.35–1.6x on a 2-CPU container) so
-#: shared-runner noise cannot trip CI, while a real regression — the fast
-#: engine losing its edge on the tick-dominated shapes, or turning
-#: meaningfully slower than the reference on the realistic page — still
-#: fails the smoke job.
+#: (1.38–1.52x / 1.51–1.70x / 1.81–2.12x over seven full runs on a
+#: 2-vCPU container; see docs/PERFORMANCE.md) so shared-runner noise
+#: cannot trip CI, while a real regression — the fast engine losing its
+#: edge on the tick-dominated shapes, or turning meaningfully slower than
+#: the reference on the realistic page — still fails the smoke job.
 SPEEDUP_FLOORS: Dict[str, float] = {
     "corpus-news": 0.90,
     "push-all-high-rtt": 1.05,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 import random
@@ -192,6 +193,26 @@ INITIAL_CWND_BYTES = 14600.0
 #: Upper bound on any connection's congestion window.
 MAX_CWND_BYTES = 4.0e6
 
+#: Entries kept by :func:`_loss_log_draw`.  Every lossy run in the repo
+#: draws under 1,000 distinct seeds per process, at ~150 B an entry.
+_LOSS_DRAW_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=_LOSS_DRAW_MEMO)
+def _loss_log_draw(seed: int) -> float:
+    """``log`` of the first uniform draw of ``random.Random(seed)``.
+
+    A pure function of one integer, so one bounded process-wide table
+    serves every channel and both engines, and a hit returns the exact
+    float a freshly seeded generator gives.  No channel repeats a seed:
+    the reuse is across loads in one process, because every load's
+    connections restart the ordinal scheme.  Being outside the channels,
+    the table holds no per-load state and is never pickled.
+    """
+    # repro: allow[PERF402] a miss runs once per distinct seed per
+    # process; every later draw of that seed is a table hit.
+    return math.log(max(1e-12, random.Random(seed).random()))
+
 
 class Channel:
     """The link-facing side of one transport connection.
@@ -202,6 +223,13 @@ class Channel:
     moved bytes is therefore *warm* — the mechanism behind HTTP/2's edge
     over six cold HTTP/1.1 connections and behind RTTs appearing on page
     load critical paths.
+
+    On a lossy link (``loss_rate > 0``) the connection also counts down
+    exponential byte gaps between losses; each loss halves the window,
+    floored at the initial one.  A gap is a pure function of the
+    connection's ordinal and loss count, read from the process-wide
+    :func:`_loss_log_draw` table, so both engines and every load in a
+    process draw the identical sequence.
     """
 
     __slots__ = (
@@ -219,7 +247,6 @@ class Channel:
         "_last_busy_at",
         "_bytes_to_next_loss",
         "_loss_count",
-        "_rng",
     )
 
     _ids = itertools.count()
@@ -252,10 +279,6 @@ class Channel:
         #: 0.0), or None before the first.
         self._holder: Optional[StreamHandle] = None
         self._last_busy_at = link.sim.now
-        #: Cached loss RNG, reseeded per draw on the (ordinal, loss_count)
-        #: scheme so sequences match the historical fresh-instance-per-draw
-        #: behaviour without the per-loss allocation.
-        self._rng: Optional[random.Random] = None
         self._loss_count = 0
         #: Bytes until this connection's next simulated packet loss.
         self._bytes_to_next_loss = self._sample_loss_gap(seed_extra=0)
@@ -265,15 +288,8 @@ class Channel:
         if self.link.loss_rate <= 0:
             return float("inf")
         seed = (self.ordinal + 1) * 9973 + seed_extra
-        rng = self._rng
-        if rng is None:
-            # repro: allow[PERF402] constructed once and cached on
-            # self._rng; later calls only reseed it.
-            rng = self._rng = random.Random(seed)
-        else:
-            rng.seed(seed)
         mean_gap = 1460.0 / self.link.loss_rate
-        return -mean_gap * math.log(max(1e-12, rng.random()))
+        return -mean_gap * _loss_log_draw(seed)
 
     def _register_delivery(self, delivered: float) -> None:
         """Loss events halve the window (TCP congestion avoidance)."""

@@ -26,14 +26,15 @@ def tick(jobs, config):
             total += wanted == job
         except TypeError:
             raise HelperError("unorderable job")
-    return drain(jobs, rng, total)
+    return drain(jobs, rng, total, config.sampler)
 
 
-def drain(jobs, rng, total):
+def drain(jobs, rng, total, sampler):
     """Hot via the ``tick -> drain`` edge."""
     for job in jobs:
         if re.match("a+", str(job)):  # expect: PERF402
             total += len(sorted(jobs))  # expect: PERF401
+    total += sampler.gap(total)
     gadget = Gadget(total)  # expect: PERF405
     keep = Slotted(rng.random())
     return gadget, keep, total

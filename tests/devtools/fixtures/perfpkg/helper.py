@@ -37,6 +37,37 @@ def make_rng(seed):
     return random.Random(seed)  # expect: PERF402
 
 
+class LossSampler:
+    """One cached generator, reseeded on every draw.
+
+    Reseeding re-initialises the whole generator state, so it costs as
+    much as constructing one: both lines are PERF402.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self):
+        self._rng = None
+
+    def gap(self, seed):
+        """Hot via ``drain -> sampler.gap`` (dispatch by method name)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(seed)  # expect: PERF402
+        else:
+            rng.seed(seed)  # expect: PERF402
+        return rng.random()
+
+
+def cold_reseed(rng, seeds):
+    """Unreachable from any seed: reseeding per call must stay silent."""
+    out = []
+    for seed in seeds:
+        rng.seed(seed)
+        out.append(rng.random())
+    return out
+
+
 def cold_helper(jobs):
     """Unreachable from any seed: the same pattern must stay silent."""
     out = []

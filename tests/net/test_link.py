@@ -1,11 +1,23 @@
 """Unit tests for the fluid shared access link."""
 
+import math
+import random
+
 import pytest
 
+from repro.browser.engine import BrowserConfig, PageLoadEngine
+from repro.calibration import DEFAULT_EVAL_HOUR
+from repro.core.push_policy import PushPolicy
+from repro.core.scheduler import FetchAsapScheduler
+from repro.core.server import vroom_servers
+from repro.experiments import engine_bench
+from repro.net.http import ENGINES, NetworkConfig
 from repro.net.link import (
+    _LOSS_DRAW_MEMO,
     AccessLink,
     INITIAL_CWND_BYTES,
     StreamScheduling,
+    _loss_log_draw,
 )
 from repro.net.simulator import ArraySimulator, Simulator
 
@@ -554,3 +566,121 @@ class TestBatchedRunDetection:
         assert done == ref_done
         assert link.batch_steps > 0
         assert link.pokes == ref_link.pokes
+
+
+#: One generator for :func:`reseeded_gap`, reseeded on every draw.
+_RESEEDED_RNG = random.Random()
+
+
+def reseeded_gap(ordinal, seed_extra, loss_rate):
+    """The reseed-per-draw ``Channel._sample_loss_gap`` the table replaced.
+
+    Kept verbatim as the reference the memoised draws must equal.
+    """
+    seed = (ordinal + 1) * 9973 + seed_extra
+    rng = _RESEEDED_RNG
+    rng.seed(seed)
+    mean_gap = 1460.0 / loss_rate
+    return -mean_gap * math.log(max(1e-12, rng.random()))
+
+
+class TestLossDrawTable:
+    """Loss gaps come from a bounded process-wide memo of the draws.
+
+    The memo must return the exact float the reseed-per-draw generator
+    gave, through eviction and across loads, on both engines.
+    """
+
+    LOSS_RATES = (0.01, 0.02, 0.03, 0.5)
+    ORDINALS = range(8)
+    LOSS_COUNTS = range(1100)
+
+    def _channels(self, loss_rate):
+        """Channels at ordinals 0-7; opening one draws its count 0."""
+        link = AccessLink(Simulator(), 8.0e6, loss_rate=loss_rate)
+        return [link.open_channel(rtt=0.1) for _ in self.ORDINALS]
+
+    def test_gaps_equal_the_reseeded_draws_through_eviction(self):
+        # 8 ordinals x 1,100 loss counts is 8,800 distinct seeds, over
+        # twice the bound, so every pass evicts before it wraps.
+        assert len(self.ORDINALS) * len(self.LOSS_COUNTS) > 2 * _LOSS_DRAW_MEMO
+        _loss_log_draw.cache_clear()
+        for loss_rate in self.LOSS_RATES:
+            for channel in self._channels(loss_rate):
+                for count in self.LOSS_COUNTS:
+                    assert channel._sample_loss_gap(
+                        seed_extra=count
+                    ) == reseeded_gap(channel.ordinal, count, loss_rate)
+                    info = _loss_log_draw.cache_info()
+                    assert info.currsize <= _LOSS_DRAW_MEMO
+        # The earliest seeds were evicted long ago: redraw them.  Opening
+        # the channels just drew each ordinal's count 0, so every other
+        # redraw must miss.
+        earliest = self._channels(0.02)[:2]
+        evicted = _loss_log_draw.cache_info()
+        assert evicted.currsize == _LOSS_DRAW_MEMO
+        for channel in earliest:
+            for count in self.LOSS_COUNTS:
+                assert channel._sample_loss_gap(
+                    seed_extra=count
+                ) == reseeded_gap(channel.ordinal, count, 0.02)
+        redrawn = _loss_log_draw.cache_info()
+        assert redrawn.misses - evicted.misses == 2 * (
+            len(self.LOSS_COUNTS) - 1
+        )
+        assert redrawn.currsize == _LOSS_DRAW_MEMO
+
+    def test_lossless_link_never_touches_the_table(self):
+        _loss_log_draw.cache_clear()
+        sim, link = make_link()
+        channel = link.open_channel(rtt=0.05)
+        assert channel._sample_loss_gap(seed_extra=3) == float("inf")
+        channel.start_stream(1_000_000, lambda: None)
+        sim.run()
+        info = _loss_log_draw.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    @staticmethod
+    def _drain_load(scenario, materialized, engine):
+        """One ``single-stream-drain`` engine-bench load (3% loss)."""
+        page, snapshot, store = materialized
+        load = PageLoadEngine(
+            snapshot,
+            vroom_servers(
+                page, snapshot, store, push_policy=PushPolicy.ALL_LOCAL
+            ),
+            NetworkConfig(
+                h2_scheduling=StreamScheduling.FAIR,
+                loss_rate=scenario.loss_rate,
+                base_rtt=scenario.base_rtt,
+                engine=engine,
+            ),
+            BrowserConfig(when_hours=DEFAULT_EVAL_HOUR),
+            policy=FetchAsapScheduler(),
+        )
+        metrics = load.run()
+        return metrics, [
+            channel._loss_count for channel in load.client.link.channels
+        ]
+
+    def test_cold_and_warm_table_load_identically(self):
+        scenario = next(
+            scenario
+            for scenario in engine_bench.SCENARIOS
+            if scenario.name == "single-stream-drain"
+        )
+        # One snapshot for every load, so LoadMetrics compare by value
+        # without walking two copies of the resource tree.
+        materialized = engine_bench._materialize(scenario)
+        runs = []
+        for engine in ENGINES:
+            _loss_log_draw.cache_clear()
+            runs.append(self._drain_load(scenario, materialized, engine))
+            cold = _loss_log_draw.cache_info()
+            runs.append(self._drain_load(scenario, materialized, engine))
+            warm = _loss_log_draw.cache_info()
+            # The warm load draws every gap from the table.
+            assert warm.misses == cold.misses > 0
+            assert warm.hits - cold.hits == cold.misses
+        assert sum(runs[0][1]) > 0, "the load must actually lose packets"
+        assert all(run == runs[0] for run in runs[1:])
