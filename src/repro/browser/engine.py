@@ -910,8 +910,6 @@ class PageLoadEngine:
                 "link_pokes": self.client.link.pokes,
                 "link_fast_forward_steps": self.client.link.ff_steps,
                 "link_rate_recomputes": self.client.link.rate_recomputes,
-                "link_batch_runs": self.client.link.batch_runs,
-                "link_batch_steps": self.client.link.batch_steps,
                 "link_wf_fast_hits": self.client.link.wf_fast_hits,
                 "browser_wakeups": self._browser_wakeups,
             },

@@ -3,21 +3,20 @@
 Each scenario loads one page once per engine (``NetworkConfig.engine``) —
 
 * ``reference`` — the plain :class:`~repro.net.simulator.Simulator`:
-  every link refresh tick is its own heap event, no batching anywhere.
-  This is the oracle.
+  every link refresh tick is its own heap event.  This is the oracle.
 * ``fast`` — the array-backed
   :class:`~repro.net.simulator.ArraySimulator`: silent refresh ticks run
-  inline, homogeneous runs of them go through the link's batch loop, and
-  each step visits only the streams that can move, allocating with a
-  closed-form water-filling solver.
+  inline, one step at a time, and each step visits only the streams that
+  can move, allocating with a closed-form water-filling solver.
 
 — and asserts both :class:`LoadMetrics` are bit-identical before
 reporting anything.  The report then carries two kinds of numbers:
 
 * **Deterministic counters** (heap events scheduled/executed/cancelled,
-  link pokes, fast-forward steps, batch runs, closed-form allocations):
-  pure functions of the event trace, stable across machines, pinned as
-  CI goldens by ``repro bench engine --smoke``.
+  link pokes, fast-forward steps, closed-form allocations): pure
+  functions of the event trace, stable across machines and the same
+  with ``REPRO_AUDIT=1`` armed, pinned as CI goldens by
+  ``repro bench engine --smoke``.
 * **Wall-clock** (seconds per load, speedups): machine-dependent,
   recorded in ``BENCH_engine.json`` for the trajectory.  CI only asserts
   the deliberately conservative per-scenario *speedup floors* — the fast
@@ -29,15 +28,15 @@ Scenario shapes:
 * ``corpus-news`` — a realistic synthetic News/Sports page under the
   push-all + fetch-asap configuration at LTE latency.  Thresholds
   (completions, preload-scanner watches) and the scanner's 5 ms poll
-  dominate, so coalescing is modest by design; this guards the
+  dominate, so few refresh ticks run inline; this guards the
   realistic-workload counters.
 * ``push-all-high-rtt`` — the slow-start-heavy shape from the paper's
   motivation: high RTT, lossy link, server push keeping many streams
-  concurrent while windows are still opening.  Refresh ticks dominate
-  and coalescing collapses the heap traffic (the >= 2x criterion).
+  concurrent while windows are still opening.  Refresh ticks dominate,
+  and running them inline removes most of the heap traffic.
 * ``single-stream-drain`` — one long cwnd-limited body drain, the purest
-  hot-path microbench: nearly every tick coalesces, so wall-clock
-  speedup reflects the inline loop (the >= 1.5x criterion).
+  hot-path microbench: nearly every refresh tick runs inline, so its
+  wall-clock speedup measures the inline step loop.
 """
 
 from __future__ import annotations
@@ -115,8 +114,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "link_pokes",
     "link_fast_forward_steps",
     "link_rate_recomputes",
-    "link_batch_runs",
-    "link_batch_steps",
     "link_wf_fast_hits",
     "browser_wakeups",
 )
@@ -263,8 +260,6 @@ SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
         "events_scheduled_fast": 1446,
         "link_pokes": 368,
         "link_fast_forward_steps": 5,
-        "link_batch_runs": 1,
-        "link_batch_steps": 2,
         "link_wf_fast_hits": 60,
     },
     "push-all-high-rtt": {
@@ -272,8 +267,6 @@ SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
         "events_scheduled_fast": 93,
         "link_pokes": 229,
         "link_fast_forward_steps": 207,
-        "link_batch_runs": 3,
-        "link_batch_steps": 204,
         "link_wf_fast_hits": 0,
     },
     "single-stream-drain": {
@@ -281,19 +274,18 @@ SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
         "events_scheduled_fast": 24,
         "link_pokes": 1263,
         "link_fast_forward_steps": 1254,
-        "link_batch_runs": 2,
-        "link_batch_steps": 1251,
         "link_wf_fast_hits": 0,
     },
 }
 
 #: Minimum acceptable ``wall_speedup`` (fast engine vs reference) per
-#: scenario.  Deliberately far below the best-of-3 measurements
-#: (1.38–1.52x / 1.51–1.70x / 1.81–2.12x over seven full runs on a
-#: 2-vCPU container; see docs/PERFORMANCE.md) so shared-runner noise
-#: cannot trip CI, while a real regression — the fast engine losing its
-#: edge on the tick-dominated shapes, or turning meaningfully slower than
-#: the reference on the realistic page — still fails the smoke job.
+#: scenario.  Deliberately below the best-of-3 measurements (1.07–1.90x /
+#: 1.56–2.27x / 1.20–2.05x, medians 1.44x / 1.75x / 1.69x, over fourteen
+#: full runs on a 2-vCPU container; see docs/PERFORMANCE.md) so
+#: shared-runner noise cannot trip CI, while a real regression — the
+#: fast engine losing its edge on the tick-dominated shapes, or turning
+#: meaningfully slower than the reference on the realistic page — still
+#: fails the smoke job.
 SPEEDUP_FLOORS: Dict[str, float] = {
     "corpus-news": 0.90,
     "push-all-high-rtt": 1.05,
@@ -313,8 +305,6 @@ def smoke_counters(report: dict) -> Dict[str, Dict[str, int]]:
             "events_scheduled_fast": fast["events_scheduled"],
             "link_pokes": fast["link_pokes"],
             "link_fast_forward_steps": fast["link_fast_forward_steps"],
-            "link_batch_runs": fast["link_batch_runs"],
-            "link_batch_steps": fast["link_batch_steps"],
             "link_wf_fast_hits": fast["link_wf_fast_hits"],
         }
     return observed
@@ -373,22 +363,12 @@ def smoke_run() -> dict:
     return engine_benchmark(repeats=3)
 
 
-#: Counters that measure which *implementation* ran, not the trace.
-#: Under ``REPRO_AUDIT=1`` the batch loop stands down (the generic loop
-#: validates every step individually, so runs/steps read zero) and the
-#: closed-form solver is hit a different number of times.  These are not
-#: comparable to the goldens there — but every trace-shaped counter
-#: (events, pokes, fast-forward steps) must still match exactly, and
-#: that is what the audited smoke run asserts.
-_IMPLEMENTATION_COUNTERS = (
-    "link_batch_runs",
-    "link_batch_steps",
-    "link_wf_fast_hits",
-)
-
-
 def smoke_check(report: dict) -> List[str]:
-    """Mismatches between a benchmark report and the pinned goldens."""
+    """Mismatches between a benchmark report and the pinned goldens.
+
+    Every golden counter is checked, audited or not: the audit checks
+    the same path the plain run takes, so it must count the same trace.
+    """
     problems: List[str] = []
     observed = smoke_counters(report)
     audited = audit.ENABLED
@@ -401,8 +381,6 @@ def smoke_check(report: dict) -> List[str]:
             problems.append(f"{scenario}: missing from report")
             continue
         for field, expected in golden.items():
-            if audited and field in _IMPLEMENTATION_COUNTERS:
-                continue
             if actual.get(field) != expected:
                 problems.append(
                     f"{scenario}.{field}: expected {expected!r}, "

@@ -28,16 +28,16 @@ It takes one of two paths, chosen by the simulator it is given:
   water-fills and picks the next tick.  This is the oracle.
 * On the fast :class:`~repro.net.simulator.ArraySimulator` consecutive
   refresh steps run inline via ``advance_inline`` instead of a
-  schedule/cancel/pop heap round-trip per step, and a silent run of them
-  is absorbed in locals by :meth:`AccessLink._run_batch`.  Each poke
-  visits only the streams that can move: the busy channels, and on a FIFO
-  connection only the one stream holding its rate
+  schedule/cancel/pop heap round-trip per step.  Each poke, inline or
+  scheduled, visits only the streams that can move: the busy channels,
+  and on a FIFO connection only the one stream holding its rate
   (:meth:`AccessLink._step_batched`,
   :meth:`AccessLink._assign_and_horizon_batched`).  It performs the
   identical piecewise updates at the identical simulated times, and drops
   back to the heap whenever any foreign event could observe the
   difference, so results are bit-identical to the reference (see
-  ``docs/ARCHITECTURE.md``).
+  ``docs/ARCHITECTURE.md``).  ``REPRO_AUDIT=1`` checks this same path
+  step by step.
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ class AccessLink:
         self.channels: List[Channel] = []
         self._last_update = sim.now
         #: The fast engine's simulator, or None on the reference engine.
-        #: Only the fast engine fast-forwards, batches silent runs and
-        #: skips streams that cannot move (see the module docstring).
+        #: Only the fast engine fast-forwards and skips streams that
+        #: cannot move (see the module docstring).
         self._raw_sim = sim if isinstance(sim, ArraySimulator) else None
         #: Reference engine: handle of the pending refresh tick.
         self._tick_event: Optional[Event] = None
@@ -451,10 +451,6 @@ class AccessLink:
         #: Fast engine: the slow-start refresh span (half the busy set's
         #: smallest RTT; 0.0 if none), derived with ``_busy_cache``.
         self._refresh = 0.0
-        #: Fast engine: force the next :meth:`_step` to run its full
-        #: watch/completion scan even at zero dt (set when a batch run
-        #: exits on a threshold crossing it has not fired yet).
-        self._scan_forced = False
         #: Total body bytes delivered (for accounting tests).
         self.bytes_delivered = 0.0
         #: Bytes carried by streams that already finished (completed or
@@ -465,14 +461,11 @@ class AccessLink:
         self.busy_time = 0.0
         #: Deterministic perf counters: poke sweeps (direct calls plus one
         #: per refresh step, inline or heap), refresh steps taken inline,
-        #: and general iterative water-filling solves.
+        #: general iterative water-filling solves, and (fast engine only)
+        #: closed-form water-filling hits.
         self.pokes = 0
         self.ff_steps = 0
         self.rate_recomputes = 0
-        #: Fast-engine counters: homogeneous runs executed, total steps
-        #: those runs absorbed, and closed-form water-filling hits.
-        self.batch_runs = 0
-        self.batch_steps = 0
         self.wf_fast_hits = 0
 
     def open_channel(
@@ -827,8 +820,7 @@ class AccessLink:
         An idle channel holds only done streams awaiting pruning, which
         nothing reads; like a busy channel's, they are pruned when one of
         its streams next retires.  For the same reason a zero-dt sweep is
-        a no-op and returns at once, unless a batch run just crossed a
-        threshold and forced the scan.
+        a no-op and returns at once.
 
         The scan inlines :meth:`StreamHandle.fire_ready`'s entry guards
         (a due watch, else a due completion) so the ~90% of streams with
@@ -840,10 +832,8 @@ class AccessLink:
         now = sim.now
         dt = now - self._last_update
         self._last_update = now
-        moved = dt > _EPS_TIME
-        if not moved and not self._scan_forced:
+        if dt <= _EPS_TIME:
             return
-        self._scan_forced = False
         eps = _EPS_BYTES
         delivered_total = self.bytes_delivered
         lossy = self.loss_rate > 0
@@ -856,26 +846,23 @@ class AccessLink:
                 )
             else:
                 movers = channel.active_streams()
-            if moved:
-                channel_delivered = 0.0
-                for stream in movers:
-                    delta = stream.rate * dt
-                    grown = stream.bytes_done + delta
-                    total = stream.bytes_total
-                    stream.bytes_done = total if total <= grown else grown
-                    channel_delivered += delta
-                    delivered_total += delta
-                if channel.rtt > 0:
-                    grown_w = channel.cwnd + channel_delivered
-                    channel.cwnd = (
-                        MAX_CWND_BYTES
-                        if MAX_CWND_BYTES <= grown_w
-                        else grown_w
-                    )
-                if lossy:
-                    channel._register_delivery(channel_delivered)
-                if channel_delivered > 0:
-                    channel._last_busy_at = now
+            channel_delivered = 0.0
+            for stream in movers:
+                delta = stream.rate * dt
+                grown = stream.bytes_done + delta
+                total = stream.bytes_total
+                stream.bytes_done = total if total <= grown else grown
+                channel_delivered += delta
+                delivered_total += delta
+            if channel.rtt > 0:
+                grown_w = channel.cwnd + channel_delivered
+                channel.cwnd = (
+                    MAX_CWND_BYTES if MAX_CWND_BYTES <= grown_w else grown_w
+                )
+            if lossy:
+                channel._register_delivery(channel_delivered)
+            if channel_delivered > 0:
+                channel._last_busy_at = now
             retired = False
             for stream in movers:
                 watches = stream._watches
@@ -893,10 +880,9 @@ class AccessLink:
                 channel.streams = [
                     stream for stream in channel.streams if not stream.done
                 ]
-        if moved:
-            if busy:
-                self.busy_time += dt
-            self.bytes_delivered = delivered_total
+        if busy:
+            self.busy_time += dt
+        self.bytes_delivered = delivered_total
 
     def poke(self) -> None:
         """Advance progress, fire due watches/completions, recompute rates."""
@@ -922,7 +908,10 @@ class AccessLink:
         fired through ``call_soon``, or the run's ``until`` cap — could
         observe the coalescing.  A refused advance, and every step on the
         reference engine, schedules a regular tick instead, so both
-        engines run the same steps at the same times.
+        engines run the same steps at the same times.  Every inline step
+        is one :meth:`_step_batched` plus one
+        :meth:`_assign_and_horizon_batched`, so the path that runs is the
+        path ``REPRO_AUDIT=1`` checks.
         """
         if self._in_poke:
             return
@@ -945,255 +934,8 @@ class AccessLink:
                     self._reschedule(horizon)
                     return
                 self.ff_steps += 1
-                if not audit.ENABLED:
-                    # Batch the rest of the silent run in locals.  Under
-                    # audit the batch loop stands down so the generic
-                    # loop above validates every step individually.
-                    self._run_batch()
         finally:
             self._in_poke = False
-
-    # repro: hotpath
-    def _run_batch(self) -> None:
-        """Execute a homogeneous run of silent refresh steps in one call.
-
-        Any number of busy connections, any scheduling mode, any stream
-        count.  During a silent window nothing outside the link runs, so
-        the busy set, each connection's scheduling head/weights, and
-        every stream's next threshold are all *fixed* — they are hoisted
-        into parallel local arrays once, and each step then performs the
-        reference loop's float operations (delivery in channel-then-
-        stream order, window growth, loss draws, allocation, horizon) on
-        those locals in the identical order.  The run ends at the first
-        threshold crossing or bounds refusal (``run(until=)`` cap, next
-        heap event, non-positive horizon) — exactly where the generic
-        loop's ``advance_inline`` would refuse — and writes all state
-        back, flagging :meth:`_step` to run the boundary scan that fires
-        the crossing.  Step counters mirror one-per-tick accounting, so
-        the executed trace stays bit-identical.
-        """
-        busy = self._busy_channels()
-        nch = len(busy)
-        if nch == 0:
-            return
-        # -- hoist fixed per-channel / per-stream state into locals ------
-        actives: List[List[StreamHandle]] = []
-        rtts: List[float] = []
-        cwnds: List[float] = []
-        btnls: List[float] = []
-        loss_counts: List[int] = []
-        last_busys: List[Optional[float]] = []
-        heads: List[int] = []
-        wtotals: List[float] = []
-        modes: List[int] = []  # 0 FAIR, 1 FIFO, 2 WEIGHTED
-        dones: List[List[float]] = []
-        totals: List[List[float]] = []
-        targets: List[List[float]] = []
-        rates: List[List[float]] = []
-        modes_append = modes.append
-        heads_append = heads.append
-        wtotals_append = wtotals.append
-        for channel in busy:
-            active = channel.active_streams()
-            if not active:
-                return
-            actives.append(active)
-            rtts.append(channel.rtt)
-            cwnds.append(channel.cwnd)
-            btnls.append(channel._bytes_to_next_loss)
-            loss_counts.append(channel._loss_count)
-            last_busys.append(None)
-            if channel.scheduling is StreamScheduling.FIFO:
-                modes_append(1)
-                heads_append(active.index(min(active, key=_fifo_order)))
-                wtotals_append(0.0)
-            elif channel.scheduling is StreamScheduling.WEIGHTED:
-                modes_append(2)
-                heads_append(0)
-                wtotals_append(sum(stream.weight for stream in active))
-            else:
-                modes_append(0)
-                heads_append(0)
-                wtotals_append(0.0)
-            # repro: allow[PERF401] entry-time snapshot arrays: built once
-            # per batch so the inner loop below can run allocation-free.
-            dones.append([stream.bytes_done for stream in active])
-            # repro: allow[PERF401] see above — once-per-batch snapshot.
-            totals.append([stream.bytes_total for stream in active])
-            # repro: allow[PERF401] see above — once-per-batch snapshot.
-            rates.append([stream.rate for stream in active])
-            ch_targets = []
-            for stream in active:
-                target = stream.bytes_total
-                cursor = stream._watch_cursor
-                if cursor < len(stream._watches):
-                    watch = stream._watches[cursor][0]
-                    if watch < target:
-                        target = watch
-                ch_targets.append(target)
-            targets.append(ch_targets)
-        sim = self.sim
-        next_heap = sim.peek_time()
-        until = sim._until
-        total_rate = self.downlink_bps / 8.0
-        lossy = self.loss_rate > 0
-        refresh = self._refresh
-        now = sim._now
-        last_update = self._last_update
-        delivered = self.bytes_delivered
-        busy_time = self.busy_time
-        steps = 0
-        crossing = False
-        wf_fast = 0
-        range_nch = range(nch)
-        while True:
-            dt = now - last_update
-            if dt > _EPS_TIME:
-                for i in range_nch:
-                    ch_rates = rates[i]
-                    ch_dones = dones[i]
-                    ch_totals = totals[i]
-                    ch_delivered = 0.0
-                    for j in range(len(ch_rates)):
-                        delta = ch_rates[j] * dt
-                        grown = ch_dones[j] + delta
-                        total = ch_totals[j]
-                        ch_dones[j] = total if total <= grown else grown
-                        ch_delivered += delta
-                        delivered += delta
-                    if rtts[i] > 0:
-                        cwnd = cwnds[i] + ch_delivered
-                        cwnds[i] = (
-                            MAX_CWND_BYTES
-                            if MAX_CWND_BYTES <= cwnd
-                            else cwnd
-                        )
-                    if lossy:
-                        btnl = btnls[i] - ch_delivered
-                        while btnl <= 0:
-                            loss_counts[i] += 1
-                            halved = cwnds[i] / 2.0
-                            cwnds[i] = (
-                                INITIAL_CWND_BYTES
-                                if INITIAL_CWND_BYTES >= halved
-                                else halved
-                            )
-                            btnl += busy[i]._sample_loss_gap(
-                                seed_extra=loss_counts[i]
-                            )
-                        btnls[i] = btnl
-                    if ch_delivered > 0:
-                        last_busys[i] = now
-                busy_time += dt
-            last_update = now
-            # -- threshold crossing ends the run (scan fires it) ---------
-            for i in range_nch:
-                ch_dones = dones[i]
-                ch_targets = targets[i]
-                for j in range(len(ch_dones)):
-                    if ch_dones[j] + _EPS_BYTES >= ch_targets[j]:
-                        crossing = True
-                        break
-                if crossing:
-                    break
-            if crossing:
-                break
-            # -- allocate: water-filling over current window caps --------
-            # repro: allow[PERF401] caps are recomputed only when a window
-            # boundary forces a fresh water-filling pass.
-            caps = [
-                min(cwnds[i], MAX_CWND_BYTES) / rtts[i]
-                if rtts[i] > 0
-                else float("inf")
-                for i in range_nch
-            ]
-            if nch == 1:
-                cap = caps[0]
-                alloc = [total_rate if total_rate < cap else cap]
-            elif nch <= 3:
-                alloc = waterfill_small(caps, total_rate) or []
-                wf_fast += 1
-            else:
-                alloc = waterfill(caps, total_rate)
-            cwnd_limited = False
-            for i in range_nch:
-                rate = alloc[i]
-                if caps[i] <= rate + _EPS_BYTES:
-                    cwnd_limited = True
-                ch_rates = rates[i]
-                mode = modes[i]
-                if mode == 0:
-                    each = rate / len(ch_rates)
-                    for j in range(len(ch_rates)):
-                        ch_rates[j] = each
-                elif mode == 1:
-                    for j in range(len(ch_rates)):
-                        ch_rates[j] = 0.0
-                    ch_rates[heads[i]] = rate
-                else:
-                    wtotal = wtotals[i]
-                    weights = actives[i]
-                    for j in range(len(ch_rates)):
-                        ch_rates[j] = rate * weights[j].weight / wtotal
-            # -- horizon: next threshold or slow-start refresh -----------
-            horizon: Optional[float] = None
-            for i in range_nch:
-                ch_rates = rates[i]
-                ch_dones = dones[i]
-                ch_targets = targets[i]
-                for j in range(len(ch_rates)):
-                    rate = ch_rates[j]
-                    if rate <= 0:
-                        continue
-                    remaining = ch_targets[j] - ch_dones[j]
-                    eta = remaining / rate if remaining > 0 else 0.0
-                    if horizon is None or eta < horizon:
-                        horizon = eta
-            if cwnd_limited and refresh > 0:
-                horizon = (
-                    refresh if horizon is None else min(horizon, refresh)
-                )
-            if horizon is None:
-                break
-            # -- the advance_inline bounds, on locals --------------------
-            target_t = now + (horizon if horizon > 0.0 else 0.0)
-            if target_t <= now:
-                break
-            if until is not None and target_t > until:
-                break
-            if next_heap is not None and next_heap <= target_t:
-                break
-            now = target_t
-            steps += 1
-        # -- write the hoisted state back --------------------------------
-        for i in range_nch:
-            channel = busy[i]
-            ch_dones = dones[i]
-            ch_rates = rates[i]
-            active = actives[i]
-            for j in range(len(active)):
-                stream = active[j]
-                stream.bytes_done = ch_dones[j]
-                stream.rate = ch_rates[j]
-            channel.cwnd = cwnds[i]
-            if lossy:
-                channel._bytes_to_next_loss = btnls[i]
-                channel._loss_count = loss_counts[i]
-            if last_busys[i] is not None:
-                channel._last_busy_at = last_busys[i]
-        self.bytes_delivered = delivered
-        self.busy_time = busy_time
-        self._last_update = last_update
-        sim._now = now
-        sim.inline_advances += steps
-        self.pokes += steps
-        self.ff_steps += steps
-        self.wf_fast_hits += wf_fast
-        if steps:
-            self.batch_runs += 1
-            self.batch_steps += steps
-        if crossing:
-            self._scan_forced = True
 
     def active_stream_count(self) -> int:
         return sum(

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import audit
 from repro.experiments.engine_bench import (
     SCENARIOS,
     SMOKE_GOLDENS,
     EngineScenario,
     bench_scenario,
+    engine_benchmark,
     smoke_check,
     smoke_counters,
     smoke_run,
@@ -76,23 +78,42 @@ def test_counters_cover_all_modes(smoke_report):
         reference = row["counters_reference"]
         assert reference["link_fast_forward_steps"] == 0, row["scenario"]
         assert reference["inline_advances"] == 0, row["scenario"]
-        assert reference["link_batch_runs"] == 0, row["scenario"]
         assert reference["link_pokes"] == row["counters_fast"]["link_pokes"]
 
 
 def test_batched_counters_present(smoke_report):
     rows = {row["scenario"]: row for row in smoke_report["scenarios"]}
-    for scenario, row in rows.items():
-        fast = row["counters_fast"]
-        assert fast["link_batch_steps"] >= fast["link_batch_runs"]
+    for row in rows.values():
         assert row["wall_fast_sec"] > 0
         assert row["wall_speedup"] > 0
-    # The batch loop engages hardest on the single-stream drain, and the
+    # Inline steps engage hardest on the single-stream drain, and the
     # closed-form allocator where several connections share the link.
     assert rows["single-stream-drain"]["counters_fast"][
-        "link_batch_steps"
+        "link_fast_forward_steps"
     ] > 1000
     assert rows["corpus-news"]["counters_fast"]["link_wf_fast_hits"] > 0
+
+
+def test_audited_counters_equal_plain_counters(smoke_report):
+    """The audit checks the path the plain run takes, so an audited
+    benchmark counts exactly the plain trace on both engines, and the
+    audited smoke check holds every golden."""
+    was = audit.ENABLED
+    audit.enable()
+    try:
+        audited_report = engine_benchmark(repeats=1)
+        problems = smoke_check(audited_report)
+    finally:
+        if not was:
+            audit.disable()
+    assert problems == []
+    plain = {row["scenario"]: row for row in smoke_report["scenarios"]}
+    for row in audited_report["scenarios"]:
+        name = row["scenario"]
+        assert row["counters_fast"] == plain[name]["counters_fast"], name
+        assert row["counters_reference"] == (
+            plain[name]["counters_reference"]
+        ), name
 
 
 def test_custom_scenario_runs_and_verifies():

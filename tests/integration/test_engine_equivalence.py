@@ -4,11 +4,11 @@
 plain :class:`~repro.net.simulator.Simulator`, one heap event per
 callback and per link refresh tick.  ``"fast"`` (the default) runs the
 array-backed :class:`~repro.net.simulator.ArraySimulator`, on which the
-link fast-forwards silent refresh ticks inline, absorbs runs of them in
-its batch loop and visits only the streams that can move.  The choice
-may only ever be a *performance* knob: every observable — PLT, speed
-index, byte counts, timelines, the critical path — must be identical, so
-this suite asserts full :class:`LoadMetrics` equality
+link fast-forwards silent refresh ticks inline and visits only the
+streams that can move.  The choice may only ever be a *performance*
+knob: every observable — PLT, speed index, byte counts, timelines, the
+critical path — must be identical, so this suite asserts full
+:class:`LoadMetrics` equality
 (``engine_counters`` is excluded from dataclass comparison by design: the
 counters are *supposed* to differ).
 
@@ -265,13 +265,14 @@ def test_counters_surface_on_metrics(page, snapshot, store):
 
 
 def test_batch_counters_surface_on_metrics(page, snapshot, store):
-    """The batch-loop counters surface on LoadMetrics and stay zero on
-    the reference engine."""
+    """The closed-form allocation counter surfaces on LoadMetrics and
+    stays zero on the reference engine; the counters of the deleted
+    batch loop no longer appear in the block."""
     fast = _run("fast", "push-all-fetch-asap", page, snapshot, store)
-    assert fast.engine_counters["link_batch_steps"] >= (
-        fast.engine_counters["link_batch_runs"]
-    )
+    assert fast.engine_counters["link_wf_fast_hits"] > 0
     reference = _run("reference", "push-all-fetch-asap", page, snapshot, store)
-    for name in ("link_batch_runs", "link_batch_steps", "link_wf_fast_hits"):
-        assert reference.engine_counters[name] == 0, name
+    assert reference.engine_counters["link_wf_fast_hits"] == 0
+    for name in ("link_batch_runs", "link_batch_steps"):
+        assert name not in fast.engine_counters, name
+        assert name not in reference.engine_counters, name
     assert reference == fast

@@ -451,21 +451,21 @@ class TestFastForwardMode:
         assert on_pokes == off_pokes, "inline steps must mirror heap ticks"
 
 
-class TestBatchedRunDetection:
-    """Boundary behaviour of the fast engine's batch-run detection.
+class TestInlineRunBoundaries:
+    """Boundary behaviour of the fast engine's inline runs.
 
     A *run* is a maximal stretch of silent refresh steps that
-    ``_run_batch`` absorbs in one call.  These tests pin where runs must
-    end (a foreign heap event, the ``run(until=)`` cap) and that a batch
-    invocation absorbing zero steps is not counted as a run — each
+    ``_tick`` takes inline through ``advance_inline``.  These tests pin
+    where runs must end (a foreign heap event, the ``run(until=)`` cap)
+    and that inline steps still fit between dense foreign events — each
     against the reference engine bit for bit.
     """
 
-    def _build(self, batched, channels=2, size=2_000_000, rtt=0.2):
+    def _build(self, fast, channels=2, size=2_000_000, rtt=0.2):
         # 100 MB/s link: far above the 4 MB/0.2 s window cap, so the
         # whole drain stays cwnd-limited and every silent stretch is a
-        # sequence of rtt/2 = 0.1 s refresh steps the batch loop can eat.
-        sim = ArraySimulator() if batched else Simulator()
+        # sequence of rtt/2 = 0.1 s refresh steps taken inline.
+        sim = ArraySimulator() if fast else Simulator()
         link = AccessLink(sim, 8.0e8)
         done = []
         for index in range(channels):
@@ -475,54 +475,57 @@ class TestBatchedRunDetection:
             )
         return sim, link, done
 
-    def test_run_split_by_cross_kind_event(self):
-        """A foreign heap event mid-drain ends the run; a second run
-        resumes after it.  Observables stay bit-identical."""
-        ref_sim, _, ref_done = self._build(batched=False)
+    def test_foreign_event_costs_one_inline_step(self):
+        """A foreign heap event mid-drain ends the run: the tick at the
+        event goes through the heap, and the drain resumes inline after
+        it.  Against the same drain without the event that is exactly
+        one inline step fewer, and observables stay bit-identical."""
+        plain_sim, plain_link, plain_done = self._build(fast=True)
+        plain_sim.run()
+
+        ref_sim, ref_link, ref_done = self._build(fast=False)
         ref_sim.schedule(1.0, lambda: None)
         ref_sim.run()
 
-        sim, link, done = self._build(batched=True)
+        sim, link, done = self._build(fast=True)
         sim.schedule(1.0, lambda: None)
         sim.run()
 
-        assert done == ref_done
-        assert link.batch_runs >= 2, (
-            "the foreign event must split the silent drain into at "
-            "least a run before it and a run after it"
+        assert done == ref_done == plain_done
+        assert link.pokes == ref_link.pokes == plain_link.pokes == 15
+        assert plain_link.ff_steps == 12
+        assert link.ff_steps == plain_link.ff_steps - 1, (
+            "the foreign event must cost exactly the one step it splits "
+            "the silent drain at"
         )
 
-    def test_zero_length_runs_not_counted(self):
-        """Foreign events denser than the batch loop's first horizon:
-        every batch invocation refuses at step zero and no run is
-        recorded, while the generic fast-forward step still works."""
-        def run(batched):
-            sim, link, done = self._build(batched=batched)
+    def test_inline_steps_fit_between_dense_foreign_events(self):
+        """Foreign events denser than two refresh spans: a single inline
+        step still fits before the next one now and then, and the drain
+        stays bit-identical to the reference."""
+        def run(fast):
+            sim, link, done = self._build(fast=fast)
             # One no-op every 0.15 s (above the 0.1 s slow-start refresh
-            # span, below two of them) for the whole drain: a generic
-            # inline advance sometimes fits before the next no-op, but a
-            # second consecutive step never does — every batch
-            # invocation refuses at step zero.
+            # span, below two of them) for the whole drain: an inline
+            # advance sometimes fits before the next no-op, but a second
+            # consecutive step never does.
             for k in range(1, 40):
                 sim.schedule(0.15 * k, lambda: None)
             sim.run()
             return sim, link, done
 
-        ref_sim, _, ref_done = run(batched=False)
-        sim, link, done = run(batched=True)
+        ref_sim, ref_link, ref_done = run(fast=False)
+        sim, link, done = run(fast=True)
         assert done == ref_done
-        assert link.ff_steps > 0, "the generic inline step must engage"
-        assert link.batch_runs == 0, (
-            "zero-step batch invocations must not count as runs"
-        )
-        assert link.batch_steps == 0
+        assert link.ff_steps > 0, "the inline step must engage"
+        assert link.pokes == ref_link.pokes
 
     def test_run_truncated_by_run_until(self):
         """``run(until=)`` caps a run mid-silent-window: the clock stops
         exactly at the cap with partially-delivered state identical to
         the reference engine, and resuming completes identically."""
-        ref_sim, ref_link, ref_done = self._build(batched=False)
-        sim, link, done = self._build(batched=True)
+        ref_sim, ref_link, ref_done = self._build(fast=False)
+        sim, link, done = self._build(fast=True)
 
         assert ref_sim.run(until=1.0) == 1.0
         assert sim.run(until=1.0) == 1.0
@@ -530,10 +533,10 @@ class TestBatchedRunDetection:
         ref_bytes = [
             s.bytes_done for c in ref_link.channels for s in c.streams
         ]
-        bat_bytes = [
+        fast_bytes = [
             s.bytes_done for c in link.channels for s in c.streams
         ]
-        assert bat_bytes == ref_bytes, "mid-run state must match bitwise"
+        assert fast_bytes == ref_bytes, "mid-run state must match bitwise"
         assert done == ref_done == []
 
         ref_sim.run()
@@ -541,30 +544,29 @@ class TestBatchedRunDetection:
         assert done == ref_done
         assert link.bytes_delivered == ref_link.bytes_delivered
 
-    def test_multi_stream_batch_engages_and_matches(self):
-        """Two connections drain through the general (array-hoisted)
-        batch loop — runs recorded, observables bit-identical."""
-        ref_sim, ref_link, ref_done = self._build(batched=False)
+    def test_multi_stream_drain_runs_inline_and_matches(self):
+        """Two connections drain through consecutive inline steps, and
+        observables stay bit-identical."""
+        ref_sim, ref_link, ref_done = self._build(fast=False)
         ref_sim.run()
-        sim, link, done = self._build(batched=True)
+        sim, link, done = self._build(fast=True)
         sim.run()
         assert done == ref_done
         assert link.bytes_delivered == ref_link.bytes_delivered
-        assert link.batch_runs >= 1
-        assert link.batch_steps > link.batch_runs
+        assert link.ff_steps > 1
         assert link.pokes == ref_link.pokes, (
-            "batched steps must mirror one-per-tick accounting"
+            "inline steps must mirror one-per-tick accounting"
         )
 
-    def test_single_stream_scalar_batch_matches(self):
-        """The one-connection drain goes through the batch loop and still
-        mirrors the reference trace exactly."""
-        ref_sim, ref_link, ref_done = self._build(batched=False, channels=1)
+    def test_single_stream_drain_runs_inline_and_matches(self):
+        """The one-connection drain runs inline and still mirrors the
+        reference trace exactly."""
+        ref_sim, ref_link, ref_done = self._build(fast=False, channels=1)
         ref_sim.run()
-        sim, link, done = self._build(batched=True, channels=1)
+        sim, link, done = self._build(fast=True, channels=1)
         sim.run()
         assert done == ref_done
-        assert link.batch_steps > 0
+        assert link.ff_steps > 0
         assert link.pokes == ref_link.pokes
 
 
