@@ -53,7 +53,6 @@ from repro.pages import (
 from repro.replay import build_servers, record_snapshot
 from repro.replay.cache import SnapshotCache, materialize_cached
 from repro.service import (
-    DependencyStore,
     FleetStore,
     HintService,
     PlacementMap,
@@ -87,7 +86,6 @@ __all__ = [
     "record_snapshot",
     "SnapshotCache",
     "materialize_cached",
-    "DependencyStore",
     "FleetStore",
     "PlacementMap",
     "HintService",

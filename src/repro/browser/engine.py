@@ -906,7 +906,6 @@ class PageLoadEngine:
                 "events_executed": self.sim.executed,
                 "events_cancelled": self.sim.events_cancelled,
                 "heap_compactions": self.sim.compactions,
-                "inline_advances": self.sim.inline_advances,
                 "link_pokes": self.client.link.pokes,
                 "link_fast_forward_steps": self.client.link.ff_steps,
                 "link_rate_recomputes": self.client.link.rate_recomputes,

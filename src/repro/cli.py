@@ -460,9 +460,9 @@ def cmd_service(args) -> int:
             print(f"smoke mismatch — {problem}", file=sys.stderr)
         return 1 if problems else 0
 
-    if args.lookups < 1:
+    if args.hours <= 0:
         print(
-            f"error: --lookups must be >= 1 (got {args.lookups})",
+            f"error: --hours must be > 0 (got {args.hours})",
             file=sys.stderr,
         )
         return 2
@@ -471,7 +471,7 @@ def cmd_service(args) -> int:
         return 2
     payload = service_benchmark(
         pages,
-        lookups=args.lookups,
+        horizon_hours=args.hours,
         rate_per_hour=args.rate,
         shards=args.shards,
         shard_memory_bytes=args.shard_memory_kb * 1024,
@@ -961,7 +961,12 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument(
         "--pages", type=int, default=50, help="page fleet size"
     )
-    service.add_argument("--lookups", type=int, default=100_000)
+    service.add_argument(
+        "--hours",
+        type=float,
+        default=5.0,
+        help="simulated horizon (hours); traffic stops there",
+    )
     service.add_argument(
         "--rate",
         type=float,

@@ -110,7 +110,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "events_executed",
     "events_cancelled",
     "heap_compactions",
-    "inline_advances",
     "link_pokes",
     "link_fast_forward_steps",
     "link_rate_recomputes",

@@ -41,7 +41,7 @@ def staleness_experiment(
     *,
     count: int = 12,
     budgets: Sequence[float] = DEFAULT_BUDGETS,
-    lookups: int = 20_000,
+    horizon_hours: float = 5.0,
     rate_per_hour: float = 4_000.0,
     freshness_hours: float = 0.5,
     ttl_hours: float = 6.0,
@@ -76,7 +76,7 @@ def staleness_experiment(
     for index, budget in enumerate(budgets):
         config = ServiceConfig(
             pages=len(pages),
-            lookups=lookups,
+            horizon_hours=horizon_hours,
             rate_per_hour=rate_per_hour,
             freshness_hours=freshness_hours,
             ttl_hours=ttl_hours,
@@ -154,7 +154,7 @@ def failover_experiment(
     pages: Optional[List[PageBlueprint]] = None,
     *,
     count: int = 12,
-    lookups: int = 12_000,
+    horizon_hours: float = 3.0,
     rate_per_hour: float = 4_000.0,
     shards: int = 8,
     replications: Sequence[int] = (1, 2),
@@ -199,7 +199,7 @@ def failover_experiment(
     for replication in replications:
         config = ServiceConfig(
             pages=len(pages),
-            lookups=lookups,
+            horizon_hours=horizon_hours,
             rate_per_hour=rate_per_hour,
             shards=shards,
             replication=replication,
@@ -243,7 +243,7 @@ def flash_crowd_experiment(
     pages: Optional[List[PageBlueprint]] = None,
     *,
     count: int = 12,
-    lookups: int = 12_000,
+    horizon_hours: float = 3.0,
     rate_per_hour: float = 4_000.0,
     shards: int = 8,
     replication: int = 1,
@@ -278,7 +278,7 @@ def flash_crowd_experiment(
     for capacity in frontend_variants:
         config = ServiceConfig(
             pages=len(pages),
-            lookups=lookups,
+            horizon_hours=horizon_hours,
             rate_per_hour=rate_per_hour,
             shards=shards,
             replication=replication,
@@ -334,7 +334,7 @@ def reshard_experiment(
     pages: Optional[List[PageBlueprint]] = None,
     *,
     count: int = 12,
-    lookups: int = 8_000,
+    horizon_hours: float = 2.0,
     rate_per_hour: float = 4_000.0,
     shards: int = 4,
     replication: int = 2,
@@ -364,7 +364,7 @@ def reshard_experiment(
     def run(reshard: bool) -> dict:
         config = ServiceConfig(
             pages=len(pages),
-            lookups=lookups,
+            horizon_hours=horizon_hours,
             rate_per_hour=rate_per_hour,
             shards=shards,
             replication=replication,
@@ -414,7 +414,7 @@ def service_benchmark(
     pages: Optional[List[PageBlueprint]] = None,
     *,
     count: int = 50,
-    lookups: int = 100_000,
+    horizon_hours: float = 5.0,
     rate_per_hour: float = 20_000.0,
     shards: int = 8,
     shard_memory_bytes: int = 256 * 1024,
@@ -441,7 +441,7 @@ def service_benchmark(
     active_cache = cache if cache is not None else SnapshotCache()
     config = ServiceConfig(
         pages=len(pages),
-        lookups=lookups,
+        horizon_hours=horizon_hours,
         rate_per_hour=rate_per_hour,
         zipf_exponent=zipf_exponent,
         shards=shards,
@@ -488,7 +488,7 @@ def service_benchmark(
 #: loud diff instead of silent drift.
 SMOKE_CONFIG = ServiceConfig(
     pages=8,
-    lookups=5_000,
+    horizon_hours=2.5,
     rate_per_hour=2_000.0,
     freshness_hours=0.5,
     ttl_hours=6.0,
@@ -499,13 +499,13 @@ SMOKE_CONFIG = ServiceConfig(
 
 #: Golden counters for :data:`SMOKE_CONFIG` (asserted by ``--smoke``).
 EXPECTED_SMOKE = {
-    "lookups": 5000,
-    "hits": 1186,
-    "stale_hits": 2601,
+    "lookups": 5078,
+    "hits": 1231,
+    "stale_hits": 2634,
     "misses": 1213,
     "evictions": 0,
-    "hit_rate": 0.7574,
-    "stale_hit_rate": 0.5202,
+    "hit_rate": 0.761126,
+    "stale_hit_rate": 0.518708,
     # Fleet counters: the smoke config runs one replica, no faults, no
     # frontend cache — all of these must stay zero.
     "unavailable": 0,
@@ -535,7 +535,7 @@ def smoke_scenarios(cache: Optional[SnapshotCache] = None) -> dict:
     return {
         "kill_shard": failover_experiment(
             count=8,
-            lookups=3_000,
+            horizon_hours=1.5,
             rate_per_hour=2_000.0,
             down_at_hours=0.4,
             up_at_hours=1.0,
@@ -547,7 +547,7 @@ def smoke_scenarios(cache: Optional[SnapshotCache] = None) -> dict:
         ),
         "flash_crowd": flash_crowd_experiment(
             count=8,
-            lookups=3_000,
+            horizon_hours=1.5,
             rate_per_hour=2_000.0,
             flash_at_hours=0.5,
             flash_duration_hours=0.15,
@@ -556,7 +556,9 @@ def smoke_scenarios(cache: Optional[SnapshotCache] = None) -> dict:
         ),
         "reshard": reshard_experiment(
             count=8,
-            lookups=2_500,
+            # At 1.25 h the migration stops after 3 steps, before it
+            # moves a key; the 4th step, at 1.5 h, moves keys.
+            horizon_hours=1.5,
             rate_per_hour=2_000.0,
             seed=1701,
             audited=True,

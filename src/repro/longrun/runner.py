@@ -4,29 +4,30 @@
 through the workload a :class:`~repro.scenario.spec.ScenarioSpec`
 describes — Zipf×Poisson lookups, periodic offline-resolution ticks,
 shards failing and healing on the spec's cycle, content rotating under
-the store per the corpus churn model — without the fixed-size event
-list the DES-based :meth:`HintService.run` builds.  Three disciplines
-make horizons of simulated days (millions of lookups) tractable:
+the store per the corpus churn model.  The service owns the event loop
+(:meth:`HintService.run_to`); the runner advances it one rollup window
+at a time and keeps only what is its own.  Three disciplines make
+horizons of simulated days (millions of lookups) tractable:
 
-**Streaming generation.**  Arrivals are drawn one at a time with the
-exact draw order of :class:`repro.service.workload.Workload` (gap, page,
-device, user), so the stream is a pure function of the workload seed;
-at most one generated-but-unprocessed lookup exists at any moment.
+**Streaming generation.**  The service draws arrivals one at a time
+from its :class:`repro.service.workload.Workload`, so the stream is a
+pure function of the workload seed and at most one generated-but-
+unprocessed lookup exists at any moment.
 
 **Constant-memory aggregation.**  Per-lookup records are never kept.
 A :class:`RollupAggregator` folds each lookup into the current rollup
 window (fixed-bucket :class:`LatencyHistogram` + Welford running stats)
 and emits one row per window; state is O(horizon / rollup_hours).
-Per-page resolver memo tables are trimmed after every tick — they are
-keyed by resolution hour and would otherwise grow forever for zero
-hit-rate benefit.
+The service trims its per-page resolver memo tables after every tick —
+they are keyed by resolution hour and would otherwise grow forever for
+zero hit-rate benefit.
 
-**Checkpoint/resume.**  The runner's whole state (service, RNG, clock,
-pending lookahead, aggregator, digests, fingerprint chain) pickles into
-a self-verifying checkpoint.  Resuming and running to the horizon is
-bit-identical to the uninterrupted run: the final report fingerprint
-matches exactly, and :func:`checkpoint_roundtrip` asserts it under
-``REPRO_AUDIT=1``.
+**Checkpoint/resume.**  The runner's whole state (service, workload
+stream, clock, pending lookahead, aggregator, digests, fingerprint
+chain) pickles into a self-verifying checkpoint.  Resuming and running
+to the horizon is bit-identical to the uninterrupted run: the final
+report fingerprint matches exactly, and :func:`checkpoint_roundtrip`
+asserts it under ``REPRO_AUDIT=1``.
 
 The served-hint stream is fingerprinted as a *hex-string* sha1 chain —
 ``chain = sha1(chain + record)`` per lookup — rather than a live hash
@@ -40,7 +41,6 @@ import hashlib
 import json
 import math
 import pickle
-import random
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -49,15 +49,12 @@ from repro import audit
 from repro.core.cache_digest import CacheDigest, filter_pushes
 from repro.scenario.spec import ScenarioSpec
 from repro.service.backend import HintService
+from repro.service.placement import FleetLookup
 from repro.service.store import LatencyHistogram, LookupStatus
-from repro.service.workload import Lookup, ZipfPopularity
+from repro.service.workload import Lookup
 
-CHECKPOINT_VERSION = 1
-
-#: Event-kind priorities at equal simulated times: close the rollup
-#: window first (events *at* the boundary belong to the next window),
-#: then run the scheduler tick, then serve arrivals.
-_KIND_ROLLUP, _KIND_TICK, _KIND_ARRIVAL = 0, 1, 2
+#: Version 2: the arrival stream and lookahead live in the service.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -202,16 +199,7 @@ class LongRunner:
         self.spec = spec
         self.pages = spec.build_pages()
         self.service = HintService(self.pages, spec.service_config())
-        self.popularity = ZipfPopularity(spec.pages, spec.zipf_exponent)
-        self._rng = random.Random(spec.workload_seed)
-        self._mean_gap = 1.0 / spec.rate_per_hour
-        self._seq = 0
-        self._last_when = 0.0
-        self._pending: Optional[Lookup] = None
-        self._exhausted = False
-        self._ticks_done = 0
         self._windows_closed = 0
-        self._begun = False
         self._finished = False
         #: Run-relative hours advanced so far.
         self.clock = 0.0
@@ -225,34 +213,13 @@ class LongRunner:
         self.digest_lookups = 0
         self.digest_filtered_urls = 0
 
-    # -- stream generation ------------------------------------------------
-
-    def _draw(self) -> Lookup:
-        """Next arrival, with Workload's exact per-arrival draw order."""
-        rng = self._rng
-        self._last_when += rng.expovariate(1.0 / self._mean_gap)
-        page_index = self.popularity.sample(rng.random())
-        device_class = (
-            "phone" if rng.random() < self.spec.phone_fraction else "tablet"
-        )
-        user = f"user{rng.randrange(self.spec.user_pool)}"
-        lookup = Lookup(
-            seq=self._seq,
-            when_hours=self._last_when,
-            page_index=page_index,
-            device_class=device_class,
-            user=user,
-        )
-        self._seq += 1
-        return lookup
-
-    # -- event handlers ---------------------------------------------------
+    # -- the per-lookup callback ------------------------------------------
 
     # repro: hotpath
-    def _process_arrival(self, lookup: Lookup) -> None:
+    def _process_arrival(
+        self, lookup: Lookup, result: FleetLookup, latency_ms: float
+    ) -> None:
         spec = self.spec
-        now_abs = spec.start_hour + lookup.when_hours
-        result, latency_ms = self.service.process_lookup(lookup, now_abs)
         entry, status = result.entry, result.status
         served = status in (LookupStatus.HIT, LookupStatus.STALE_HIT)
         urls: List[str] = []
@@ -293,11 +260,6 @@ class LongRunner:
             filtered_urls=len(urls) - len(filtered),
         )
 
-    def _process_tick(self, when_hours: float) -> None:
-        self.service.process_batch(self.spec.start_hour + when_hours)
-        self.service.trim_resolver_caches()
-        self._ticks_done += 1
-
     def _counter_snapshot(self) -> Dict[str, float]:
         totals = self.service.store.totals()
         counters = self.service.scheduler.counters
@@ -331,45 +293,17 @@ class LongRunner:
             raise ValueError(
                 f"cannot run backwards: at {self.clock}h, asked {until}h"
             )
-        if not self._begun:
-            self.service.begin()
-            self._begun = True
         while True:
-            if self._pending is None and not self._exhausted:
-                lookup = self._draw()
-                if lookup.when_hours > horizon:
-                    # The stream ends at the horizon; the draw itself
-                    # happens in straight and resumed runs alike, so
-                    # the RNG state stays aligned.
-                    self._exhausted = True
-                else:
-                    self._pending = lookup
-            arrival = (
-                self._pending.when_hours
-                if self._pending is not None
-                else math.inf
-            )
-            next_tick = (self._ticks_done + 1) * spec.batch_period_hours
-            tick = next_tick if next_tick <= horizon else math.inf
-            next_rollup = (self._windows_closed + 1) * spec.rollup_hours
-            rollup = next_rollup if next_rollup <= horizon else math.inf
-            when, kind = min(
-                (rollup, _KIND_ROLLUP),
-                (tick, _KIND_TICK),
-                (arrival, _KIND_ARRIVAL),
-            )
-            if when > until:
+            boundary = (self._windows_closed + 1) * spec.rollup_hours
+            if boundary > until:
                 break
-            if audit.ENABLED:
-                audit.clock_monotonic(self.clock, when, "longrun event")
-            if kind == _KIND_ROLLUP:
-                self._close_window(when)
-            elif kind == _KIND_TICK:
-                self._process_tick(when)
-            else:
-                lookup, self._pending = self._pending, None
-                self._process_arrival(lookup)
-            self.clock = when
+            # Events at the boundary belong to the next window: serve
+            # up to the last float before it, then close the window.
+            self.service.run_to(
+                math.nextafter(boundary, -math.inf), self._process_arrival
+            )
+            self._close_window(boundary)
+        self.service.run_to(until, self._process_arrival)
         self.clock = until
         if until >= horizon and not self._finished:
             # Close the final (possibly partial) window.
@@ -387,7 +321,7 @@ class LongRunner:
                 f"report requested at {self.clock}h before the "
                 f"{self.spec.horizon_hours}h horizon"
             )
-        service_report = self.service.final_report(self.clock).as_dict()
+        service_report = self.service.report().as_dict()
         out = {
             "spec": self.spec.as_dict(),
             "spec_fingerprint": self.spec.fingerprint(),

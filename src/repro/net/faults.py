@@ -106,6 +106,36 @@ class FaultRule:
         return self.not_before <= now <= self.not_after
 
 
+def fault_rule_to_dict(rule: FaultRule) -> dict:
+    """JSON-clean form of one fault rule (``inf`` becomes ``None``)."""
+    return {
+        "kind": rule.kind.value,
+        "rate": rule.rate,
+        "url_substring": rule.url_substring,
+        "domain": rule.domain,
+        "hints_only": rule.hints_only,
+        "not_before": rule.not_before,
+        "not_after": (
+            None if rule.not_after == float("inf") else rule.not_after
+        ),
+    }
+
+
+def fault_rule_from_dict(data: dict) -> FaultRule:
+    """Inverse of :func:`fault_rule_to_dict`."""
+    return FaultRule(
+        kind=FaultKind(data["kind"]),
+        rate=data["rate"],
+        url_substring=data["url_substring"],
+        domain=data["domain"],
+        hints_only=data.get("hints_only", False),
+        not_before=data["not_before"],
+        not_after=(
+            float("inf") if data["not_after"] is None else data["not_after"]
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, ordered set of fault rules; first matching rule wins.

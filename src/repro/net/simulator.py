@@ -34,7 +34,7 @@ picks between them:
   per refresh tick.
 
 The deterministic perf counters (``events_scheduled``, ``executed``,
-``events_cancelled``, ``inline_advances``, ``compactions``) depend only on
+``events_cancelled``, ``compactions``) depend only on
 the event trace, never on wall time, so they are stable across machines
 and usable as CI regression goldens.
 """
@@ -92,12 +92,10 @@ class Simulator:
         self.executed = 0
         #: Heap rebuilds performed by lazy compaction (exposed for tests).
         self.compactions = 0
-        #: Deterministic perf counters: heap events pushed, in-heap events
-        #: cancelled, and clock advances taken inline (no heap event —
-        #: always zero here, the reference engine never advances inline).
+        #: Deterministic perf counters: heap events pushed and in-heap
+        #: events cancelled.
         self.events_scheduled = 0
         self.events_cancelled = 0
-        self.inline_advances = 0
 
     @property
     def now(self) -> float:
@@ -302,7 +300,6 @@ class ArraySimulator:
         self.compactions = 0
         self.events_scheduled = 0
         self.events_cancelled = 0
-        self.inline_advances = 0
 
     @property
     def now(self) -> float:
@@ -518,7 +515,6 @@ class ArraySimulator:
         if audit.ENABLED:
             audit.fast_forward_bounds(self._now, target, next_time)
         self._now = target
-        self.inline_advances += 1
         return True
 
     def peek_time(self) -> Optional[float]:

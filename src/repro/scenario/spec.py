@@ -21,12 +21,16 @@ table in ``docs/API.md`` is machine-checked against this file.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.net.faults import FaultKind, FaultPlan, FaultRule
+from repro.net.faults import (
+    FaultPlan,
+    FaultRule,
+    fault_rule_from_dict,
+    fault_rule_to_dict,
+)
 from repro.net.profiles import PROFILES, NetworkProfile, profile
 from repro.pages.corpus import (
     accuracy_corpus,
@@ -38,6 +42,7 @@ from repro.pages.corpus import (
 from repro.pages.page import PageBlueprint
 from repro.service.backend import ServiceConfig
 from repro.service.placement import shard_outage_rule
+from repro.service.workload import expected_lookups
 
 #: Corpus name -> builder; the declarative half of ``cli.CORPORA`` plus
 #: the shopping corpus (the CLI keeps its own map because the scenario
@@ -49,36 +54,6 @@ CORPUS_BUILDERS: Dict[str, Callable[..., List[PageBlueprint]]] = {
     "accuracy": accuracy_corpus,
     "shopping": shopping_corpus,
 }
-
-
-def fault_rule_to_dict(rule: FaultRule) -> dict:
-    """JSON-clean form of one fault rule (``inf`` becomes ``None``)."""
-    return {
-        "kind": rule.kind.value,
-        "rate": rule.rate,
-        "url_substring": rule.url_substring,
-        "domain": rule.domain,
-        "hints_only": rule.hints_only,
-        "not_before": rule.not_before,
-        "not_after": (
-            None if rule.not_after == float("inf") else rule.not_after
-        ),
-    }
-
-
-def fault_rule_from_dict(data: dict) -> FaultRule:
-    """Inverse of :func:`fault_rule_to_dict`."""
-    return FaultRule(
-        kind=FaultKind(data["kind"]),
-        rate=data["rate"],
-        url_substring=data["url_substring"],
-        domain=data["domain"],
-        hints_only=data.get("hints_only", False),
-        not_before=data["not_before"],
-        not_after=(
-            float("inf") if data["not_after"] is None else data["not_after"]
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -201,7 +176,7 @@ class ScenarioSpec:
 
     def lookups_estimate(self) -> int:
         """Expected stream length (the Poisson mean over the horizon)."""
-        return max(1, int(math.ceil(self.rate_per_hour * self.horizon_hours)))
+        return expected_lookups(self.rate_per_hour, self.horizon_hours)
 
     def cycle_rules(self) -> Tuple[FaultRule, ...]:
         """The shard fail/heal schedule as placement outage rules.
@@ -250,7 +225,7 @@ class ScenarioSpec:
         """
         return ServiceConfig(
             pages=self.pages,
-            lookups=self.lookups_estimate(),
+            horizon_hours=self.horizon_hours,
             rate_per_hour=self.rate_per_hour,
             zipf_exponent=self.zipf_exponent,
             phone_fraction=self.phone_fraction,

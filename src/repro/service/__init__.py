@@ -16,7 +16,7 @@ dependency hints out of a store (Sec 4.1.2).  Everything below
 * :mod:`repro.service.workload` — a seeded workload generator
   (Zipf page popularity × Poisson arrivals).
 * :mod:`repro.service.backend` — the :class:`HintService` simulation
-  tying the three together on the DES clock, with per-shard and
+  tying the three together on one resumable event loop, with per-shard and
   per-tenant counters, latency percentiles and a cold-start story
   (miss ⇒ serve no hints ⇒ enqueue resolution — Vroom's graceful
   fallback to vanilla HTTP/2).
@@ -39,7 +39,7 @@ from repro.service.placement import (
     shard_outage_rule,
 )
 from repro.service.scheduler import BatchScheduler, ResolutionJob
-from repro.service.store import DependencyStore, LookupStatus, StoreEntry
+from repro.service.store import LookupStatus, StoreEntry
 from repro.service.workload import Workload, ZipfPopularity
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "evaluate_samples",
     "BatchScheduler",
     "ResolutionJob",
-    "DependencyStore",
     "FleetLookup",
     "FleetStore",
     "FrontendCache",

@@ -1,10 +1,14 @@
-"""The hint service itself: store + scheduler + workload on the DES.
+"""The hint service itself: store + scheduler + workload on one clock.
 
 :class:`HintService` simulates a multi-tenant Vroom hint-serving
-backend for a fleet of pages.  One :class:`~repro.net.simulator.
-Simulator` instance provides the virtual clock — its time unit here is
-**hours** (the offline-resolution timescale), not the seconds a page
-load uses; the two simulations never share a clock instance.
+backend for a fleet of pages.  Its clock counts **hours** (the
+offline-resolution timescale), not the seconds a page load uses, and
+:meth:`HintService.run_to` is its only event loop: it merges scheduler
+ticks on the ``batch_period_hours`` grid with arrivals drawn one at a
+time from the :class:`~repro.service.workload.Workload`, up to the
+configured horizon.  The loop is resumable, so a caller may advance the
+service in slices (the long-run harness closes its rollup windows
+between them) and get the run an uninterrupted call would.
 
 The operational loop per lookup:
 
@@ -32,12 +36,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import audit
 from repro.calibration import DEFAULT_EVAL_HOUR, OFFLINE_WINDOW_LOADS
 from repro.core.offline import OfflineResolver, stable_set_to_dict
-from repro.net.faults import FaultPlan, FaultRule
-from repro.net.simulator import Simulator
+from repro.net.faults import FaultPlan, FaultRule, fault_rule_to_dict
 from repro.pages.page import PageBlueprint
 from repro.service.bridge import BridgeSample
 from repro.service.placement import FleetLookup, FleetStore
@@ -50,21 +54,16 @@ from repro.service.store import (
     payload_size_bytes,
     stable_hash,
 )
-from repro.service.workload import Workload, WorkloadConfig
+from repro.service.workload import (
+    Lookup,
+    Workload,
+    WorkloadConfig,
+    expected_lookups,
+)
 
-
-def _fault_rule_dict(rule: FaultRule) -> dict:
-    """JSON-clean form of a fault rule (``inf`` becomes ``None``)."""
-    return {
-        "kind": rule.kind.value,
-        "rate": rule.rate,
-        "url_substring": rule.url_substring,
-        "domain": rule.domain,
-        "not_before": rule.not_before,
-        "not_after": (
-            None if rule.not_after == float("inf") else rule.not_after
-        ),
-    }
+#: Per-lookup callback of :meth:`HintService.run_to`: the lookup, its
+#: front-door outcome and the recorded latency in milliseconds.
+LookupCallback = Callable[[Lookup, FleetLookup, float], None]
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,9 @@ class ServiceConfig:
     # -- fleet ----------------------------------------------------------
     pages: int = 50
     # -- traffic --------------------------------------------------------
-    lookups: int = 100_000
+    #: Run-relative hour the traffic stops: the stream ends at the first
+    #: arrival past it, and the last scheduler tick runs at or before it.
+    horizon_hours: float = 5.0
     rate_per_hour: float = 20_000.0
     zipf_exponent: float = 1.1
     phone_fraction: float = 0.85
@@ -134,7 +135,6 @@ class ServiceConfig:
     def workload(self) -> WorkloadConfig:
         return WorkloadConfig(
             pages=self.pages,
-            lookups=self.lookups,
             rate_per_hour=self.rate_per_hour,
             zipf_exponent=self.zipf_exponent,
             phone_fraction=self.phone_fraction,
@@ -167,7 +167,7 @@ class ServiceConfig:
     def as_dict(self) -> dict:
         return {
             "pages": self.pages,
-            "lookups": self.lookups,
+            "horizon_hours": self.horizon_hours,
             "rate_per_hour": self.rate_per_hour,
             "zipf_exponent": self.zipf_exponent,
             "phone_fraction": self.phone_fraction,
@@ -187,7 +187,7 @@ class ServiceConfig:
             "frontend_cache_entries": self.frontend_cache_entries,
             "frontend_cache_ttl_hours": self.frontend_cache_ttl_hours,
             "shard_fault_rules": [
-                _fault_rule_dict(rule) for rule in self.shard_fault_rules
+                fault_rule_to_dict(rule) for rule in self.shard_fault_rules
             ],
             "fault_seed": self.fault_seed,
             "reshard_add_at_hours": self.reshard_add_at_hours,
@@ -220,7 +220,8 @@ class ServiceReport:
     shards: List[dict]
     tenants: Dict[str, dict]
     scheduler: dict
-    #: Hit rate per tenth of the lookup stream — the warm-up curve.
+    #: Hit rate per tenth of the expected lookup stream — the warm-up
+    #: curve.
     warmup_hit_rate: List[float]
     #: Placement-map state: version, replication, health events,
     #: migration counters.
@@ -276,6 +277,8 @@ class HintService:
             raise ValueError(
                 f"config says {config.pages} pages, fleet has {len(pages)}"
             )
+        if config.horizon_hours <= 0:
+            raise ValueError("horizon must be positive")
         self.pages = pages
         self.config = config
         self.store = FleetStore(
@@ -295,10 +298,21 @@ class HintService:
         #: Tenant rows stay lazily created so the report still lists
         #: only tenants that actually saw traffic.
         self._tenant_keys = [tenant_of(page.name) for page in pages]
-        self._ran = False
-        #: Per-decile (hits+stale_hits, lookups) for the warm-up curve.
+        self.workload = Workload(config.workload())
+        #: Run-relative hours the loop has advanced to.
+        self.clock = 0.0
+        self._begun = False
+        #: The one drawn-but-unserved arrival; past the horizon it is
+        #: never served and nothing more is drawn.
+        self._pending = self.workload.next()
+        self._ticks_done = 0
+        #: Per-decile (hits+stale_hits, lookups) for the warm-up curve;
+        #: deciles split the expected stream length.
         self._decile_served = [0] * 10
         self._decile_lookups = [0] * 10
+        self._expected_lookups = expected_lookups(
+            config.rate_per_hour, config.horizon_hours
+        )
         #: Latency samples with no shard behind them: frontend-cache
         #: hits and fully unavailable keys.
         self._front_latency = LatencyHistogram()
@@ -348,9 +362,14 @@ class HintService:
     # -- event handlers ---------------------------------------------------
 
     # repro: hotpath
-    def _handle_lookup(
-        self, lookup, now_hours: float
+    def process_lookup(
+        self, lookup: Lookup, now_hours: float
     ) -> Tuple[FleetLookup, float]:
+        """Serve one lookup at an absolute simulated hour.
+
+        Returns the front-door :class:`FleetLookup` outcome and the
+        recorded latency in milliseconds.
+        """
         page = self.pages[lookup.page_index]
         self.store.sync_health(now_hours)
         result = self.store.lookup(
@@ -392,7 +411,7 @@ class HintService:
                 "lookups": 0, "hits": 0, "stale_hits": 0, "misses": 0,
             }
         tenant["lookups"] += 1
-        decile = min(9, lookup.seq * 10 // self.config.lookups)
+        decile = min(9, lookup.seq * 10 // self._expected_lookups)
         self._decile_lookups[decile] += 1
 
         if status is LookupStatus.HIT:
@@ -484,7 +503,13 @@ class HintService:
                     page.name, device_class, self.config.start_hour
                 )
 
-    def _run_batch(self, now_hours: float) -> None:
+    def process_batch(self, now_hours: float) -> None:
+        """Run one scheduler tick (health sync, reshard step, batch).
+
+        Then drop the resolvers' memoised stable sets: they are keyed by
+        resolution hour and every tick resolves at a fresh one, so over
+        a long horizon the memo tables would only grow, never hit.
+        """
         self.store.sync_health(now_hours)
         self._drive_reshard(now_hours)
         batch = self.scheduler.take_batch(
@@ -492,6 +517,8 @@ class HintService:
         )
         for job in batch:
             self._install_entry(job.page, job.device_class, now_hours)
+        for resolver in self._resolvers.values():
+            resolver.trim_cache()
 
     def _drive_reshard(self, now_hours: float) -> None:
         """Advance the configured live reshard, a few segments per tick."""
@@ -506,106 +533,69 @@ class HintService:
         if self.store.reshard_pending():
             self.store.reshard_step(self.config.reshard_points_per_tick)
 
-    # -- external driving (the longrun streaming harness) -----------------
+    # -- the loop ---------------------------------------------------------
 
-    def begin(self) -> None:
-        """Arm the service for externally driven traffic.
+    # repro: hotpath
+    def run_to(
+        self, until_hours: float, on_lookup: Optional[LookupCallback] = None
+    ) -> "HintService":
+        """Advance to run-relative hour ``until_hours`` (clamped to the
+        horizon), serving every event at or before it.
 
-        Syncs shard health at the start hour and prewarms if configured
-        — exactly what :meth:`run` does before its event loop.  Claims
-        the per-run counters, so a service is driven either by
-        :meth:`run` or externally, never both.
+        Events run in time order; at equal times the scheduler tick runs
+        before the arrival.  Ticks sit on the ``batch_period_hours``
+        grid, and the stream ends at the first arrival past the horizon.
+        ``on_lookup`` sees every lookup served in this call, right after
+        :meth:`process_lookup`.  Resumable: any sequence of calls ending
+        at the horizon gives the report of one call to the horizon.
         """
-        if self._ran:
-            raise RuntimeError(
-                "a HintService holds per-run counters; build a fresh one "
-                "per run"
+        config = self.config
+        until = min(until_hours, config.horizon_hours)
+        if until < self.clock:
+            raise ValueError(
+                f"cannot run backwards: at {self.clock}h, asked {until}h"
             )
-        self._ran = True
-        self.store.sync_health(self.config.start_hour)
-        if self.config.prewarm:
-            self._prewarm()
-
-    def process_lookup(
-        self, lookup, now_hours: float
-    ) -> Tuple[FleetLookup, float]:
-        """Serve one lookup at an absolute simulated hour.
-
-        Returns the front-door :class:`FleetLookup` outcome and the
-        recorded latency in milliseconds.  Callers own the clock: hours
-        must be fed monotonically, interleaved with
-        :meth:`process_batch` ticks.
-        """
-        return self._handle_lookup(lookup, now_hours)
-
-    def process_batch(self, now_hours: float) -> None:
-        """Run one scheduler tick (health sync, reshard step, batch)."""
-        self._run_batch(now_hours)
-
-    def trim_resolver_caches(self) -> int:
-        """Drop memoised stable sets; returns the entries dropped.
-
-        Each tick resolves at a fresh simulated hour, so over a long
-        horizon the per-page memo tables only ever grow and never hit.
-        The streaming runner calls this after every tick to keep memory
-        constant in the horizon.
-        """
-        dropped = 0
-        for resolver in self._resolvers.values():
-            dropped += resolver.trim_cache()
-        return dropped
-
-    def final_report(self, duration_hours: float) -> ServiceReport:
-        """The run report for an externally driven service."""
-        return self._report(duration_hours)
-
-    # -- the run ----------------------------------------------------------
+        if not self._begun:
+            self._begun = True
+            self.store.sync_health(config.start_hour)
+            if config.prewarm:
+                self._prewarm()
+        start = config.start_hour
+        period = config.batch_period_hours
+        next_tick = (self._ticks_done + 1) * period
+        pending = self._pending
+        while True:
+            arrival = pending.when_hours
+            tick = next_tick <= arrival
+            when = next_tick if tick else arrival
+            if when > until:
+                break
+            if audit.ENABLED:
+                audit.clock_monotonic(self.clock, when, "service event")
+            self.clock = when
+            if tick:
+                self.process_batch(start + when)
+                self._ticks_done += 1
+                next_tick = (self._ticks_done + 1) * period
+            else:
+                result, latency_ms = self.process_lookup(pending, start + when)
+                if on_lookup is not None:
+                    on_lookup(pending, result, latency_ms)
+                pending = self._pending = self.workload.next()
+        self.clock = until
+        return self
 
     def run(self) -> ServiceReport:
-        """Drive the whole workload through the DES; return the report."""
-        if self._ran:
+        """Drive a fresh service to its horizon; return the report."""
+        if self._begun:
             raise RuntimeError(
                 "a HintService holds per-run counters; build a fresh one "
                 "per run"
             )
-        self._ran = True
-        self.store.sync_health(self.config.start_hour)
-        if self.config.prewarm:
-            self._prewarm()
-        sim = Simulator()
-        workload = Workload(self.config.workload())
-        arrivals = iter(workload)
+        return self.run_to(self.config.horizon_hours).report()
 
-        def pump() -> None:
-            """Self-rescheduling arrival chain: one live event at a time."""
-            lookup = next(arrivals, None)
-            if lookup is None:
-                return
-            delay = max(0.0, lookup.when_hours - sim.now)
-
-            def fire(lookup=lookup) -> None:
-                self._handle_lookup(
-                    lookup, self.config.start_hour + sim.now
-                )
-                pump()
-
-            sim.schedule_drop(delay, fire)
-
-        duration = workload.duration_hours()
-        ticks = int(math.ceil(duration / self.config.batch_period_hours)) + 1
-        for tick in range(1, ticks + 1):
-            when = tick * self.config.batch_period_hours
-
-            def fire_batch(when=when) -> None:
-                self._run_batch(self.config.start_hour + when)
-
-            sim.schedule_at(when, fire_batch)
-
-        pump()
-        sim.run(max_events=self.config.lookups * 2 + ticks + 16)
-        return self._report(duration)
-
-    def _report(self, duration: float) -> ServiceReport:
+    def report(self) -> ServiceReport:
+        """The report of everything served up to the current clock."""
         totals = self.store.totals()
         lookups = totals["lookups"]
         served = totals["hits"] + totals["stale_hits"]
@@ -659,7 +649,7 @@ class HintService:
 
         return ServiceReport(
             config=self.config.as_dict(),
-            duration_hours=duration,
+            duration_hours=self.clock,
             totals=totals,
             latency=merged.summary(),
             shards=shard_rows,

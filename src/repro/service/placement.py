@@ -405,10 +405,9 @@ class FleetLookup:
 class FleetStore:
     """Replicated, failover-capable, live-reshardable dependency store.
 
-    The drop-in fleet-scale successor of
-    :class:`~repro.service.store.DependencyStore`: with
-    ``replication=1``, no faults and no frontend cache it routes, counts
-    and serves identically.
+    Shards from :mod:`repro.service.store` behind a :class:`PlacementMap`;
+    with ``replication=1`` it routes exactly as the static
+    :class:`~repro.service.store.HashRing` does.
     """
 
     def __init__(

@@ -324,53 +324,6 @@ class StoreConfig:
     frontend_cache_ttl_hours: float = 0.05
 
 
-class DependencyStore:
-    """The fleet-wide hint store: a hash ring over LRU shards."""
-
-    def __init__(self, config: Optional[StoreConfig] = None):
-        self.config = config or StoreConfig()
-        self.ring = HashRing(self.config.shard_count, self.config.vnodes)
-        self.shards = [
-            Shard(index, self.config.shard_memory_bytes)
-            for index in range(self.config.shard_count)
-        ]
-
-    def shard_for_page(self, page_url: str) -> Shard:
-        return self.shards[self.ring.shard_for(page_url)]
-
-    # repro: hotpath
-    def lookup(
-        self, page_url: str, page: str, device_class: str, now_hours: float
-    ) -> Tuple[Optional[StoreEntry], LookupStatus, Shard]:
-        shard = self.shard_for_page(page_url)
-        entry, status = shard.lookup(
-            (page, device_class),
-            now_hours,
-            ttl_hours=self.config.ttl_hours,
-            freshness_hours=self.config.freshness_hours,
-        )
-        return entry, status, shard
-
-    def insert(self, page_url: str, entry: StoreEntry) -> bool:
-        return self.shard_for_page(page_url).insert(entry)
-
-    def totals(self) -> dict:
-        """Counters summed across shards."""
-        out = ShardCounters()
-        for shard in self.shards:
-            counters = shard.counters
-            out.lookups += counters.lookups
-            out.hits += counters.hits
-            out.stale_hits += counters.stale_hits
-            out.misses += counters.misses
-            out.expired += counters.expired
-            out.inserts += counters.inserts
-            out.evictions += counters.evictions
-            out.rejected += counters.rejected
-            out.resident_bytes += counters.resident_bytes
-        return out.as_dict()
-
-
 def payload_size_bytes(payload: dict) -> int:
     """Byte-size estimate of a stored stable-set payload.
 

@@ -11,17 +11,23 @@ order, so a workload is a pure function of its parameters: the same
 seed yields the same lookup sequence no matter the store or budget
 configuration — which is what lets the staleness experiment vary the
 crawl budget against *identical* traffic.
+
+The stream is unbounded and drawn one arrival at a time
+(:meth:`Workload.next`); the service loop ends it at its horizon.  A
+workload pickles mid-stream and continues identically, which is how a
+long-run checkpoint carries its arrival stream.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lookup:
     """One hint request arriving at the service front door."""
 
@@ -67,7 +73,6 @@ class WorkloadConfig:
     """Traffic shape knobs."""
 
     pages: int
-    lookups: int
     #: Mean arrival rate (lookups per simulated hour).
     rate_per_hour: float = 20_000.0
     zipf_exponent: float = 1.1
@@ -90,12 +95,15 @@ class WorkloadConfig:
     flash_page_rank: int = 0
 
 
+def expected_lookups(rate_per_hour: float, horizon_hours: float) -> int:
+    """Expected stream length: the Poisson mean over the horizon."""
+    return max(1, int(math.ceil(rate_per_hour * horizon_hours)))
+
+
 class Workload:
-    """Deterministic lookup stream; iterate to drain it."""
+    """Deterministic, unbounded lookup stream; ``next()`` draws one."""
 
     def __init__(self, config: WorkloadConfig):
-        if config.lookups < 1:
-            raise ValueError("workload needs at least one lookup")
         if config.rate_per_hour <= 0:
             raise ValueError("arrival rate must be positive")
         if not 0.0 <= config.phone_fraction <= 1.0:
@@ -113,6 +121,11 @@ class Workload:
                 raise ValueError("flash page rank outside the fleet")
         self.config = config
         self.popularity = ZipfPopularity(config.pages, config.zipf_exponent)
+        self._rng = random.Random(config.seed)
+        self._mean_gap = 1.0 / config.rate_per_hour
+        self._seq = 0
+        #: Arrival time of the last lookup drawn (workload-relative).
+        self._now = 0.0
 
     def _in_flash(self, now: float) -> bool:
         flash_at = self.config.flash_at_hours
@@ -123,40 +136,35 @@ class Workload:
             < flash_at + self.config.flash_duration_hours
         )
 
-    def __iter__(self) -> Iterator[Lookup]:
+    def next(self) -> Lookup:
+        """Draw the next arrival: gap, page, device, user, in that order."""
         config = self.config
-        rng = random.Random(config.seed)
-        mean_gap = 1.0 / config.rate_per_hour
-        now = 0.0
-        for seq in range(config.lookups):
-            # Inside the flash window arrivals clump (rate × multiplier)
-            # and concentrate on the flash page; the window test uses the
-            # previous arrival's clock, so the draw order is fixed.
-            if self._in_flash(now):
-                now += rng.expovariate(config.flash_multiplier / mean_gap)
-                if rng.random() < config.flash_focus:
-                    page_index = config.flash_page_rank
-                    rng.random()  # keep the per-arrival draw count fixed
-                else:
-                    page_index = self.popularity.sample(rng.random())
+        rng = self._rng
+        # Inside the flash window arrivals clump (rate × multiplier) and
+        # concentrate on the flash page; the window test uses the
+        # previous arrival's clock, so the draw order is fixed.
+        if self._in_flash(self._now):
+            self._now += rng.expovariate(
+                config.flash_multiplier / self._mean_gap
+            )
+            if rng.random() < config.flash_focus:
+                page_index = config.flash_page_rank
+                rng.random()  # keep the per-arrival draw count fixed
             else:
-                now += rng.expovariate(1.0 / mean_gap)
                 page_index = self.popularity.sample(rng.random())
-            device_class = (
-                "phone" if rng.random() < config.phone_fraction else "tablet"
-            )
-            user = f"user{rng.randrange(config.user_pool)}"
-            yield Lookup(
-                seq=seq,
-                when_hours=now,
-                page_index=page_index,
-                device_class=device_class,
-                user=user,
-            )
-
-    def duration_hours(self) -> float:
-        """Arrival time of the last lookup (replays the whole stream)."""
-        last = 0.0
-        for lookup in self:
-            last = lookup.when_hours
-        return last
+        else:
+            self._now += rng.expovariate(1.0 / self._mean_gap)
+            page_index = self.popularity.sample(rng.random())
+        device_class = (
+            "phone" if rng.random() < config.phone_fraction else "tablet"
+        )
+        user = f"user{rng.randrange(config.user_pool)}"
+        lookup = Lookup(
+            seq=self._seq,
+            when_hours=self._now,
+            page_index=page_index,
+            device_class=device_class,
+            user=user,
+        )
+        self._seq += 1
+        return lookup

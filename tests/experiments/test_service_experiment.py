@@ -19,7 +19,7 @@ def sweep(corpus):
     return staleness_experiment(
         corpus,
         budgets=(4.0, 12.0, 48.0),
-        lookups=3_000,
+        horizon_hours=2.0,
         rate_per_hour=1_500.0,
         bridge_sample_every=1_000,
         bridge_budgets=1,
@@ -68,7 +68,9 @@ class TestSmoke:
 
     def test_smoke_config_collects_no_samples(self):
         assert SMOKE_CONFIG.bridge_sample_every == 0
-        assert EXPECTED_SMOKE["lookups"] == SMOKE_CONFIG.lookups
+        # The pinned stream length is a Poisson draw around rate × horizon.
+        offered = SMOKE_CONFIG.rate_per_hour * SMOKE_CONFIG.horizon_hours
+        assert abs(EXPECTED_SMOKE["lookups"] - offered) < 3 * offered ** 0.5
 
 
 class TestScenarios:
@@ -115,14 +117,15 @@ class TestServiceBenchmark:
     def test_payload_shape(self, corpus):
         payload = service_benchmark(
             corpus,
-            lookups=2_000,
+            horizon_hours=2.0,
             rate_per_hour=1_000.0,
             bridge_sample_every=0,
             budgets=(6.0, 60.0),
             scenarios=False,
         )
         assert payload["benchmark"] == "service"
-        assert payload["report"]["totals"]["lookups"] == 2_000
+        assert payload["report"]["duration_hours"] == 2.0
+        assert payload["report"]["config"]["horizon_hours"] == 2.0
         assert "bridge" not in payload  # sampling disabled
         assert "scenarios" not in payload
         assert len(payload["staleness"]["budgets"]) == 2

@@ -255,10 +255,9 @@ def test_counters_surface_on_metrics(page, snapshot, store):
     assert counters["events_scheduled"] > 0
     assert counters["events_executed"] > 0
     assert counters["link_pokes"] > 0
-    assert counters["inline_advances"] >= counters["link_fast_forward_steps"]
+    assert counters["link_fast_forward_steps"] > 0
     reference = _run("reference", "push-all-fetch-asap", page, snapshot, store)
     assert reference.engine_counters["link_fast_forward_steps"] == 0
-    assert reference.engine_counters["inline_advances"] == 0
     # pokes mirror one-per-tick on both engines: inline steps replace
     # heap events one for one, never skipping or adding work.
     assert reference.engine_counters["link_pokes"] == counters["link_pokes"]

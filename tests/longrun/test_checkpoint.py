@@ -85,6 +85,15 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="version"):
             LongRunner.from_checkpoint_bytes(pickle.dumps(envelope))
 
+    def test_version_one_envelope_rejected(self):
+        # A version-1 checkpoint holds the runner layout that drew its own
+        # arrivals; resuming it into today's runner would lose the stream.
+        envelope = pickle.loads(self._blob())
+        assert envelope["version"] == 2
+        envelope["version"] = 1
+        with pytest.raises(ValueError, match="version 1"):
+            LongRunner.from_checkpoint_bytes(pickle.dumps(envelope))
+
     def test_corrupted_state_rejected(self):
         envelope = pickle.loads(self._blob())
         envelope["state"] = envelope["state"][:-1] + b"X"

@@ -95,11 +95,11 @@ class TestScenarioKnob:
         process = runner._process_arrival
         outcomes = {"kept": 0, "replaced": 0}
 
-        def checked(lookup):
+        def checked(lookup, result, latency_ms):
             key = (lookup.user, lookup.page_index)
             held = runner._digests.get(key)
             filtered.clear()
-            process(lookup)
+            process(lookup, result, latency_ms)
             after = runner._digests.get(key)
             if held is None or not filtered or not filtered[0]:
                 return

@@ -117,10 +117,45 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             runner.run_to(0.5)
 
+    def test_window_closes_before_the_tick_at_its_boundary(self):
+        # Events at a rollup boundary belong to the next window: the
+        # window closes first, then the boundary's batch tick runs.
+        spec = ScenarioSpec(**SMALL)
+        runner = LongRunner(spec)
+        events = []
+        tick, close = runner.service.process_batch, runner._close_window
+
+        def ticking(now_hours):
+            events.append(("tick", round(now_hours - spec.start_hour, 9)))
+            tick(now_hours)
+
+        def closing(end_hours):
+            events.append(("close", round(end_hours, 9)))
+            close(end_hours)
+
+        runner.service.process_batch = ticking
+        runner._close_window = closing
+        runner.run_to(spec.horizon_hours)
+        assert events == [
+            ("tick", 0.25), ("close", 0.5), ("tick", 0.5),
+            ("tick", 0.75), ("close", 1.0), ("tick", 1.0),
+            ("tick", 1.25), ("close", 1.5), ("tick", 1.5),
+        ]
+
     def test_incremental_equals_straight(self):
         spec = ScenarioSpec(**SMALL)
         straight = run_scenario(spec)
-        stepped = LongRunner(spec)
-        for stop in (0.3, 0.65, 1.1, spec.horizon_hours):
-            stepped.run_to(stop)
-        assert stepped.report()["fingerprint"] == straight["fingerprint"]
+        period = spec.batch_period_hours
+        # Off-grid stops, then a stop on every batch period: the second
+        # list lands on every tick and every rollup boundary.
+        for stops in (
+            (0.3, 0.65, 1.1),
+            tuple(
+                k * period
+                for k in range(1, math.ceil(spec.horizon_hours / period))
+            ),
+        ):
+            stepped = LongRunner(spec)
+            for stop in stops + (spec.horizon_hours,):
+                stepped.run_to(stop)
+            assert stepped.report()["fingerprint"] == straight["fingerprint"]

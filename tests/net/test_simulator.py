@@ -188,7 +188,8 @@ class TestInlineAdvance:
         sim = ArraySimulator()
         assert sim.advance_inline(1.5) is True
         assert sim.now == 1.5
-        assert sim.inline_advances == 1
+        # The jump took no heap event.
+        assert sim.events_scheduled == 0 and sim.executed == 0
 
     def test_declines_backward_and_same_time(self):
         sim = ArraySimulator()
@@ -196,7 +197,7 @@ class TestInlineAdvance:
         assert sim.advance_inline(1.0) is False
         assert sim.advance_inline(0.5) is False
         assert sim.now == 1.0
-        assert sim.inline_advances == 1
+        assert sim.peek_time() is None
 
     def test_declines_when_event_pending_at_or_before_target(self):
         sim = ArraySimulator()

@@ -157,7 +157,7 @@ class TestComposition:
         spec = spec_with_extras()
         config = spec.service_config()
         assert config.pages == spec.pages
-        assert config.lookups == spec.lookups_estimate()
+        assert config.horizon_hours == spec.horizon_hours
         assert len(config.shard_fault_rules) == len(spec.cycle_rules()) + 2
         assert config.fingerprint is False
         assert config.bridge_sample_every == 0

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.net.faults import FaultKind, FaultRule, fault_rule_from_dict
 from repro.service.backend import HintService, ServiceConfig, tenant_of
 from repro.service.placement import shard_outage_rule
 from repro.service.store import StoreEntry
+from repro.service.workload import Lookup, Workload
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +17,7 @@ def fleet(corpus):
 def service_config(pages=6, **overrides):
     base = dict(
         pages=pages,
-        lookups=800,
+        horizon_hours=0.5,
         rate_per_hour=1600.0,
         freshness_hours=0.25,
         ttl_hours=6.0,
@@ -24,6 +26,20 @@ def service_config(pages=6, **overrides):
     )
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+def arrivals_within_horizon(config):
+    """Lookups the stream offers up to the horizon: what a run serves."""
+    workload = Workload(config.workload())
+    count = 0
+    while workload.next().when_hours <= config.horizon_hours:
+        count += 1
+    return count
+
+
+@pytest.fixture(scope="module")
+def offered():
+    return arrivals_within_horizon(service_config())
 
 
 class TestConstruction:
@@ -40,6 +56,84 @@ class TestConstruction:
         service.run()
         with pytest.raises(RuntimeError):
             service.run()
+
+    def test_rejects_nonpositive_horizon(self, fleet):
+        with pytest.raises(ValueError, match="horizon"):
+            HintService(fleet, service_config(horizon_hours=0.0))
+
+    def test_hints_only_fault_rule_survives_the_config_dict(self):
+        # A hints_only shard rule never fires (shard health asks with
+        # is_hint=False), so dropping the flag would make two configs
+        # that run differently report the same config.
+        rule = FaultRule(
+            kind=FaultKind.SERVER_ERROR,
+            url_substring="shard3",
+            hints_only=True,
+            not_before=1.0,
+            not_after=2.0,
+        )
+        wire = service_config(shard_fault_rules=(rule,)).as_dict()
+        assert wire["shard_fault_rules"][0]["hints_only"] is True
+        assert fault_rule_from_dict(wire["shard_fault_rules"][0]) == rule
+
+
+class TestResumableLoop:
+    FLEET = dict(
+        replication=2,
+        frontend_cache_entries=2,
+        fingerprint=True,
+        batch_period_hours=0.1,
+        shard_fault_rules=(
+            shard_outage_rule(
+                1,
+                down_at_hours=ServiceConfig().start_hour + 0.15,
+                up_at_hours=ServiceConfig().start_hour + 0.3,
+            ),
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "stops",
+        [(0.17,), tuple(k * 0.1 for k in range(1, 5))],
+        ids=["off-grid", "every-tick"],
+    )
+    def test_sliced_run_equals_one_run(self, fleet, stops):
+        whole = HintService(fleet, service_config(**self.FLEET)).run()
+        sliced = HintService(fleet, service_config(**self.FLEET))
+        for stop in stops:
+            sliced.run_to(stop)
+        sliced.run_to(sliced.config.horizon_hours)
+        assert sliced.report().as_dict() == whole.as_dict()
+
+    def test_tick_runs_before_an_arrival_at_the_same_hour(self, fleet):
+        service = HintService(fleet, service_config())
+        period = service.config.batch_period_hours
+        service._pending = Lookup(0, period, 0, "phone", "user0")
+        service.workload.next = lambda: Lookup(1, 99.0, 0, "phone", "user0")
+        order = []
+        batch = service.process_batch
+        service.process_batch = lambda now: (order.append("tick"), batch(now))
+        service.run_to(period, lambda *served: order.append("lookup"))
+        assert order == ["tick", "lookup"]
+
+    def test_clock_clamps_to_horizon_and_never_runs_backwards(self, fleet):
+        service = HintService(fleet, service_config())
+        service.run_to(99.0)
+        assert service.clock == service.config.horizon_hours
+        with pytest.raises(ValueError, match="backwards"):
+            service.run_to(0.1)
+
+    def test_callback_sees_every_served_lookup(self, fleet, offered):
+        seen = []
+        service = HintService(fleet, service_config())
+        service.run_to(
+            0.5,
+            lambda lookup, result, latency_ms: seen.append(
+                (lookup.seq, result.status, latency_ms)
+            ),
+        )
+        assert [seq for seq, _, _ in seen] == list(range(offered))
+        assert service.report().totals["lookups"] == offered
 
 
 class TestDeterminism:
@@ -72,29 +166,29 @@ class TestColdStartAndWarmup:
         assert report.totals["expired"] == 0
         assert report.totals["hit_rate"] == 1.0
 
-    def test_lookups_are_conserved(self, fleet):
+    def test_lookups_are_conserved(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
         totals = report.totals
-        assert totals["lookups"] == 800
+        assert totals["lookups"] == offered
         assert (
             totals["hits"]
             + totals["stale_hits"]
             + totals["misses"]
             + totals["expired"]
-            == 800
+            == offered
         )
-        assert report.latency["samples"] == 800
+        assert report.latency["samples"] == offered
 
 
 class TestCountersAndReport:
-    def test_shard_rows_sum_to_totals(self, fleet):
+    def test_shard_rows_sum_to_totals(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
-        assert sum(row["lookups"] for row in report.shards) == 800
-        assert sum(row["samples"] for row in report.shards) == 800
+        assert sum(row["lookups"] for row in report.shards) == offered
+        assert sum(row["samples"] for row in report.shards) == offered
 
-    def test_tenants_cover_all_traffic(self, fleet):
+    def test_tenants_cover_all_traffic(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
-        assert sum(t["lookups"] for t in report.tenants.values()) == 800
+        assert sum(t["lookups"] for t in report.tenants.values()) == offered
         for name in report.tenants:
             assert name == tenant_of(name + "123")
 
@@ -104,21 +198,21 @@ class TestCountersAndReport:
         assert scheduler["loads_spent"] > 0
         assert scheduler["budget_utilization"] <= 1.0
 
-    def test_report_dict_is_json_clean(self, fleet):
+    def test_report_dict_is_json_clean(self, fleet, offered):
         import json
 
         report = HintService(fleet, service_config()).run()
         payload = json.loads(json.dumps(report.as_dict(), sort_keys=True))
-        assert payload["totals"]["lookups"] == 800
+        assert payload["totals"]["lookups"] == offered
 
 
 class TestBridgeSampling:
-    def test_sampling_collects_every_nth(self, fleet):
+    def test_sampling_collects_every_nth(self, fleet, offered):
         report = HintService(
             fleet, service_config(bridge_sample_every=100)
         ).run()
         assert [sample.seq for sample in report.samples] == list(
-            range(0, 800, 100)
+            range(0, offered, 100)
         )
 
     def test_miss_samples_carry_no_payload(self, fleet):

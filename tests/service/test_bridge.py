@@ -16,8 +16,8 @@ from repro.service.bridge import BridgeSample, evaluate_sample, evaluate_samples
 def sampled_run(corpus):
     config = ServiceConfig(
         pages=6,
-        lookups=600,
-        rate_per_hour=400.0,  # 1.5 simulated hours: entries go stale
+        horizon_hours=1.5,  # entries go stale within it
+        rate_per_hour=400.0,
         freshness_hours=0.25,
         ttl_hours=6.0,
         crawl_budget_per_hour=24.0,

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.service.store import (
-    DependencyStore,
     HashRing,
     LatencyHistogram,
     LookupStatus,
     Shard,
-    StoreConfig,
     StoreEntry,
     payload_size_bytes,
     stable_hash,
@@ -193,28 +191,6 @@ class TestLatencyHistogram:
         assert histogram.percentile(0.99) == 0.0
         assert histogram.mean == 0.0
         assert LatencyHistogram.merged([]).samples == 0
-
-
-class TestDependencyStore:
-    def test_routing_is_consistent_with_the_ring(self):
-        store = DependencyStore(StoreConfig(shard_count=4))
-        for i in range(50):
-            url = f"page{i}.com/"
-            assert store.shard_for_page(url).index == store.ring.shard_for(
-                url
-            )
-
-    def test_lookup_insert_totals(self):
-        store = DependencyStore(StoreConfig(shard_count=4))
-        assert store.insert("news0.com/", entry(at=1.0))
-        got, status, shard = store.lookup("news0.com/", "news0", "phone", 1.5)
-        assert status is LookupStatus.HIT
-        assert got.page == "news0"
-        totals = store.totals()
-        assert totals["lookups"] == 1
-        assert totals["hits"] == 1
-        assert totals["inserts"] == 1
-        assert totals["resident_bytes"] == 100
 
 
 class TestPayloadSize:

@@ -1,14 +1,28 @@
 """Workload generator: Zipf popularity, Poisson arrivals, determinism."""
 
+import pickle
+import random
+
 import pytest
 
-from repro.service.workload import Workload, WorkloadConfig, ZipfPopularity
+from repro.service.workload import (
+    Lookup,
+    Workload,
+    WorkloadConfig,
+    ZipfPopularity,
+)
 
 
 def config(**overrides):
-    base = dict(pages=20, lookups=500, rate_per_hour=1000.0, seed=3)
+    base = dict(pages=20, rate_per_hour=1000.0, seed=3)
     base.update(overrides)
     return WorkloadConfig(**base)
+
+
+def draw(workload_config, count=500):
+    """The first ``count`` arrivals of a fresh stream."""
+    workload = Workload(workload_config)
+    return [workload.next() for _ in range(count)]
 
 
 class TestZipfPopularity:
@@ -35,55 +49,96 @@ class TestZipfPopularity:
 
 
 class TestWorkloadDeterminism:
-    def test_two_iterations_are_identical(self):
-        workload = Workload(config())
-        assert list(workload) == list(workload)
-
     def test_same_seed_same_stream_different_instances(self):
-        assert list(Workload(config())) == list(Workload(config()))
+        assert draw(config()) == draw(config())
 
     def test_different_seed_different_stream(self):
-        assert list(Workload(config())) != list(Workload(config(seed=4)))
+        assert draw(config()) != draw(config(seed=4))
 
-    def test_duration_matches_last_arrival(self):
-        workload = Workload(config())
-        last = list(workload)[-1]
-        assert workload.duration_hours() == pytest.approx(last.when_hours)
+    def test_pickled_mid_stream_continues_identically(self):
+        workload = Workload(config(flash_at_hours=0.1))
+        for _ in range(137):
+            workload.next()
+        clone = pickle.loads(pickle.dumps(workload))
+        rest = [workload.next() for _ in range(400)]
+        assert [clone.next() for _ in range(400)] == rest
+        assert rest[0].seq == 137
+
+
+def legacy_draw_stream(
+    pages, rate_per_hour, zipf_exponent, phone_fraction, user_pool, seed,
+    count,
+):
+    """The streaming long-run harness's own per-arrival draw, as it stood
+    before the harness moved onto the service loop: the oracle a
+    flash-free :class:`Workload` must reproduce bit for bit."""
+    popularity = ZipfPopularity(pages, zipf_exponent)
+    rng = random.Random(seed)
+    mean_gap = 1.0 / rate_per_hour
+    last_when = 0.0
+    out = []
+    for seq in range(count):
+        last_when += rng.expovariate(1.0 / mean_gap)
+        page_index = popularity.sample(rng.random())
+        device_class = "phone" if rng.random() < phone_fraction else "tablet"
+        user = f"user{rng.randrange(user_pool)}"
+        out.append(
+            Lookup(
+                seq=seq,
+                when_hours=last_when,
+                page_index=page_index,
+                device_class=device_class,
+                user=user,
+            )
+        )
+    return out
+
+
+class TestAgainstTheLegacyDraw:
+    @pytest.mark.parametrize(
+        "seed,rate", [(0, 1500.0), (1, 300.0), (7, 20_000.0), (42, 2.5)]
+    )
+    def test_flash_off_stream_matches_the_oracle(self, seed, rate):
+        shape = dict(
+            pages=12, rate_per_hour=rate, zipf_exponent=1.1,
+            phone_fraction=0.85, user_pool=32, seed=seed,
+        )
+        assert draw(WorkloadConfig(**shape), 1000) == legacy_draw_stream(
+            count=1000, **shape
+        )
 
 
 class TestWorkloadShape:
     def test_arrivals_are_increasing_and_rate_roughly_holds(self):
-        lookups = list(Workload(config(lookups=2000)))
+        lookups = draw(config(), 2000)
         times = [lookup.when_hours for lookup in lookups]
         assert times == sorted(times)
         # 2000 arrivals at 1000/hour ≈ 2 hours, within Poisson noise.
         assert 1.5 < times[-1] < 2.5
 
     def test_seq_is_dense(self):
-        lookups = list(Workload(config()))
+        lookups = draw(config())
         assert [lookup.seq for lookup in lookups] == list(range(500))
 
     def test_popular_pages_dominate(self):
-        lookups = list(Workload(config(lookups=2000)))
+        lookups = draw(config(), 2000)
         top = sum(1 for lookup in lookups if lookup.page_index == 0)
         bottom = sum(1 for lookup in lookups if lookup.page_index == 19)
         assert top > 5 * max(bottom, 1)
 
     def test_phone_fraction_extremes(self):
-        all_phone = list(Workload(config(phone_fraction=1.0)))
+        all_phone = draw(config(phone_fraction=1.0))
         assert {lookup.device_class for lookup in all_phone} == {"phone"}
-        all_tablet = list(Workload(config(phone_fraction=0.0)))
+        all_tablet = draw(config(phone_fraction=0.0))
         assert {lookup.device_class for lookup in all_tablet} == {"tablet"}
 
     def test_users_come_from_the_pool(self):
-        lookups = list(Workload(config(user_pool=4)))
+        lookups = draw(config(user_pool=4))
         users = {lookup.user for lookup in lookups}
         assert users <= {"user0", "user1", "user2", "user3"}
         assert len(users) == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Workload(config(lookups=0))
         with pytest.raises(ValueError):
             Workload(config(rate_per_hour=0.0))
         with pytest.raises(ValueError):
@@ -94,22 +149,20 @@ class TestFlashCrowd:
     def test_disabled_flash_leaves_the_stream_bit_identical(self):
         # The flash branch must not perturb the base generator: PR 4's
         # pinned smoke counters depend on this exact draw sequence.
-        plain = list(Workload(config()))
-        gated = list(Workload(config(flash_at_hours=None)))
+        plain = draw(config())
+        gated = draw(config(flash_at_hours=None))
         assert plain == gated
 
     def test_flash_concentrates_on_the_flash_page(self):
-        flashed = list(
-            Workload(
-                config(
-                    lookups=2000,
-                    flash_at_hours=0.5,
-                    flash_duration_hours=0.3,
-                    flash_multiplier=8.0,
-                    flash_focus=1.0,
-                    flash_page_rank=3,
-                )
-            )
+        flashed = draw(
+            config(
+                flash_at_hours=0.5,
+                flash_duration_hours=0.3,
+                flash_multiplier=8.0,
+                flash_focus=1.0,
+                flash_page_rank=3,
+            ),
+            2000,
         )
         inside = [
             lookup
@@ -124,16 +177,14 @@ class TestFlashCrowd:
 
     def test_flash_multiplies_the_arrival_rate(self):
         window = (0.5, 0.8)
-        base = list(Workload(config(lookups=2000)))
-        flashed = list(
-            Workload(
-                config(
-                    lookups=2000,
-                    flash_at_hours=window[0],
-                    flash_duration_hours=window[1] - window[0],
-                    flash_multiplier=8.0,
-                )
-            )
+        base = draw(config(), 2000)
+        flashed = draw(
+            config(
+                flash_at_hours=window[0],
+                flash_duration_hours=window[1] - window[0],
+                flash_multiplier=8.0,
+            ),
+            2000,
         )
 
         def in_window(stream):

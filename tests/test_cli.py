@@ -100,7 +100,7 @@ class TestServiceCommand:
         with open(path) as handle:
             payload = json.load(handle)
         assert payload["benchmark"] == "service-smoke"
-        assert payload["report"]["totals"]["lookups"] == 5000
+        assert payload["report"]["totals"]["lookups"] == 5078
 
     def test_full_run_prints_summary_and_sweep(self, tmp_path, capsys):
         path = str(tmp_path / "bench.json")
@@ -109,8 +109,8 @@ class TestServiceCommand:
                 "service",
                 "--pages",
                 "6",
-                "--lookups",
-                "2000",
+                "--hours",
+                "2",
                 "--rate",
                 "1000",
                 "--bridge-every",
@@ -123,7 +123,7 @@ class TestServiceCommand:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "served 2000 lookups" in out
+        assert "in 2.00 simulated hours" in out
         assert "stale-hit rate monotone in budget: True" in out
 
 
@@ -133,10 +133,11 @@ class TestCorpusGuards:
         assert "error:" in capsys.readouterr().err
 
     def test_service_rejects_nonpositive_lookups(self, capsys):
+        # Traffic length is a horizon now: zero hours offers no lookups.
         assert main(
-            ["service", "--lookups", "0", "--report", ""]
+            ["service", "--hours", "0", "--report", ""]
         ) == 2
-        assert "--lookups" in capsys.readouterr().err
+        assert "--hours" in capsys.readouterr().err
 
     def test_sweep_rejects_nonpositive_count(self, capsys):
         assert main(["sweep", "--count", "0"]) == 2
