@@ -6,11 +6,11 @@ identity and a fresh nonce per load).  The *stable set* at any moment is
 the set of URLs seen in **all** loads inside the recent window —
 intersection filters out nonce URLs and anything that rotated mid-window.
 
-Only the newest load of the window is materialised into a snapshot: its
-resources are the stable set's exemplars.  The older loads contribute
-nothing but their URL lists, so they are resolved with
-:meth:`~repro.pages.page.PageBlueprint.resolve_urls`, which returns the
-same list a materialised snapshot's ``urls()`` would.
+The older loads of the window contribute only their URL lists, from
+``PageBlueprint.resolve_urls``.  :meth:`OfflineResolver.stable_set`
+builds the newest load's tree, whose resources a Vroom server's hints
+need; ``stable_record``, the record a hint service stores, builds no
+tree: it reads the newest load's URLs and ``PageBlueprint.sized_specs``.
 
 Device-specific customisation is handled with equivalence classes: the
 server loads each page once per device class (phone, tablet, ...) rather
@@ -125,23 +125,15 @@ class OfflineResolver:
         key = (round(stable.as_of_hours, 6), stable.device_class)
         self._cache[key] = stable
 
-    def trim_cache(self, keep: int = 0) -> int:
-        """Drop memoised stable sets, keeping the ``keep`` most recent.
-
-        The memo table is keyed by (rounded hour, device class); a
-        long-horizon run resolves at ever-new hours, so without
-        trimming the table grows linearly in simulated time for zero
-        hit-rate benefit.  Returns the number of entries dropped.
-        """
-        if keep <= 0:
-            dropped = len(self._cache)
-            self._cache.clear()
-            return dropped
-        keys = sorted(self._cache)
-        drop = keys[:-keep] if keep < len(keys) else []
-        for key in drop:
-            del self._cache[key]
-        return len(drop)
+    def _window_urls(
+        self, older: List[LoadStamp], newest_urls: List[str]
+    ) -> Set[str]:
+        """The URLs every load of the window saw: the older loads at
+        ``older`` (oldest first) and the newest load, whose URLs the
+        caller has already resolved."""
+        url_sets = [set(self.page.resolve_urls(stamp)) for stamp in older]
+        url_sets.append(set(newest_urls))
+        return set.intersection(*url_sets)
 
     def stable_set(
         self, as_of_hours: float, device_class: str = "phone"
@@ -159,9 +151,7 @@ class OfflineResolver:
             return cached
         *older, newest = self._stamps(as_of_hours, device_class)
         latest = self.page.materialize(newest)
-        url_sets = [set(self.page.resolve_urls(stamp)) for stamp in older]
-        url_sets.append(set(latest.urls()))
-        stable_urls = set.intersection(*url_sets)
+        stable_urls = self._window_urls(older, latest.urls())
         exemplars: Dict[str, Resource] = {}
         for resource in latest.all_resources():
             if resource.url in stable_urls:
@@ -175,6 +165,42 @@ class OfflineResolver:
         )
         self._cache[key] = result
         return result
+
+    def stable_record(
+        self, as_of_hours: float, device_class: str = "phone"
+    ) -> dict:
+        """The stable set as the record a hint service persists.
+
+        The same window and intersection as :meth:`stable_set`, with no
+        tree and no memo.  ``urls`` is the sorted stable set.
+        ``exemplars`` maps each stable URL to the ``name``, ``size``,
+        ``rtype`` value and ``process_order`` of its resource in the
+        newest load, walked in processing order: as in
+        :meth:`stable_set`'s walk, a URL two resources share takes its
+        place from the first and its fields from the last.
+        :func:`stable_set_from_dict` rehydrates the record.
+        """
+        *older, newest = self._stamps(as_of_hours, device_class)
+        urls = self.page.resolve_urls(newest)
+        stable_urls = self._window_urls(older, urls)
+        exemplars: Dict[str, dict] = {}
+        for order, (spec, size) in enumerate(self.page.sized_specs(newest)):
+            url = urls[order]
+            if url in stable_urls:
+                # ``_value_`` skips the enum's ``value`` descriptor.
+                exemplars[url] = {
+                    "name": spec.name,
+                    "size": size,
+                    "rtype": spec.rtype._value_,
+                    "process_order": order,
+                }
+        return {
+            "page": self.page.name,
+            "device_class": device_class,
+            "as_of_hours": as_of_hours,
+            "urls": sorted(stable_urls),
+            "exemplars": exemplars,
+        }
 
     def single_prior_load(
         self, as_of_hours: float, device_class: str = "phone"
@@ -192,31 +218,6 @@ class OfflineResolver:
             urls=set(exemplars),
             exemplars=exemplars,
         )
-
-
-def stable_set_to_dict(stable: StableSet) -> dict:
-    """Serialise a stable set (what a production server would persist).
-
-    Each exemplar's spec is read once, and its type's value through the
-    member's ``_value_`` slot: ``Resource`` properties and the enum's
-    ``value`` descriptor cost more than the rest of the record.
-    """
-    exemplars = {}
-    for url, exemplar in stable.exemplars.items():
-        spec = exemplar.spec
-        exemplars[url] = {
-            "name": spec.name,
-            "size": exemplar.size,
-            "rtype": spec.rtype._value_,
-            "process_order": exemplar.process_order,
-        }
-    return {
-        "page": stable.page,
-        "device_class": stable.device_class,
-        "as_of_hours": stable.as_of_hours,
-        "urls": sorted(stable.urls),
-        "exemplars": exemplars,
-    }
 
 
 def stable_set_from_dict(data: dict, page: PageBlueprint) -> StableSet:

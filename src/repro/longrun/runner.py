@@ -224,7 +224,8 @@ class LongRunner:
         served = status in (LookupStatus.HIT, LookupStatus.STALE_HIT)
         urls: List[str] = []
         if served and entry is not None:
-            urls = sorted(entry.payload.get("urls", []))
+            # Stored URL lists are sorted and duplicate-free already.
+            urls = entry.payload.get("urls", [])
         filtered = urls
         digest_used = False
         if spec.digest_filter_bits and served:

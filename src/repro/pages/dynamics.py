@@ -54,6 +54,16 @@ class LoadStamp:
         except KeyError:
             raise ValueError(f"unknown device {self.device!r}") from None
 
+    @property
+    def nonce_tail(self) -> str:
+        """This load's part of a nonce digest's input: ``|nonce|hour``."""
+        return f"|{self.nonce}|{self.when_hours}"
+
+    @property
+    def user_tail(self) -> str:
+        """This load's part of a personalisation digest's input."""
+        return f"|{self.user}"
+
     def back_to_back(self, nonce_shift: int = 1) -> "LoadStamp":
         """A load at the same instant with fresh nonce entropy."""
         return LoadStamp(
@@ -73,9 +83,44 @@ class LoadStamp:
         )
 
 
-def _digest(*parts: object) -> str:
-    joined = "|".join(map(str, parts))
+class StampTokens:
+    """A stamp's URL tokens, computed once for a whole load.
+
+    :func:`resolve_url` reads its stamp only through ``when_hours``,
+    ``nonce_tail``, ``device_class`` and ``user_tail``.  A
+    :class:`LoadStamp` formats the tails and looks the device class up
+    on every read; this keeps them, so ``PageBlueprint.resolve_urls``
+    does that work once per load, not once per flux spec.  An unknown
+    device still raises only when a device-dependent spec reads its
+    class.
+    """
+
+    __slots__ = (
+        "when_hours", "nonce_tail", "user_tail", "_stamp", "_device_class"
+    )
+
+    def __init__(self, stamp: LoadStamp):
+        self.when_hours = stamp.when_hours
+        self.nonce_tail = stamp.nonce_tail
+        self.user_tail = stamp.user_tail
+        self._stamp = stamp
+        self._device_class = DEVICE_CLASSES.get(stamp.device)
+
+    @property
+    def device_class(self) -> str:
+        device_class = self._device_class
+        if device_class is None:
+            return self._stamp.device_class  # raises: unknown device
+        return device_class
+
+
+def _digest_of(joined: str) -> str:
+    """The digest of parts already joined with ``|``."""
     return hashlib.sha1(joined.encode()).hexdigest()[:10]
+
+
+def _digest(*parts: object) -> str:
+    return _digest_of("|".join(map(str, parts)))
 
 
 def stable_nonce(*parts: object) -> int:
@@ -116,7 +161,9 @@ def has_flux(spec: ResourceSpec) -> bool:
     )
 
 
-def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:  # repro: hotpath
+def resolve_url(  # repro: hotpath
+    spec: ResourceSpec, stamp: LoadStamp | StampTokens
+) -> str:
     """The concrete URL ``spec`` resolves to under ``stamp``.
 
     Deterministic: identical (spec, stamp) pairs always agree, and two
@@ -124,17 +171,20 @@ def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:  # repro: hotpath
     a stable resource) also agree.  The URL is ``domain/`` followed by
     the spec name and one ``_``-separated token per kind of flux, in this
     order: rotation epoch, nonce digest, device class, personalisation
-    digest.
+    digest.  The digests are ``_digest(name, nonce, hour)`` and
+    ``_digest(domain, user)``, read off the stamp's ``nonce_tail`` and
+    ``user_tail``: those parts already joined, since an f-string formats
+    an ``int``, a ``float`` or a ``str`` exactly as ``str`` does.
     """
     url = f"{spec.domain}/{spec.name}"
     if spec.lifetime_hours is not None:
         url = f"{url}_e{rotation_epoch(spec, stamp.when_hours)}"
     if spec.unpredictable:
-        url = f"{url}_n{_digest(spec.name, stamp.nonce, stamp.when_hours)}"
+        url = f"{url}_n{_digest_of(spec.name + stamp.nonce_tail)}"
     if spec.device_dependent:
         url = f"{url}_{stamp.device_class}"
     if spec.personalized:
-        url = f"{url}_u{_digest(spec.domain, stamp.user)}"
+        url = f"{url}_u{_digest_of(spec.domain + stamp.user_tail)}"
     return f"{url}.{_EXT_BY_TYPE[spec.rtype]}"
 
 

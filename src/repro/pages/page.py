@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.pages.dynamics import (
     LoadStamp,
+    StampTokens,
     has_flux,
     resolve_size,
     resolve_url,
@@ -117,12 +118,41 @@ class PageBlueprint:
 
         Equal to ``materialize(stamp).urls()`` without building the tree:
         each row of the memoised :class:`_Skeleton` without flux already
-        carries its URL, so only flux rows call :func:`resolve_url`.
+        carries its URL, so only flux rows call :func:`resolve_url`, and
+        they read the stamp's tokens from one :class:`StampTokens`.
         Specs the root cannot reach are neither listed nor resolved.
         """
+        skeleton = self._skeleton()
+        # Only flux rows read the stamp: a page without any needs no tokens.
+        tokens = StampTokens(stamp) if skeleton.flux else stamp
         return [
-            resolve_url(spec, stamp) if url is None else url
-            for spec, _, _, _, url, _ in self._skeleton().rows
+            resolve_url(spec, tokens) if url is None else url
+            for spec, _, _, _, url, _ in skeleton.rows
+        ]
+
+    def sized_specs(self, stamp: LoadStamp) -> List[Tuple[ResourceSpec, int]]:
+        """Every spec the root reaches, in processing order, with its
+        size under ``stamp``: the specs and sizes of
+        ``materialize(stamp).all_resources()``.
+
+        Sizes come from the skeleton, which resolves them under a phone
+        stamp.  A device-dependent spec is re-sized with
+        :func:`resolve_size` only under another device class, and
+        ``stamp.device_class`` is read only when the page has such a
+        spec.
+        """
+        skeleton = self._skeleton()
+        resize = skeleton.device_sized and (
+            stamp.device_class != _ANY_STAMP.device_class
+        )
+        return [
+            (
+                spec,
+                resolve_size(spec, stamp)
+                if resize and spec.device_dependent
+                else size,
+            )
+            for spec, _, _, _, _, size in skeleton.rows
         ]
 
     def materialize(self, stamp: LoadStamp) -> "PageSnapshot":  # repro: hotpath
@@ -132,23 +162,17 @@ class PageBlueprint:
         pre-order, so each resource gets its processing order, iframe
         flags, parent and place among its siblings as it is created, and
         the pass's output doubles as the snapshot's walk.  URLs come from
-        :meth:`resolve_urls` and sizes from the skeleton; a
-        device-dependent row is re-sized only under another device class
-        than the skeleton's.  Bodies are not rendered here:
+        :meth:`resolve_urls` and specs and sizes from
+        :meth:`sized_specs`.  Bodies are not rendered here:
         :attr:`Resource.body` renders on first read.
         """
         skeleton = self._skeleton()
+        rows = skeleton.rows
         urls = self.resolve_urls(stamp)
-        resize = skeleton.device_sized and (
-            stamp.device_class != _ANY_STAMP.device_class
-        )
         walk: List[Resource] = []
         append = walk.append
-        for order, (spec, parent_row, iframe_doc, in_iframe, _, size) in enumerate(
-            skeleton.rows
-        ):
-            if resize and spec.device_dependent:
-                size = resolve_size(spec, stamp)
+        for order, (spec, size) in enumerate(self.sized_specs(stamp)):
+            _, parent_row, iframe_doc, in_iframe, _, _ = rows[order]
             parent = walk[parent_row] if parent_row >= 0 else None
             # Positional in field order: keywords cost ~15% of the pass.
             resource = Resource(
@@ -205,7 +229,7 @@ class PageBlueprint:
         if skeleton is not None:
             return skeleton
         rows: List[_Row] = []
-        device_sized = False
+        flux = device_sized = False
         row_of: Dict[str, int] = {}
         # (spec, parent row, parent's in_iframe or parent is an iframe doc)
         stack = [(self.specs[self.root], -1, False)]
@@ -217,6 +241,7 @@ class PageBlueprint:
             url = None if has_flux(spec) else resolve_url(spec, _ANY_STAMP)
             size = resolve_size(spec, _ANY_STAMP)
             rows.append((spec, parent_row, iframe_doc, in_iframe, url, size))
+            flux = flux or url is None
             device_sized = device_sized or spec.device_dependent
             below = in_iframe or iframe_doc
             for child in reversed(self.children_of(spec.name)):
@@ -230,6 +255,7 @@ class PageBlueprint:
         # runs once per blueprint.
         skeleton = self._skeleton_cache = _Skeleton(
             rows=rows,
+            flux=flux,
             device_sized=device_sized,
             strays=strays,
             slots=[(name, row_of[name]) for name in self.specs],
@@ -265,14 +291,16 @@ class _Skeleton(NamedTuple):
 
     ``rows`` lists the resources the root reaches, in the client's
     pre-order processing order.  A child is in an iframe if its parent
-    is, or if its parent is a document other than the root.
-    ``device_sized`` says whether any row's size depends on the device
+    is, or if its parent is a document other than the root.  ``flux``
+    says whether any row's URL depends on the stamp, and
+    ``device_sized`` whether any row's size depends on the device
     class.  ``strays`` are specs the root does not reach, and ``slots``
     maps each spec name, in spec order, to its index in ``rows +
     strays``: the key order of :attr:`PageSnapshot.resources`.
     """
 
     rows: List[_Row]
+    flux: bool
     device_sized: bool
     strays: List[ResourceSpec]
     slots: List[Tuple[str, int]]

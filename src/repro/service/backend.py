@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import audit
 from repro.calibration import DEFAULT_EVAL_HOUR, OFFLINE_WINDOW_LOADS
-from repro.core.offline import OfflineResolver, stable_set_to_dict
+from repro.core.offline import OfflineResolver
 from repro.net.faults import FaultPlan, FaultRule, fault_rule_to_dict
 from repro.pages.page import PageBlueprint
 from repro.service.bridge import BridgeSample
@@ -384,8 +384,9 @@ class HintService:
 
         served = status in (LookupStatus.HIT, LookupStatus.STALE_HIT)
         if self._fingerprint is not None:
+            # Stored URL lists are sorted and duplicate-free already.
             urls = (
-                ",".join(sorted(entry.payload.get("urls", [])))
+                ",".join(entry.payload.get("urls", []))
                 if entry is not None
                 else ""
             )
@@ -483,9 +484,9 @@ class HintService:
         self, page_name: str, device_class: str, now_hours: float
     ) -> None:
         """Resolve one key at ``now_hours`` and insert it into the store."""
-        resolver = self._resolver(page_name)
-        stable = resolver.stable_set(round(now_hours, 6), device_class)
-        payload = stable_set_to_dict(stable)
+        payload = self._resolver(page_name).stable_record(
+            round(now_hours, 6), device_class
+        )
         entry = StoreEntry(
             page=page_name,
             device_class=device_class,
@@ -506,9 +507,10 @@ class HintService:
     def process_batch(self, now_hours: float) -> None:
         """Run one scheduler tick (health sync, reshard step, batch).
 
-        Then drop the resolvers' memoised stable sets: they are keyed by
-        resolution hour and every tick resolves at a fresh one, so over
-        a long horizon the memo tables would only grow, never hit.
+        Each job of the batch stores the record
+        :meth:`OfflineResolver.stable_record` builds at the tick's hour,
+        which leaves no memo behind: over a long horizon nothing the
+        resolvers hold grows with simulated time.
         """
         self.store.sync_health(now_hours)
         self._drive_reshard(now_hours)
@@ -517,8 +519,6 @@ class HintService:
         )
         for job in batch:
             self._install_entry(job.page, job.device_class, now_hours)
-        for resolver in self._resolvers.values():
-            resolver.trim_cache()
 
     def _drive_reshard(self, now_hours: float) -> None:
         """Advance the configured live reshard, a few segments per tick."""

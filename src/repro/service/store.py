@@ -52,8 +52,8 @@ class StoreEntry:
 
     page: str
     device_class: str
-    #: Serialised stable set (``core.offline.stable_set_to_dict``) — the
-    #: bytes a production store would actually hold.
+    #: Stable-set record (``core.offline.OfflineResolver.stable_record``)
+    #: — the bytes a production store would actually hold.
     payload: dict
     #: Simulated hour the offline resolution that produced it ran.
     computed_at_hours: float

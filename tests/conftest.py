@@ -6,6 +6,7 @@ from repro.calibration import DEFAULT_EVAL_HOUR, NEWS_SPORTS_PROFILE
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp
 from repro.pages.generator import generate_page
+from repro.pages.page import PageBlueprint
 from repro.replay.recorder import record_snapshot
 
 
@@ -39,3 +40,17 @@ def store(snapshot):
 def small_page():
     """A fresh small page for tests that mutate or iterate quickly."""
     return generate_page(NEWS_SPORTS_PROFILE, "tiny", seed=99)
+
+
+@pytest.fixture
+def count_materialize(monkeypatch):
+    """Counts ``PageBlueprint.materialize`` calls from here on."""
+    calls = []
+    materialize = PageBlueprint.materialize
+
+    def counting(page, stamp):
+        calls.append(stamp)
+        return materialize(page, stamp)
+
+    monkeypatch.setattr(PageBlueprint, "materialize", counting)
+    return calls

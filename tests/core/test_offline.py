@@ -1,5 +1,7 @@
 """Unit tests for offline dependency resolution (stable sets, devices)."""
 
+import json
+
 import pytest
 
 from repro.core.offline import (
@@ -7,7 +9,9 @@ from repro.core.offline import (
     SERVER_USER,
     device_equivalence_classes,
 )
+from repro.pages.dynamics import LoadStamp, resolve_url
 from repro.pages.page import PageBlueprint
+from repro.pages.resources import ResourceSpec, ResourceType
 
 
 class TestOfflineLoads:
@@ -143,20 +147,6 @@ def _fields(resource):
     )
 
 
-@pytest.fixture
-def count_materialize(monkeypatch):
-    """Counts ``PageBlueprint.materialize`` calls from here on."""
-    calls = []
-    materialize = PageBlueprint.materialize
-
-    def counting(page, stamp):
-        calls.append(stamp)
-        return materialize(page, stamp)
-
-    monkeypatch.setattr(PageBlueprint, "materialize", counting)
-    return calls
-
-
 class TestAgainstFullLoads:
     @pytest.mark.parametrize("window_loads", [1, 3, 5])
     @pytest.mark.parametrize("device_class", ["phone", "tablet"])
@@ -205,3 +195,109 @@ class TestAgainstFullLoads:
         assert len(count_materialize) == 3
         resolver.single_prior_load(stamp.when_hours, "phone")
         assert len(count_materialize) == 4
+
+
+def reference_record(stable):
+    """The record read back off a stable set's exemplar resources: the
+    reference ``stable_record`` must reproduce without a tree."""
+    exemplars = {}
+    for url, exemplar in stable.exemplars.items():
+        spec = exemplar.spec
+        exemplars[url] = {
+            "name": spec.name,
+            "size": exemplar.size,
+            "rtype": spec.rtype._value_,
+            "process_order": exemplar.process_order,
+        }
+    return {
+        "page": stable.page,
+        "device_class": stable.device_class,
+        "as_of_hours": stable.as_of_hours,
+        "urls": sorted(stable.urls),
+        "exemplars": exemplars,
+    }
+
+
+def assert_record_matches_tree(page, as_of_hours, device_class, **window):
+    """``stable_record`` equals the tree's record as JSON text: key order
+    matters, and ``dict ==`` ignores it."""
+    record = OfflineResolver(page, **window).stable_record(
+        as_of_hours, device_class
+    )
+    stable = OfflineResolver(page, **window).stable_set(
+        as_of_hours, device_class
+    )
+    assert json.dumps(record) == json.dumps(reference_record(stable))
+    return record
+
+
+def _spec(name, rtype=ResourceType.IMAGE, parent="r", **fields):
+    return ResourceSpec(name, rtype, "d.com", 700, parent=parent, **fields)
+
+
+def shared_url_page():
+    """A page where a personalised ``x`` and a flux-free spec named
+    after ``x``'s server-side URL resolve to one URL, with another
+    stable resource between them."""
+    personal = _spec("x", position=0.0, personalized=True)
+    url = resolve_url(personal, LoadStamp(when_hours=0.0, user=SERVER_USER))
+    twin_name = url[len("d.com/"):-len(".jpg")]
+    page = PageBlueprint(name="twins", root="r")
+    page.add(ResourceSpec("r", ResourceType.HTML, "d.com", 4_000))
+    page.add(personal)
+    page.add(_spec("m", position=0.5, device_dependent=True))
+    page.add(_spec("n", position=0.6, unpredictable=True))
+    page.add(_spec(twin_name, position=1.0))
+    return page, url, twin_name
+
+
+class TestStableRecord:
+    @pytest.mark.parametrize("window_loads", [1, 3, 5])
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_matches_the_tree_on_corpus_pages(
+        self, corpus, stamp, window_loads, device_class
+    ):
+        for page in corpus:
+            assert_record_matches_tree(
+                page,
+                stamp.when_hours,
+                device_class,
+                window_loads=window_loads,
+            )
+
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_shared_url_keeps_first_place_and_last_fields(
+        self, device_class
+    ):
+        page, url, twin_name = shared_url_page()
+        record = assert_record_matches_tree(page, 50.0, device_class)
+        # r, x, m, n, twin in processing order; n's nonce URL drops out.
+        assert list(record["exemplars"])[1] == url
+        assert record["exemplars"][url]["name"] == twin_name
+        assert record["exemplars"][url]["process_order"] == 4
+        assert len(record["urls"]) == 3
+
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_strays_stay_out(self, device_class):
+        page = PageBlueprint(name="strays", root="r")
+        page.add(ResourceSpec("r", ResourceType.HTML, "d.com", 4_000))
+        page.add(_spec("a", device_dependent=True))
+        # Unvalidated: a second parentless document and its child.
+        page.add(_spec("s", rtype=ResourceType.HTML, parent=None))
+        page.add(_spec("t", parent="s", device_dependent=True))
+        record = assert_record_matches_tree(page, 50.0, device_class)
+        names = {entry["name"] for entry in record["exemplars"].values()}
+        assert names == {"r", "a"}
+
+    def test_builds_no_tree_and_fills_no_memo(
+        self, page, stamp, count_materialize
+    ):
+        resolver = OfflineResolver(page)
+        resolver.stable_record(stamp.when_hours, "phone")
+        resolver.stable_record(stamp.when_hours, "tablet")
+        assert count_materialize == []
+        assert resolver._cache == {}
+
+    def test_unknown_device_class(self, page):
+        with pytest.raises(ValueError, match="unknown device class"):
+            OfflineResolver(page).stable_record(100.0, "smartwatch")

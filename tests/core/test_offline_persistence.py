@@ -4,18 +4,14 @@ import json
 
 import pytest
 
-from repro.core.offline import (
-    OfflineResolver,
-    stable_set_from_dict,
-    stable_set_to_dict,
-)
+from repro.core.offline import OfflineResolver, stable_set_from_dict
 
 
 class TestStableSetPersistence:
     def test_round_trip(self, page, stamp):
         resolver = OfflineResolver(page)
         original = resolver.stable_set(stamp.when_hours, "phone")
-        data = stable_set_to_dict(original)
+        data = resolver.stable_record(stamp.when_hours, "phone")
         restored = stable_set_from_dict(data, page)
         assert restored.urls == original.urls
         assert set(restored.exemplars) == set(original.exemplars)
@@ -31,14 +27,12 @@ class TestStableSetPersistence:
 
     def test_json_serialisable(self, page, stamp):
         resolver = OfflineResolver(page)
-        stable = resolver.stable_set(stamp.when_hours, "phone")
-        text = json.dumps(stable_set_to_dict(stable))
+        text = json.dumps(resolver.stable_record(stamp.when_hours, "phone"))
         assert json.loads(text)["page"] == page.name
 
     def test_unknown_exemplar_rejected(self, page, stamp):
         resolver = OfflineResolver(page)
-        stable = resolver.stable_set(stamp.when_hours, "phone")
-        data = stable_set_to_dict(stable)
+        data = resolver.stable_record(stamp.when_hours, "phone")
         any_url = next(iter(data["exemplars"]))
         data["exemplars"][any_url]["name"] = "ghost_resource"
         with pytest.raises(ValueError, match="unknown to page"):
@@ -52,9 +46,7 @@ class TestStableSetPersistence:
         direct = resolver.hints_for(
             snapshot.root, as_of_hours=stamp.when_hours
         )
-        data = stable_set_to_dict(
-            resolver.offline.stable_set(stamp.when_hours, "phone")
-        )
+        data = resolver.offline.stable_record(stamp.when_hours, "phone")
         restored = stable_set_from_dict(data, page)
         # Patch the cache so the resolver reuses the persisted set.
         key = (round(stamp.when_hours, 6), "phone")

@@ -94,7 +94,7 @@ class TestConstantMemory:
         runner.run_to(SMALL["horizon_hours"])
         # The bridge is forced off: no per-lookup samples anywhere.
         assert runner.service._samples == []
-        # Resolver snapshot caches are trimmed at every batch tick.
+        # Offline resolution stores records and fills no resolver memo.
         cached = sum(
             len(resolver._cache)
             for resolver in runner.service._resolvers.values()

@@ -12,6 +12,7 @@ from repro.pages.dynamics import (
     rotation_epoch,
     url_is_shared,
 )
+from repro.pages.page import PageBlueprint
 from repro.pages.resources import ResourceSpec, ResourceType
 
 
@@ -197,21 +198,37 @@ class TestUrlFormatOracle:
         assert len(FLUX_COMBINATIONS) == 16
 
     def test_matches_token_join(self):
+        # The 16 specs also hang off one root, so resolve_urls, which
+        # shares one set of stamp tokens across the page, is held to the
+        # oracle row by row.
+        page = PageBlueprint(name="flux", root="root")
+        root = page.add(
+            make_spec(name="root", rtype=ResourceType.HTML, domain="b.org")
+        )
         for index, flux in enumerate(FLUX_COMBINATIONS):
             rtype = list(ResourceType)[index % len(ResourceType)]
-            spec = make_spec(
-                name=f"res{index}", rtype=rtype, domain="cdn.b.org", **flux
-            )
-            for hours, device, user, nonce in itertools.product(
-                BOUNDARY_HOURS,
-                ("nexus6", "oneplus3", "nexus10"),
-                ("user0", "user7", "__vroom_server__"),
-                (0, 1, 41_277),
-            ):
-                stamp = LoadStamp(
-                    when_hours=hours, device=device, user=user, nonce=nonce
+            page.add(
+                make_spec(
+                    name=f"res{index}",
+                    rtype=rtype,
+                    domain="cdn.b.org",
+                    parent="root",
+                    **flux,
                 )
-                assert resolve_url(spec, stamp) == token_join_url(spec, stamp)
+            )
+        rows = [root] + page.children_of("root")
+        for hours, device, user, nonce in itertools.product(
+            BOUNDARY_HOURS,
+            ("nexus6", "oneplus3", "nexus10"),
+            ("user0", "user7", "__vroom_server__"),
+            (0, 1, 41_277),
+        ):
+            stamp = LoadStamp(
+                when_hours=hours, device=device, user=user, nonce=nonce
+            )
+            want = [token_join_url(spec, stamp) for spec in rows]
+            assert [resolve_url(spec, stamp) for spec in rows] == want
+            assert page.resolve_urls(stamp) == want
 
     def test_non_positive_lifetime_raises(self):
         for lifetime in (0.0, -1.0):
@@ -231,3 +248,17 @@ class TestUrlFormatOracle:
                     resolve_url(spec, stamp)
             else:
                 assert resolve_url(spec, stamp) == token_join_url(spec, stamp)
+
+    def test_unknown_device_raises_only_for_pages_with_device_specs(self):
+        stamp = LoadStamp(when_hours=3.0, device="iphone99")
+        for flux in FLUX_COMBINATIONS:
+            page = PageBlueprint(name="one", root="root")
+            page.add(make_spec(name="root", rtype=ResourceType.HTML))
+            spec = page.add(make_spec(parent="root", **flux))
+            if flux["device_dependent"]:
+                with pytest.raises(ValueError, match="unknown device"):
+                    page.resolve_urls(stamp)
+            else:
+                assert page.resolve_urls(stamp)[1] == token_join_url(
+                    spec, stamp
+                )

@@ -4,7 +4,9 @@ Pages are random valid trees with nested iframes and every kind of URL
 flux; each is materialised under several stamps in a row (so the
 memoised skeleton is reused across tablets, personalised users, nonces
 and rotation-epoch boundaries) and compared field by field.  The
-URL-only ``resolve_urls`` must list exactly the tree's URLs.
+URL-only ``resolve_urls`` must list exactly the tree's URLs, and the
+offline resolver's tree-free ``stable_record`` must equal the record
+read off its stable set's tree.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.pages.dynamics import LoadStamp
 from repro.pages.page import PageBlueprint
 from repro.pages.resources import Discovery, ResourceSpec, ResourceType
+from tests.core.test_offline import assert_record_matches_tree
 from tests.pages.test_materialize import (
     assert_same_snapshot,
     reference_materialize,
@@ -112,3 +115,6 @@ def test_materialize_matches_reference(page, stamp_list):
             page.materialize(stamp), reference_materialize(page, stamp)
         )
         assert page.resolve_urls(stamp) == page.materialize(stamp).urls()
+        assert_record_matches_tree(
+            page, stamp.when_hours, stamp.device_class
+        )

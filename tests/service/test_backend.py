@@ -180,6 +180,38 @@ class TestColdStartAndWarmup:
         assert report.latency["samples"] == offered
 
 
+class TestStoredRecords:
+    """What offline resolution leaves in the store after prewarm and a
+    few scheduler ticks."""
+
+    def ticked(self, fleet):
+        service = HintService(
+            fleet, service_config(prewarm=True, horizon_hours=1.0)
+        )
+        service.run()
+        assert service.scheduler.counters.executed > 0
+        return service
+
+    def test_stored_urls_are_sorted_and_distinct(self, fleet):
+        # Lookups read a stored URL list as it is, without re-sorting.
+        service = self.ticked(fleet)
+        payloads = [
+            entry.payload
+            for shard in service.store.shard_list()
+            for entry in shard._entries.values()
+        ]
+        assert len(payloads) == 2 * len(fleet)
+        for payload in payloads:
+            assert payload["urls"] == sorted(set(payload["urls"]))
+
+    def test_resolution_builds_no_tree(self, fleet, count_materialize):
+        service = self.ticked(fleet)
+        assert count_materialize == []
+        assert all(
+            resolver._cache == {} for resolver in service._resolvers.values()
+        )
+
+
 class TestCountersAndReport:
     def test_shard_rows_sum_to_totals(self, fleet, offered):
         report = HintService(fleet, service_config()).run()

@@ -6,7 +6,7 @@ from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.offline import (
     OfflineResolver,
     StableSet,
-    stable_set_to_dict,
+    stable_set_from_dict,
 )
 from repro.service.backend import HintService, ServiceConfig
 from repro.service.bridge import BridgeSample, evaluate_sample, evaluate_samples
@@ -38,9 +38,7 @@ class TestPrime:
     def test_primed_resolver_serves_the_stored_set(self, page):
         resolver = OfflineResolver(page)
         original = resolver.stable_set(DEFAULT_EVAL_HOUR, "phone")
-        payload = stable_set_to_dict(original)
-
-        from repro.core.offline import stable_set_from_dict
+        payload = resolver.stable_record(DEFAULT_EVAL_HOUR, "phone")
 
         fresh = OfflineResolver(page)
         fresh.prime(stable_set_from_dict(payload, page))
