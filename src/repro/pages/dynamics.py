@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.calibration import DEVICE_CLASSES
@@ -47,19 +48,23 @@ class LoadStamp:
     #: Per-load entropy for intrinsically unpredictable URLs.
     nonce: int = 0
 
-    @property
+    # The URL tokens below are cached on the stamp, so every flux spec
+    # of a load reads them for the cost of one computation.  A failed
+    # read caches nothing: an unknown device raises on every read.
+
+    @cached_property
     def device_class(self) -> str:
         try:
             return DEVICE_CLASSES[self.device]
         except KeyError:
             raise ValueError(f"unknown device {self.device!r}") from None
 
-    @property
+    @cached_property
     def nonce_tail(self) -> str:
         """This load's part of a nonce digest's input: ``|nonce|hour``."""
         return f"|{self.nonce}|{self.when_hours}"
 
-    @property
+    @cached_property
     def user_tail(self) -> str:
         """This load's part of a personalisation digest's input."""
         return f"|{self.user}"
@@ -81,37 +86,6 @@ class LoadStamp:
             user=self.user,
             nonce=self.nonce + nonce_shift,
         )
-
-
-class StampTokens:
-    """A stamp's URL tokens, computed once for a whole load.
-
-    :func:`resolve_url` reads its stamp only through ``when_hours``,
-    ``nonce_tail``, ``device_class`` and ``user_tail``.  A
-    :class:`LoadStamp` formats the tails and looks the device class up
-    on every read; this keeps them, so ``PageBlueprint.resolve_urls``
-    does that work once per load, not once per flux spec.  An unknown
-    device still raises only when a device-dependent spec reads its
-    class.
-    """
-
-    __slots__ = (
-        "when_hours", "nonce_tail", "user_tail", "_stamp", "_device_class"
-    )
-
-    def __init__(self, stamp: LoadStamp):
-        self.when_hours = stamp.when_hours
-        self.nonce_tail = stamp.nonce_tail
-        self.user_tail = stamp.user_tail
-        self._stamp = stamp
-        self._device_class = DEVICE_CLASSES.get(stamp.device)
-
-    @property
-    def device_class(self) -> str:
-        device_class = self._device_class
-        if device_class is None:
-            return self._stamp.device_class  # raises: unknown device
-        return device_class
 
 
 def _digest_of(joined: str) -> str:
@@ -161,9 +135,7 @@ def has_flux(spec: ResourceSpec) -> bool:
     )
 
 
-def resolve_url(  # repro: hotpath
-    spec: ResourceSpec, stamp: LoadStamp | StampTokens
-) -> str:
+def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:  # repro: hotpath
     """The concrete URL ``spec`` resolves to under ``stamp``.
 
     Deterministic: identical (spec, stamp) pairs always agree, and two

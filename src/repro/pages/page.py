@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.pages.dynamics import (
     LoadStamp,
-    StampTokens,
     has_flux,
     resolve_size,
     resolve_url,
@@ -119,15 +118,12 @@ class PageBlueprint:
         Equal to ``materialize(stamp).urls()`` without building the tree:
         each row of the memoised :class:`_Skeleton` without flux already
         carries its URL, so only flux rows call :func:`resolve_url`, and
-        they read the stamp's tokens from one :class:`StampTokens`.
+        they share the URL tokens the stamp caches on first read.
         Specs the root cannot reach are neither listed nor resolved.
         """
-        skeleton = self._skeleton()
-        # Only flux rows read the stamp: a page without any needs no tokens.
-        tokens = StampTokens(stamp) if skeleton.flux else stamp
         return [
-            resolve_url(spec, tokens) if url is None else url
-            for spec, _, _, _, url, _ in skeleton.rows
+            resolve_url(spec, stamp) if url is None else url
+            for spec, _, _, _, url, _ in self._skeleton().rows
         ]
 
     def sized_specs(self, stamp: LoadStamp) -> List[Tuple[ResourceSpec, int]]:
@@ -229,7 +225,7 @@ class PageBlueprint:
         if skeleton is not None:
             return skeleton
         rows: List[_Row] = []
-        flux = device_sized = False
+        device_sized = False
         row_of: Dict[str, int] = {}
         # (spec, parent row, parent's in_iframe or parent is an iframe doc)
         stack = [(self.specs[self.root], -1, False)]
@@ -241,7 +237,6 @@ class PageBlueprint:
             url = None if has_flux(spec) else resolve_url(spec, _ANY_STAMP)
             size = resolve_size(spec, _ANY_STAMP)
             rows.append((spec, parent_row, iframe_doc, in_iframe, url, size))
-            flux = flux or url is None
             device_sized = device_sized or spec.device_dependent
             below = in_iframe or iframe_doc
             for child in reversed(self.children_of(spec.name)):
@@ -255,7 +250,6 @@ class PageBlueprint:
         # runs once per blueprint.
         skeleton = self._skeleton_cache = _Skeleton(
             rows=rows,
-            flux=flux,
             device_sized=device_sized,
             strays=strays,
             slots=[(name, row_of[name]) for name in self.specs],
@@ -291,16 +285,14 @@ class _Skeleton(NamedTuple):
 
     ``rows`` lists the resources the root reaches, in the client's
     pre-order processing order.  A child is in an iframe if its parent
-    is, or if its parent is a document other than the root.  ``flux``
-    says whether any row's URL depends on the stamp, and
-    ``device_sized`` whether any row's size depends on the device
+    is, or if its parent is a document other than the root.
+    ``device_sized`` says whether any row's size depends on the device
     class.  ``strays`` are specs the root does not reach, and ``slots``
     maps each spec name, in spec order, to its index in ``rows +
     strays``: the key order of :attr:`PageSnapshot.resources`.
     """
 
     rows: List[_Row]
-    flux: bool
     device_sized: bool
     strays: List[ResourceSpec]
     slots: List[Tuple[str, int]]

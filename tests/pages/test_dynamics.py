@@ -43,6 +43,24 @@ class TestLoadStamp:
         with pytest.raises(ValueError):
             LoadStamp(when_hours=0, device="iphone99").device_class
 
+    def test_unknown_device_rejected_on_every_read(self):
+        stamp = LoadStamp(when_hours=0, device="iphone99")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown device"):
+                stamp.device_class
+
+    def test_cached_tokens_leave_identity_alone(self):
+        read = LoadStamp(when_hours=2.5, device="nexus10", user="u", nonce=7)
+        assert (read.device_class, read.nonce_tail, read.user_tail) == (
+            "tablet",
+            "|7|2.5",
+            "|u",
+        )
+        fresh = LoadStamp(when_hours=2.5, device="nexus10", user="u", nonce=7)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+
     def test_back_to_back_same_instant_new_nonce(self):
         b2b = STAMP.back_to_back()
         assert b2b.when_hours == STAMP.when_hours
@@ -198,9 +216,9 @@ class TestUrlFormatOracle:
         assert len(FLUX_COMBINATIONS) == 16
 
     def test_matches_token_join(self):
-        # The 16 specs also hang off one root, so resolve_urls, which
-        # shares one set of stamp tokens across the page, is held to the
-        # oracle row by row.
+        # The 16 specs also hang off one root, so resolve_urls, whose
+        # rows share the tokens the stamp caches, is held to the oracle
+        # row by row.
         page = PageBlueprint(name="flux", root="root")
         root = page.add(
             make_spec(name="root", rtype=ResourceType.HTML, domain="b.org")
