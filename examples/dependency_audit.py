@@ -27,7 +27,7 @@ def main() -> None:
 
     # -- what the offline database holds -------------------------------
     offline = OfflineResolver(page)
-    stable = offline.stable_set(stamp.when_hours, "phone")
+    stable = set(offline.stable_set(stamp.when_hours, "phone")["urls"])
     print(f"page {page.name!r}")
     print(
         f"offline stable set: {len(stable)} URLs "
@@ -36,7 +36,7 @@ def main() -> None:
 
     # -- what online analysis adds for THIS response -------------------
     analysis = analyze_html(snapshot.root.url, snapshot.root.body)
-    fresh = [url for url in analysis.urls if url not in stable.urls]
+    fresh = [url for url in analysis.urls if url not in stable]
     print(
         f"online HTML analysis: {len(analysis.urls)} URLs in the served "
         f"body, {len(fresh)} of them missing from the stable set "

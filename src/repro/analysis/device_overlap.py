@@ -36,7 +36,7 @@ def intersection_over_union(
         stable = resolver.stable_set(
             device_stamp.when_hours, device_stamp.device_class
         )
-        urls[device] = set(stable.urls)
+        urls[device] = set(stable["urls"])
     union = urls[device_a] | urls[device_b]
     if not union:
         return 1.0

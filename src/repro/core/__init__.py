@@ -15,7 +15,7 @@
 """
 
 from repro.core.hints import DependencyHint, HintBundle
-from repro.core.offline import OfflineResolver, StableSet
+from repro.core.offline import OfflineResolver
 from repro.core.online import analyze_html
 from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.core.push_policy import PushPolicy
@@ -26,7 +26,6 @@ __all__ = [
     "DependencyHint",
     "HintBundle",
     "OfflineResolver",
-    "StableSet",
     "analyze_html",
     "ResolutionStrategy",
     "VroomResolver",

@@ -32,7 +32,7 @@ def stable_name_set(
     """Spec names in a page's stable set (names compare across pages of
     the same template; URLs do not)."""
     stable = OfflineResolver(page).stable_set(as_of_hours, device_class)
-    return {exemplar.name for exemplar in stable.exemplars.values()}
+    return {exemplar["name"] for exemplar in stable["exemplars"].values()}
 
 
 def _shared_names(a: Set[str], b: Set[str]) -> float:

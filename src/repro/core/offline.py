@@ -6,11 +6,13 @@ identity and a fresh nonce per load).  The *stable set* at any moment is
 the set of URLs seen in **all** loads inside the recent window —
 intersection filters out nonce URLs and anything that rotated mid-window.
 
-The older loads of the window contribute only their URL lists, from
-``PageBlueprint.resolve_urls``.  :meth:`OfflineResolver.stable_set`
-builds the newest load's tree, whose resources a Vroom server's hints
-need; ``stable_record``, the record a hint service stores, builds no
-tree: it reads the newest load's URLs and ``PageBlueprint.sized_specs``.
+:meth:`OfflineResolver.stable_set` returns the stable set as the one
+record every consumer reads: the Vroom server's hint path
+(:class:`~repro.core.resolver.VroomResolver`), the hint service's store
+and the accuracy bridge, which primes a resolver with the stored record
+as it is.  No tree is built: each load of the window contributes its
+URL list from ``PageBlueprint.resolve_urls``, and the newest load's
+``PageBlueprint.sized_specs`` supplies each stable URL's spec and size.
 
 Device-specific customisation is handled with equivalence classes: the
 server loads each page once per device class (phone, tablet, ...) rather
@@ -19,7 +21,6 @@ than per device model, using emulation (Sec 4.1.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.calibration import (
@@ -28,7 +29,6 @@ from repro.calibration import (
 )
 from repro.pages.dynamics import LoadStamp, stable_nonce
 from repro.pages.page import PageBlueprint, PageSnapshot
-from repro.pages.resources import Resource
 
 #: Identity used for server-side loads (its cookies are the server's own,
 #: never a user's — the whole point of the design).
@@ -36,24 +36,6 @@ SERVER_USER = "__vroom_server__"
 
 #: Device model used to emulate each equivalence class.
 CLASS_EMULATION_DEVICE = {"phone": "nexus6", "tablet": "nexus10"}
-
-
-@dataclass
-class StableSet:
-    """URLs observed in every load of the recent offline window."""
-
-    page: str
-    device_class: str
-    as_of_hours: float
-    urls: Set[str] = field(default_factory=set)
-    #: url -> representative Resource from the latest offline load.
-    exemplars: Dict[str, Resource] = field(default_factory=dict)
-
-    def __contains__(self, url: str) -> bool:
-        return url in self.urls
-
-    def __len__(self) -> int:
-        return len(self.urls)
 
 
 class OfflineResolver:
@@ -73,7 +55,6 @@ class OfflineResolver:
         self.page = page
         self.period_hours = period_hours
         self.window_loads = window_loads
-        self._cache: Dict[tuple, StableSet] = {}
 
     def _stamps(
         self, as_of_hours: float, device_class: str
@@ -108,23 +89,6 @@ class OfflineResolver:
             for stamp in self._stamps(as_of_hours, device_class)
         ]
 
-    def prime(self, stable: StableSet) -> None:
-        """Install a precomputed stable set into the resolver's cache.
-
-        A hint-serving backend persists stable sets and serves them
-        later; priming lets a resolver answer ``stable_set`` queries at
-        the set's own ``as_of_hours`` from the *stored* record instead
-        of recomputing — which is how the service's accuracy bridge
-        replays exactly the hints the store held at lookup time.
-        """
-        if stable.page != self.page.name:
-            raise ValueError(
-                f"stable set for {stable.page!r} cannot prime a resolver "
-                f"for {self.page.name!r}"
-            )
-        key = (round(stable.as_of_hours, 6), stable.device_class)
-        self._cache[key] = stable
-
     def _window_urls(
         self, older: List[LoadStamp], newest_urls: List[str]
     ) -> Set[str]:
@@ -137,56 +101,52 @@ class OfflineResolver:
 
     def stable_set(
         self, as_of_hours: float, device_class: str = "phone"
-    ) -> StableSet:
-        """Intersection of the recent offline loads for a device class.
-
-        Only the newest load is materialised: it supplies the exemplars.
-        The older loads contribute nothing but their URL lists, which
-        :meth:`PageBlueprint.resolve_urls` reads off without building a
-        tree.
-        """
-        key = (round(as_of_hours, 6), device_class)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        *older, newest = self._stamps(as_of_hours, device_class)
-        latest = self.page.materialize(newest)
-        stable_urls = self._window_urls(older, latest.urls())
-        exemplars: Dict[str, Resource] = {}
-        for resource in latest.all_resources():
-            if resource.url in stable_urls:
-                exemplars[resource.url] = resource
-        result = StableSet(
-            page=self.page.name,
-            device_class=device_class,
-            as_of_hours=as_of_hours,
-            urls=stable_urls,
-            exemplars=exemplars,
-        )
-        self._cache[key] = result
-        return result
-
-    def stable_record(
-        self, as_of_hours: float, device_class: str = "phone"
     ) -> dict:
-        """The stable set as the record a hint service persists.
+        """The stable set for a device class, as the record a hint
+        service stores and a Vroom server's hints read.
 
-        The same window and intersection as :meth:`stable_set`, with no
-        tree and no memo.  ``urls`` is the sorted stable set.
+        ``urls`` is the sorted intersection of the window's URL lists;
         ``exemplars`` maps each stable URL to the ``name``, ``size``,
         ``rtype`` value and ``process_order`` of its resource in the
-        newest load, walked in processing order: as in
-        :meth:`stable_set`'s walk, a URL two resources share takes its
-        place from the first and its fields from the last.
-        :func:`stable_set_from_dict` rehydrates the record.
+        newest load.  No tree is built and nothing is memoised.
         """
         *older, newest = self._stamps(as_of_hours, device_class)
         urls = self.page.resolve_urls(newest)
-        stable_urls = self._window_urls(older, urls)
+        return self._record(
+            as_of_hours,
+            device_class,
+            newest,
+            urls,
+            self._window_urls(older, urls),
+        )
+
+    def single_prior_load(
+        self, as_of_hours: float, device_class: str = "phone"
+    ) -> dict:
+        """Strawman for Fig 17: everything seen in the most recent load,
+        as a :meth:`stable_set` record."""
+        newest = self._stamps(as_of_hours, device_class)[-1]
+        urls = self.page.resolve_urls(newest)
+        return self._record(
+            as_of_hours, device_class, newest, urls, set(urls)
+        )
+
+    def _record(
+        self,
+        as_of_hours: float,
+        device_class: str,
+        newest: LoadStamp,
+        urls: List[str],
+        kept: Set[str],
+    ) -> dict:
+        """The record of the URLs in ``kept``, read off the newest load
+        (``urls`` is its URL list) in processing order: a URL two
+        resources share takes its key position from the first and its
+        fields from the last, and ``process_order`` is the row index."""
         exemplars: Dict[str, dict] = {}
         for order, (spec, size) in enumerate(self.page.sized_specs(newest)):
             url = urls[order]
-            if url in stable_urls:
+            if url in kept:
                 # ``_value_`` skips the enum's ``value`` descriptor.
                 exemplars[url] = {
                     "name": spec.name,
@@ -198,55 +158,9 @@ class OfflineResolver:
             "page": self.page.name,
             "device_class": device_class,
             "as_of_hours": as_of_hours,
-            "urls": sorted(stable_urls),
+            "urls": sorted(kept),
             "exemplars": exemplars,
         }
-
-    def single_prior_load(
-        self, as_of_hours: float, device_class: str = "phone"
-    ) -> StableSet:
-        """Strawman for Fig 17: everything seen in the most recent load."""
-        newest = self._stamps(as_of_hours, device_class)[-1]
-        latest = self.page.materialize(newest)
-        exemplars = {
-            resource.url: resource for resource in latest.all_resources()
-        }
-        return StableSet(
-            page=self.page.name,
-            device_class=device_class,
-            as_of_hours=as_of_hours,
-            urls=set(exemplars),
-            exemplars=exemplars,
-        )
-
-
-def stable_set_from_dict(data: dict, page: PageBlueprint) -> StableSet:
-    """Rehydrate a persisted stable set against its page blueprint.
-
-    Exemplars are re-resolved from the blueprint's specs: the persisted
-    record stores the stable *facts* (URL, name, size, order); the spec
-    supplies the behaviourally relevant attributes.
-    """
-    from repro.pages.resources import Resource
-
-    exemplars = {}
-    for url, record in data["exemplars"].items():
-        spec = page.specs.get(record["name"])
-        if spec is None:
-            raise ValueError(
-                f"persisted exemplar {record['name']!r} unknown to page "
-                f"{page.name!r}"
-            )
-        resource = Resource(spec=spec, url=url, size=record["size"])
-        resource.process_order = record["process_order"]
-        exemplars[url] = resource
-    return StableSet(
-        page=data["page"],
-        device_class=data["device_class"],
-        as_of_hours=data["as_of_hours"],
-        urls=set(data["urls"]),
-        exemplars=exemplars,
-    )
 
 
 def device_equivalence_classes(

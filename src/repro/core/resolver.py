@@ -22,10 +22,14 @@ online-only (a full on-the-fly server load, including its *own* nonce URLs
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.core.hints import DependencyHint, HintBundle, bundle_from_hints
-from repro.core.offline import SERVER_USER, OfflineResolver, StableSet
+from repro.core.offline import (
+    CLASS_EMULATION_DEVICE,
+    SERVER_USER,
+    OfflineResolver,
+)
 from repro.core.online import analyze_html
 from repro.pages.dynamics import LoadStamp, stable_nonce
 from repro.pages.page import PageBlueprint
@@ -49,22 +53,65 @@ class ResolutionStrategy(enum.Enum):
 
 
 class VroomResolver:
-    """Per-page dependency resolver used by Vroom-compliant servers."""
+    """Per-page dependency resolver used by Vroom-compliant servers.
+
+    The offline component reads :meth:`OfflineResolver.stable_set`
+    records (:meth:`OfflineResolver.single_prior_load` records for the
+    ``PREV_LOAD`` strawman), one per ``(as_of_hours, device_class)``,
+    which every document of a load shares.  :meth:`prime` installs a
+    stored record instead.
+    """
 
     def __init__(
         self,
         page: PageBlueprint,
         strategy: ResolutionStrategy = ResolutionStrategy.VROOM,
-        offline: Optional[OfflineResolver] = None,
         atf_first: bool = False,
     ):
         self.page = page
         self.strategy = strategy
-        self.offline = offline or OfflineResolver(page)
+        self.offline = OfflineResolver(page)
         #: Extension: order above-the-fold media ahead of the rest of the
         #: x-unimportant class so visual completeness converges sooner.
         self.atf_first = atf_first
         self._envelope_cache: Dict[str, Set[str]] = {}
+        #: ``(round(as_of_hours, 6), device_class)`` -> record.  Records
+        #: are shared with whoever supplied them and never mutated.
+        self._records: Dict[Tuple[float, str], dict] = {}
+
+    def prime(self, record: dict) -> None:
+        """Serve a stored :meth:`OfflineResolver.stable_set` record.
+
+        A hint-serving backend stores records and serves them later;
+        priming makes the resolver answer at the record's own
+        ``as_of_hours`` and device class from that record, as it is,
+        instead of resolving afresh.  This is how the service's accuracy
+        bridge replays exactly the hints the store held at lookup time.
+        """
+        if record["page"] != self.page.name:
+            raise ValueError(
+                f"stable set for {record['page']!r} cannot prime a "
+                f"resolver for {self.page.name!r}"
+            )
+        for exemplar in record["exemplars"].values():
+            if exemplar["name"] not in self.page.specs:
+                raise ValueError(
+                    f"stored exemplar {exemplar['name']!r} unknown to "
+                    f"page {self.page.name!r}"
+                )
+        key = (round(record["as_of_hours"], 6), record["device_class"])
+        self._records[key] = record
+
+    def _offline_record(self, as_of_hours: float, device_class: str) -> dict:
+        key = (round(as_of_hours, 6), device_class)
+        record = self._records.get(key)
+        if record is None:
+            if self.strategy is ResolutionStrategy.PREV_LOAD:
+                resolve = self.offline.single_prior_load
+            else:
+                resolve = self.offline.stable_set
+            record = self._records[key] = resolve(as_of_hours, device_class)
+        return record
 
     # -- structural helpers ---------------------------------------------------
 
@@ -118,32 +165,25 @@ class VroomResolver:
         if self.strategy is ResolutionStrategy.ONLINE_ONLY:
             hints = self._online_full_load(doc, as_of_hours, device_class)
         else:
-            if self.strategy is ResolutionStrategy.PREV_LOAD:
-                stable = self.offline.single_prior_load(
-                    as_of_hours, device_class
-                )
-            else:
-                stable = self.offline.stable_set(as_of_hours, device_class)
-            hints.extend(self._offline_hints(doc, stable, envelope))
+            record = self._offline_record(as_of_hours, device_class)
+            hints.extend(self._offline_hints(record, envelope))
             if self.strategy is ResolutionStrategy.VROOM:
                 hints.extend(self._online_hints(doc))
         hints.sort(key=lambda hint: (hint.priority, hint.order))
         return bundle_from_hints(doc.url, hints)
 
     def _offline_hints(
-        self,
-        doc: Resource,
-        stable: StableSet,
-        envelope: Set[str],
+        self, record: dict, envelope: Set[str]
     ) -> List[DependencyHint]:
         user_state = self._user_state_derived()
         hints = []
-        for url, exemplar in stable.exemplars.items():
-            if exemplar.name not in envelope:
+        for url, exemplar in record["exemplars"].items():
+            name = exemplar["name"]
+            if name not in envelope:
                 continue
-            if exemplar.name in user_state:
+            if name in user_state:
                 continue
-            hints.append(self._hint_from_resource(exemplar))
+            hints.append(self._hint(url, name, exemplar["size"]))
         return hints
 
     def _online_hints(self, doc: Resource) -> List[DependencyHint]:
@@ -154,7 +194,7 @@ class VroomResolver:
         for index, url in enumerate(analysis.urls):
             child = by_url.get(url)
             if child is not None:
-                hints.append(self._hint_from_resource(child))
+                hints.append(self._hint(url, child.name, child.size))
             else:
                 # A URL in markup with no known structure: type and
                 # priority come from the visible extension alone.
@@ -173,8 +213,6 @@ class VroomResolver:
         """Strawman 1: the server loads the page on the fly, with its own
         cookies and its own nonce draw, and returns everything it fetched
         inside the envelope."""
-        from repro.core.offline import CLASS_EMULATION_DEVICE
-
         stamp = LoadStamp(
             when_hours=as_of_hours,
             device=CLASS_EMULATION_DEVICE[device_class],
@@ -186,24 +224,26 @@ class VroomResolver:
         if server_doc is None:
             return []
         return [
-            self._hint_from_resource(resource)
+            self._hint(resource.url, resource.name, resource.size)
             for resource in server_snapshot.hintable_descendants(server_doc)
         ]
 
-    def _hint_from_resource(self, resource: Resource) -> DependencyHint:
-        order = processing_order_key(resource)
+    def _hint(self, url: str, name: str, size: int) -> DependencyHint:
+        """The hint for the resource of spec ``name`` at ``url``: its
+        priority and order key follow from the spec's ancestor chain."""
+        spec = self.page.specs[name]
+        in_iframe = _in_iframe(self.page, spec)
+        priority = spec_priority(spec, in_iframe)
+        order = processing_order_key(self.page, name)
         if (
             self.atf_first
-            and resource.priority is Priority.UNIMPORTANT
-            and resource.spec.above_fold
-            and not resource.in_iframe
+            and priority is Priority.UNIMPORTANT
+            and spec.above_fold
+            and not in_iframe
         ):
             order -= 1_000.0  # front of the x-unimportant list
         return DependencyHint(
-            url=resource.url,
-            priority=resource.priority,
-            order=order,
-            size_estimate=resource.size,
+            url=url, priority=priority, order=order, size_estimate=size
         )
 
     # -- accuracy-analysis support ------------------------------------------------
@@ -223,8 +263,8 @@ class VroomResolver:
         )
 
 
-def processing_order_key(resource: Resource) -> float:
-    """Estimated position of ``resource`` in the client's processing
+def processing_order_key(page: PageBlueprint, name: str) -> float:
+    """Estimated position of spec ``name`` in the client's processing
     timeline, learned from the server's own loads (Sec 5.1: "the server
     discovers this order during its offline and online dependency
     resolution").
@@ -232,19 +272,31 @@ def processing_order_key(resource: Resource) -> float:
     A static child of a document unlocks when the parser reaches its
     position; a script-computed child unlocks a full round after its
     parent executes; a CSS reference unlocks when the sheet is parsed.
+    The steps are summed from the spec up its parent chain to the root.
     """
     key = 0.0
-    node: Optional[Resource] = resource
-    while node is not None and node.parent is not None:
-        discovery = node.spec.discovery.value
+    spec = page.specs[name]
+    while spec.parent is not None:
+        discovery = spec.discovery.value
         if discovery == "static":
-            key += node.spec.position
+            key += spec.position
         elif discovery == "script":
             key += 1.0
         else:  # css
             key += 0.5
-        node = node.parent
+        spec = page.specs[spec.parent]
     return key
+
+
+def _in_iframe(page: PageBlueprint, spec: ResourceSpec) -> bool:
+    """Whether a strict ancestor of ``spec`` is a document other than
+    the root: the rule :meth:`PageBlueprint.materialize` sets
+    ``Resource.in_iframe`` by."""
+    while spec.parent is not None:
+        spec = page.specs[spec.parent]
+        if spec.is_document and spec.parent is not None:
+            return True
+    return False
 
 
 _EXT_PRIORITY = {

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Set
 
 from repro.calibration import VROOM_ONLINE_PARSE_OVERHEAD
 from repro.core.hints import HintBundle
-from repro.core.offline import OfflineResolver
 from repro.core.push_policy import PushPolicy, select_pushes
 from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.net.origin import OriginServer, Response
@@ -28,37 +27,43 @@ def first_party_domains(page: PageBlueprint) -> Set[str]:
     return {f"{page.name}.com"}
 
 
-def make_vroom_decorator(
-    page: PageBlueprint,
+def hint_bundles(
     snapshot: PageSnapshot,
+    resolver: VroomResolver,
+    *,
+    as_of_hours: float,
+    device_class: str = "phone",
+    adopting_domains: Optional[Set[str]] = None,
+) -> Dict[str, HintBundle]:
+    """Document URL -> the hint bundle its response carries.
+
+    ``adopting_domains`` of ``None`` means universal adoption; documents
+    on other domains get no bundle.  Hints depend only on the snapshot
+    and the offline database, not on request timing, so each document's
+    bundle is computed once per load and every consumer reads it.
+    """
+    return {
+        doc.url: resolver.hints_for(
+            doc, as_of_hours=as_of_hours, device_class=device_class
+        )
+        for doc in snapshot.documents()
+        if adopting_domains is None or doc.domain in adopting_domains
+    }
+
+
+def make_vroom_decorator(
+    bundles: Dict[str, HintBundle],
     *,
     strategy: ResolutionStrategy = ResolutionStrategy.VROOM,
     push_policy: PushPolicy = PushPolicy.HIGH_PRIORITY_LOCAL,
     send_hints: bool = True,
-    adopting_domains: Optional[Set[str]] = None,
-    as_of_hours: Optional[float] = None,
-    device_class: str = "phone",
-    resolver: Optional[VroomResolver] = None,
 ) -> ResponseDecorator:
-    """Response decorator adding hints/pushes to HTML responses.
-
-    ``adopting_domains`` of ``None`` means universal adoption.  Hints for
-    every document are precomputed once (they depend only on the snapshot
-    and the offline database, not on request timing).
-    """
-    resolver = resolver or VroomResolver(page, strategy=strategy)
-    when = as_of_hours if as_of_hours is not None else snapshot.stamp.when_hours
-    bundles: Dict[str, HintBundle] = {}
+    """Response decorator adding ``bundles``' hints and pushes to HTML
+    responses (see :func:`hint_bundles`)."""
     uses_online = strategy in (
         ResolutionStrategy.VROOM,
         ResolutionStrategy.ONLINE_ONLY,
     )
-    for doc in snapshot.documents():
-        if adopting_domains is not None and doc.domain not in adopting_domains:
-            continue
-        bundles[doc.url] = resolver.hints_for(
-            doc, as_of_hours=when, device_class=device_class
-        )
 
     def decorate(
         recorded: RecordedResponse, response: Response, is_push: bool
@@ -79,29 +84,18 @@ def make_vroom_decorator(
 
 
 def hinted_extra_content(
-    page: PageBlueprint,
-    snapshot: PageSnapshot,
-    resolver: VroomResolver,
-    *,
-    as_of_hours: float,
-    device_class: str = "phone",
-    adopting_domains: Optional[Set[str]] = None,
+    snapshot: PageSnapshot, bundles: Dict[str, HintBundle]
 ) -> Dict[str, RecordedResponse]:
     """Servable bodies for hinted URLs absent from this load.
 
     Server false positives (stale offline entries, the online-only
     strawman's own nonce URLs) are fetched by the client even though the
     page never references them; origin servers must have *something* to
-    return.  Sizes come from the resolver's own exemplars.
+    return.  Sizes come from the hints' own size estimates.
     """
     known = set(snapshot.urls())
     extra: Dict[str, RecordedResponse] = {}
-    for doc in snapshot.documents():
-        if adopting_domains is not None and doc.domain not in adopting_domains:
-            continue
-        bundle = resolver.hints_for(
-            doc, as_of_hours=as_of_hours, device_class=device_class
-        )
+    for bundle in bundles.values():
         for hint in bundle:
             if hint.url in known or hint.url in extra:
                 continue
@@ -123,29 +117,24 @@ def vroom_servers(
     push_policy: PushPolicy = PushPolicy.HIGH_PRIORITY_LOCAL,
     send_hints: bool = True,
     adopting_domains: Optional[Set[str]] = None,
-    offline: Optional[OfflineResolver] = None,
     atf_first: bool = False,
 ) -> Dict[str, OriginServer]:
     """Per-domain servers implementing the chosen Vroom configuration."""
-    resolver = VroomResolver(
-        page, strategy=strategy, offline=offline, atf_first=atf_first
-    )
-    when = snapshot.stamp.when_hours
-    decorator = make_vroom_decorator(
-        page,
+    resolver = VroomResolver(page, strategy=strategy, atf_first=atf_first)
+    bundles = hint_bundles(
         snapshot,
+        resolver,
+        as_of_hours=snapshot.stamp.when_hours,
+        adopting_domains=adopting_domains,
+    )
+    decorator = make_vroom_decorator(
+        bundles,
         strategy=strategy,
         push_policy=push_policy,
         send_hints=send_hints,
-        adopting_domains=adopting_domains,
-        as_of_hours=when,
-        resolver=resolver,
     )
-    extra = hinted_extra_content(
-        page,
-        snapshot,
-        resolver,
-        as_of_hours=when,
-        adopting_domains=adopting_domains,
+    return build_servers(
+        store,
+        decorator=decorator,
+        extra_content=hinted_extra_content(snapshot, bundles),
     )
-    return build_servers(store, decorator=decorator, extra_content=extra)

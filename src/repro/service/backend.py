@@ -484,7 +484,7 @@ class HintService:
         self, page_name: str, device_class: str, now_hours: float
     ) -> None:
         """Resolve one key at ``now_hours`` and insert it into the store."""
-        payload = self._resolver(page_name).stable_record(
+        payload = self._resolver(page_name).stable_set(
             round(now_hours, 6), device_class
         )
         entry = StoreEntry(
@@ -508,8 +508,9 @@ class HintService:
         """Run one scheduler tick (health sync, reshard step, batch).
 
         Each job of the batch stores the record
-        :meth:`OfflineResolver.stable_record` builds at the tick's hour,
-        which leaves no memo behind: over a long horizon nothing the
+        :meth:`OfflineResolver.stable_set` builds at the tick's hour,
+        the same record a Vroom server's hints read.  It builds no tree
+        and leaves no memo behind: over a long horizon nothing the
         resolvers hold grows with simulated time.
         """
         self.store.sync_health(now_hours)

@@ -7,13 +7,13 @@ held at the instant it served them?**  For a sampled lookup it:
 1. Materialises the *client's* load — a real snapshot at the lookup's
    simulated hour, device and user (``pages`` flux included).
 2. Reconstructs the hint set the store served: the stored stable-set
-   payload is rehydrated and **primed** into an
-   :class:`~repro.core.offline.OfflineResolver`
-   (:meth:`~repro.core.offline.OfflineResolver.prime`), so the
-   resolver answers with exactly the record the store held — no
-   recomputation, no accidental freshness.  Online analysis still runs
-   against the live body being served, as a real Vroom front end
-   would.
+   payload is **primed**, as it is, into a
+   :class:`~repro.core.resolver.VroomResolver`
+   (:meth:`~repro.core.resolver.VroomResolver.prime`), so the resolver
+   answers with exactly the record the store held — no recomputation,
+   no accidental freshness — and builds from it the hints a Vroom
+   server would send.  Online analysis still runs against the live
+   body being served, as a real Vroom front end would.
 3. Scores that hint set against the load's *predictable partition*
    (:mod:`repro.analysis.accuracy`): precision and recall, next to the
    oracle resolver that computes its offline component fresh at the
@@ -31,14 +31,14 @@ from typing import List, Optional
 
 from repro.analysis.accuracy import predictable_partition
 from repro.browser.engine import BrowserConfig, load_page
-from repro.core.offline import (
-    CLASS_EMULATION_DEVICE,
-    OfflineResolver,
-    stable_set_from_dict,
-)
+from repro.core.offline import CLASS_EMULATION_DEVICE
 from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.core.scheduler import VroomScheduler
-from repro.core.server import hinted_extra_content, make_vroom_decorator
+from repro.core.server import (
+    hint_bundles,
+    hinted_extra_content,
+    make_vroom_decorator,
+)
 from repro.net.http import NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.pages.dynamics import LoadStamp
@@ -71,9 +71,9 @@ def _served_resolver(
     """A resolver that reproduces the hints the store served, exactly."""
     if sample.payload is None or sample.computed_at_hours is None:
         return None
-    offline = OfflineResolver(page)
-    offline.prime(stable_set_from_dict(sample.payload, page))
-    return VroomResolver(page, offline=offline)
+    resolver = VroomResolver(page)
+    resolver.prime(sample.payload)
+    return resolver
 
 
 def _hint_urls(
@@ -123,21 +123,17 @@ def _loaded_plt(
         servers = build_servers(store)
         config = NetworkConfig()
         return load_page(snapshot, servers, config, browser).plt
-    decorator = make_vroom_decorator(
-        page,
-        snapshot,
-        as_of_hours=as_of_hours,
-        device_class=device_class,
-        resolver=resolver,
-    )
-    extra = hinted_extra_content(
-        page,
+    bundles = hint_bundles(
         snapshot,
         resolver,
         as_of_hours=as_of_hours,
         device_class=device_class,
     )
-    servers = build_servers(store, decorator=decorator, extra_content=extra)
+    servers = build_servers(
+        store,
+        decorator=make_vroom_decorator(bundles),
+        extra_content=hinted_extra_content(snapshot, bundles),
+    )
     config = NetworkConfig(h2_scheduling=StreamScheduling.FIFO)
     return load_page(
         snapshot, servers, config, browser, policy=VroomScheduler()

@@ -52,8 +52,8 @@ class StoreEntry:
 
     page: str
     device_class: str
-    #: Stable-set record (``core.offline.OfflineResolver.stable_record``)
-    #: — the bytes a production store would actually hold.
+    #: Stable-set record (``core.offline.OfflineResolver.stable_set``),
+    #: stored, served and primed into a ``VroomResolver`` as it is.
     payload: dict
     #: Simulated hour the offline resolution that produced it ran.
     computed_at_hours: float

@@ -9,6 +9,7 @@ from repro.core.offline import (
     SERVER_USER,
     device_equivalence_classes,
 )
+from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.pages.dynamics import LoadStamp, resolve_url
 from repro.pages.page import PageBlueprint
 from repro.pages.resources import ResourceSpec, ResourceType
@@ -39,6 +40,10 @@ class TestOfflineLoads:
             resolver.offline_loads(100.0, "smartwatch")
 
 
+def _names(record):
+    return {exemplar["name"] for exemplar in record["exemplars"].values()}
+
+
 class TestStableSet:
     def test_stable_set_excludes_nonce_urls(self, page, stamp):
         resolver = OfflineResolver(page)
@@ -48,10 +53,7 @@ class TestStableSet:
             for spec in page.specs.values()
             if spec.unpredictable
         }
-        stable_names = {
-            exemplar.name for exemplar in stable.exemplars.values()
-        }
-        assert not (stable_names & nonce_specs)
+        assert not (_names(stable) & nonce_specs)
 
     def test_stable_set_keeps_long_lived_resources(self, page, stamp):
         resolver = OfflineResolver(page)
@@ -63,9 +65,7 @@ class TestStableSet:
             and not spec.unpredictable
             and not spec.personalized
         ]
-        stable_names = {
-            exemplar.name for exemplar in stable.exemplars.values()
-        }
+        stable_names = _names(stable)
         missing = [s.name for s in long_lived if s.name not in stable_names]
         assert not missing
 
@@ -73,28 +73,50 @@ class TestStableSet:
         resolver = OfflineResolver(page)
         stable = resolver.stable_set(stamp.when_hours, "phone")
         latest = resolver.offline_loads(stamp.when_hours, "phone")[-1]
-        assert stable.urls <= set(latest.urls())
+        assert set(stable["urls"]) <= set(latest.urls())
 
-    def test_cached_by_time_and_class(self, page, stamp):
-        resolver = OfflineResolver(page)
-        first = resolver.stable_set(stamp.when_hours, "phone")
-        second = resolver.stable_set(stamp.when_hours, "phone")
-        assert first is second
-        tablet = resolver.stable_set(stamp.when_hours, "tablet")
-        assert tablet is not first
+    def test_cached_by_time_and_class(self, page, stamp, monkeypatch):
+        """The offline resolver recomputes every call; the Vroom
+        resolver keeps one record per (hour, class) for all documents."""
+        offline = OfflineResolver(page)
+        first = offline.stable_set(stamp.when_hours, "phone")
+        again = offline.stable_set(stamp.when_hours, "phone")
+        assert again == first and again is not first
+        calls = []
+        stable_set = OfflineResolver.stable_set
+
+        def counting(self, as_of_hours, device_class="phone"):
+            calls.append((as_of_hours, device_class))
+            return stable_set(self, as_of_hours, device_class)
+
+        monkeypatch.setattr(OfflineResolver, "stable_set", counting)
+        resolver = VroomResolver(page, ResolutionStrategy.OFFLINE_ONLY)
+        documents = page.materialize(stamp).documents()
+        assert len(documents) > 1
+        for device_class in ("phone", "phone", "tablet"):
+            for doc in documents:
+                resolver.hints_for(
+                    doc,
+                    as_of_hours=stamp.when_hours,
+                    device_class=device_class,
+                )
+        assert calls == [
+            (stamp.when_hours, "phone"),
+            (stamp.when_hours, "tablet"),
+        ]
 
     def test_single_prior_load_is_superset(self, page, stamp):
         resolver = OfflineResolver(page)
         stable = resolver.stable_set(stamp.when_hours, "phone")
         single = resolver.single_prior_load(stamp.when_hours, "phone")
-        assert stable.urls <= single.urls
+        assert set(stable["urls"]) <= set(single["urls"])
 
     def test_contains_and_len(self, page, stamp):
         resolver = OfflineResolver(page)
         stable = resolver.stable_set(stamp.when_hours, "phone")
-        assert len(stable) == len(stable.urls)
-        any_url = next(iter(stable.urls))
-        assert any_url in stable
+        assert stable["urls"] == sorted(set(stable["urls"]))
+        assert len(stable["exemplars"]) == len(stable["urls"])
+        assert all(url in stable["exemplars"] for url in stable["urls"])
 
 
 class TestDeviceClasses:
@@ -121,30 +143,41 @@ class TestDeviceClasses:
         assert len(classes) == 2
 
 
-def reference_stable_set(resolver, as_of_hours, device_class):
-    """(URLs, exemplars) from every load of the window built in full."""
+def reference_record(resolver, as_of_hours, device_class, kept=None):
+    """The record read off every load of the window built in full: the
+    URLs all loads saw (or ``kept``), with each one's fields from the
+    newest tree's resources in walk order, so a URL two resources share
+    keeps the first one's place and the last one's fields."""
     loads = resolver.offline_loads(as_of_hours, device_class)
-    urls = set.intersection(*(set(load.urls()) for load in loads))
-    exemplars = {
-        resource.url: resource
-        for resource in loads[-1].all_resources()
-        if resource.url in urls
+    if kept is None:
+        kept = set.intersection(*(set(load.urls()) for load in loads))
+    exemplars = {}
+    for resource in loads[-1].all_resources():
+        if resource.url in kept:
+            spec = resource.spec
+            exemplars[resource.url] = {
+                "name": spec.name,
+                "size": resource.size,
+                "rtype": spec.rtype.value,
+                "process_order": resource.process_order,
+            }
+    return {
+        "page": resolver.page.name,
+        "device_class": device_class,
+        "as_of_hours": as_of_hours,
+        "urls": sorted(kept),
+        "exemplars": exemplars,
     }
-    return urls, exemplars
 
 
-def _fields(resource):
-    return (
-        resource.spec,
-        resource.url,
-        resource.size,
-        resource.process_order,
-        resource.is_iframe_doc,
-        resource.in_iframe,
-        resource.parent and resource.parent.name,
-        [child.name for child in resource.children],
-        resource.body,
-    )
+def assert_record_matches_tree(page, as_of_hours, device_class, **window):
+    """``stable_set`` equals the tree oracle's record as JSON text: key
+    order matters, and ``dict ==`` ignores it."""
+    resolver = OfflineResolver(page, **window)
+    record = resolver.stable_set(as_of_hours, device_class)
+    want = reference_record(resolver, as_of_hours, device_class)
+    assert json.dumps(record) == json.dumps(want)
+    return record
 
 
 class TestAgainstFullLoads:
@@ -154,21 +187,18 @@ class TestAgainstFullLoads:
         self, corpus, stamp, window_loads, device_class
     ):
         for page in corpus[:3]:
-            resolver = OfflineResolver(page, window_loads=window_loads)
-            stable = resolver.stable_set(stamp.when_hours, device_class)
-            urls, exemplars = reference_stable_set(
-                resolver, stamp.when_hours, device_class
+            assert_record_matches_tree(
+                page,
+                stamp.when_hours,
+                device_class,
+                window_loads=window_loads,
             )
-            assert stable.urls == urls
-            assert list(stable.exemplars) == list(exemplars)
-            for url, want in exemplars.items():
-                assert _fields(stable.exemplars[url]) == _fields(want)
 
     def test_window_of_one_is_the_newest_load(self, page, stamp):
         resolver = OfflineResolver(page, window_loads=1)
         stable = resolver.stable_set(stamp.when_hours, "phone")
         (only,) = resolver.offline_loads(stamp.when_hours, "phone")
-        assert stable.urls == set(only.urls())
+        assert set(stable["urls"]) == set(only.urls())
 
     @pytest.mark.parametrize("device_class", ["phone", "tablet"])
     def test_single_prior_load_is_the_newest_load(
@@ -177,58 +207,11 @@ class TestAgainstFullLoads:
         resolver = OfflineResolver(page, window_loads=3)
         single = resolver.single_prior_load(stamp.when_hours, device_class)
         newest = resolver.offline_loads(stamp.when_hours, device_class)[-1]
-        assert single.urls == set(newest.urls())
-        assert list(single.exemplars) == list(newest.by_url())
-        for url, want in newest.by_url().items():
-            assert _fields(single.exemplars[url]) == _fields(want)
-
-    def test_one_tree_per_resolution(self, page, stamp, count_materialize):
-        resolver = OfflineResolver(page, window_loads=3)
-        resolver.stable_set(stamp.when_hours, "phone")
-        assert len(count_materialize) == 1
-        assert count_materialize[0].when_hours == stamp.when_hours - 1.0
-        resolver.stable_set(stamp.when_hours, "phone")
-        assert len(count_materialize) == 1
-        resolver.stable_set(stamp.when_hours, "tablet")
-        assert len(count_materialize) == 2
-        resolver.single_prior_load(stamp.when_hours, "phone")
-        assert len(count_materialize) == 3
-        resolver.single_prior_load(stamp.when_hours, "phone")
-        assert len(count_materialize) == 4
-
-
-def reference_record(stable):
-    """The record read back off a stable set's exemplar resources: the
-    reference ``stable_record`` must reproduce without a tree."""
-    exemplars = {}
-    for url, exemplar in stable.exemplars.items():
-        spec = exemplar.spec
-        exemplars[url] = {
-            "name": spec.name,
-            "size": exemplar.size,
-            "rtype": spec.rtype._value_,
-            "process_order": exemplar.process_order,
-        }
-    return {
-        "page": stable.page,
-        "device_class": stable.device_class,
-        "as_of_hours": stable.as_of_hours,
-        "urls": sorted(stable.urls),
-        "exemplars": exemplars,
-    }
-
-
-def assert_record_matches_tree(page, as_of_hours, device_class, **window):
-    """``stable_record`` equals the tree's record as JSON text: key order
-    matters, and ``dict ==`` ignores it."""
-    record = OfflineResolver(page, **window).stable_record(
-        as_of_hours, device_class
-    )
-    stable = OfflineResolver(page, **window).stable_set(
-        as_of_hours, device_class
-    )
-    assert json.dumps(record) == json.dumps(reference_record(stable))
-    return record
+        want = reference_record(
+            resolver, stamp.when_hours, device_class, set(newest.urls())
+        )
+        assert json.dumps(single) == json.dumps(want)
+        assert list(single["exemplars"]) == list(newest.by_url())
 
 
 def _spec(name, rtype=ResourceType.IMAGE, parent="r", **fields):
@@ -286,18 +269,23 @@ class TestStableRecord:
         page.add(_spec("s", rtype=ResourceType.HTML, parent=None))
         page.add(_spec("t", parent="s", device_dependent=True))
         record = assert_record_matches_tree(page, 50.0, device_class)
-        names = {entry["name"] for entry in record["exemplars"].values()}
-        assert names == {"r", "a"}
+        assert _names(record) == {"r", "a"}
 
     def test_builds_no_tree_and_fills_no_memo(
         self, page, stamp, count_materialize
     ):
         resolver = OfflineResolver(page)
-        resolver.stable_record(stamp.when_hours, "phone")
-        resolver.stable_record(stamp.when_hours, "tablet")
+        for device_class in ("phone", "tablet"):
+            resolver.stable_set(stamp.when_hours, device_class)
+            resolver.single_prior_load(stamp.when_hours, device_class)
         assert count_materialize == []
-        assert resolver._cache == {}
+        # An offline resolver holds only its page, period and window.
+        assert set(vars(resolver)) == {
+            "page",
+            "period_hours",
+            "window_loads",
+        }
 
     def test_unknown_device_class(self, page):
         with pytest.raises(ValueError, match="unknown device class"):
-            OfflineResolver(page).stable_record(100.0, "smartwatch")
+            OfflineResolver(page).stable_set(100.0, "smartwatch")

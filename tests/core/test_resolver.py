@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.hints import DependencyHint
 from repro.core.resolver import (
     ResolutionStrategy,
     VroomResolver,
     processing_order_key,
 )
+from repro.pages.dynamics import LoadStamp
 from repro.pages.resources import Discovery, Priority
 
 
@@ -186,20 +188,66 @@ class TestStrawmen:
         assert len(prev_urls) >= len(offline_urls)
 
 
+def tree_order_key(resource):
+    """The order key walked up a materialised tree's parent links."""
+    key = 0.0
+    node = resource
+    while node is not None and node.parent is not None:
+        discovery = node.spec.discovery.value
+        if discovery == "static":
+            key += node.spec.position
+        elif discovery == "script":
+            key += 1.0
+        else:  # css
+            key += 0.5
+        node = node.parent
+    return key
+
+
 class TestProcessingOrder:
-    def test_root_children_ordered_by_position(self, snapshot):
+    def test_root_children_ordered_by_position(self, page, snapshot):
         children = [
             c
             for c in snapshot.root.children
             if c.spec.discovery is Discovery.STATIC_MARKUP
         ]
-        keys = [processing_order_key(c) for c in children]
+        keys = [processing_order_key(page, c.name) for c in children]
         positions = [c.spec.position for c in children]
         assert keys == positions
 
-    def test_chained_scripts_after_parents(self, snapshot):
+    def test_chained_scripts_after_parents(self, page, snapshot):
         for resource in snapshot.all_resources():
             if resource.parent is not None and resource.parent.parent is not None:
-                assert processing_order_key(resource) > processing_order_key(
-                    resource.parent
-                )
+                assert processing_order_key(
+                    page, resource.name
+                ) > processing_order_key(page, resource.parent.name)
+
+    @pytest.mark.parametrize("atf_first", [False, True])
+    def test_hints_match_the_tree(self, corpus, stamp, atf_first):
+        """Each hint's priority and order key, read off the spec chain,
+        equal what the resource's place in a materialised tree gives,
+        for every resource of several snapshots."""
+        tablet = LoadStamp(when_hours=stamp.when_hours, device="nexus10")
+        for page in corpus[:4]:
+            resolver = VroomResolver(page, atf_first=atf_first)
+            for load in (page.materialize(stamp), page.materialize(tablet)):
+                assert any(r.in_iframe for r in load.all_resources())
+                for resource in load.all_resources():
+                    order = tree_order_key(resource)
+                    assert processing_order_key(page, resource.name) == order
+                    if (
+                        atf_first
+                        and resource.priority is Priority.UNIMPORTANT
+                        and resource.spec.above_fold
+                        and not resource.in_iframe
+                    ):
+                        order -= 1_000.0
+                    hint = resolver._hint(
+                        resource.url, resource.name, resource.size
+                    )
+                    assert hint == DependencyHint(
+                        url=resource.url,
+                        priority=resource.priority,
+                        order=order,
+                        size_estimate=resource.size,
+                    )

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.baselines.configs import run_config
 from repro.calibration import VROOM_ONLINE_PARSE_OVERHEAD
 from repro.core.push_policy import PushPolicy
 from repro.core.resolver import ResolutionStrategy
 from repro.core.server import (
     first_party_domains,
+    hint_bundles,
     hinted_extra_content,
     vroom_servers,
 )
@@ -96,13 +98,12 @@ class TestExtraContent:
     def test_extra_content_covers_all_foreign_hints(
         self, page, snapshot, store
     ):
-        resolver = VroomResolver(page)
-        extra = hinted_extra_content(
-            page,
+        bundles = hint_bundles(
             snapshot,
-            resolver,
+            VroomResolver(page),
             as_of_hours=snapshot.stamp.when_hours,
         )
+        extra = hinted_extra_content(snapshot, bundles)
         known = set(snapshot.urls())
         assert not (set(extra) & known)
         for url, recorded in extra.items():
@@ -118,6 +119,42 @@ class TestExtraContent:
             domain = hint.url.partition("/")[0]
             if domain in servers:
                 assert servers[domain].respond(hint.url) is not None
+
+
+class TestWorkPerLoad:
+    @pytest.mark.parametrize(
+        "strategy",
+        [ResolutionStrategy.VROOM, ResolutionStrategy.ONLINE_ONLY],
+    )
+    def test_one_bundle_per_document(
+        self, page, snapshot, store, strategy, monkeypatch
+    ):
+        calls = []
+        hints_for = VroomResolver.hints_for
+
+        def counting(self, doc, **kwargs):
+            calls.append(doc.url)
+            return hints_for(self, doc, **kwargs)
+
+        monkeypatch.setattr(VroomResolver, "hints_for", counting)
+        vroom_servers(page, snapshot, store, strategy=strategy)
+        assert calls == [doc.url for doc in snapshot.documents()]
+
+    @pytest.mark.parametrize(
+        "config",
+        ["vroom", "offline-only", "deps-prev-load", "push-all-fetch-asap"],
+    )
+    def test_offline_hints_build_no_tree(
+        self, page, snapshot, store, config, count_materialize
+    ):
+        run_config(config, page, snapshot, store)
+        assert count_materialize == []
+
+    def test_online_only_builds_one_tree_per_document(
+        self, page, snapshot, store, count_materialize
+    ):
+        run_config("online-only", page, snapshot, store)
+        assert len(count_materialize) == len(snapshot.documents())
 
 
 def test_first_party_domains(page):

@@ -43,7 +43,7 @@ metrics = run_config("vroom", page, snapshot, store)
 payload = {
     "nonce_probe": [stable_nonce("page", index) for index in range(4)],
     "offline_nonces": [snap.stamp.nonce for snap in offline],
-    "stable_urls": sorted(stable.urls),
+    "stable_urls": stable["urls"],
     "plt": metrics.plt,
     "aft": metrics.aft,
     "speed_index": metrics.speed_index,

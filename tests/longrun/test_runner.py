@@ -94,12 +94,12 @@ class TestConstantMemory:
         runner.run_to(SMALL["horizon_hours"])
         # The bridge is forced off: no per-lookup samples anywhere.
         assert runner.service._samples == []
-        # Offline resolution stores records and fills no resolver memo.
-        cached = sum(
-            len(resolver._cache)
+        # Offline resolution stores records; a resolver holds only its
+        # page, period and window.
+        assert all(
+            set(vars(resolver)) == {"page", "period_hours", "window_loads"}
             for resolver in runner.service._resolvers.values()
         )
-        assert cached == 0
         # Repeat-visit digests are bounded by user_pool x pages.
         assert len(runner._digests) <= SMALL["pages"] * 32
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.offline import OfflineResolver
+from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.pages import markup
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp, resolve_size, resolve_url
@@ -250,11 +251,11 @@ class TestLazyBodies:
         monkeypatch.setattr(markup, "render_body", counting)
         page = news_sports_corpus(count=1)[0]
         stable = OfflineResolver(page).stable_set(DEFAULT_EVAL_HOUR, "phone")
-        assert stable.urls
+        assert stable["urls"]
+        root = page.materialize(LoadStamp(when_hours=DEFAULT_EVAL_HOUR)).root
+        offline = VroomResolver(page, ResolutionStrategy.OFFLINE_ONLY)
+        assert offline.hints_for(root, as_of_hours=DEFAULT_EVAL_HOUR)
         assert calls == []
-        root = next(iter(stable.exemplars.values()))
-        while root.parent is not None:
-            root = root.parent
         assert root.body
         assert calls == [root.name]
 

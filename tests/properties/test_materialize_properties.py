@@ -5,8 +5,8 @@ flux; each is materialised under several stamps in a row (so the
 memoised skeleton is reused across tablets, personalised users, nonces
 and rotation-epoch boundaries) and compared field by field.  The
 URL-only ``resolve_urls`` must list exactly the tree's URLs, and the
-offline resolver's tree-free ``stable_record`` must equal the record
-read off its stable set's tree.
+offline resolver's tree-free ``stable_set`` record must equal the one
+read off the window's loads built in full.
 """
 
 from hypothesis import given, settings, strategies as st

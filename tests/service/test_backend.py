@@ -207,8 +207,10 @@ class TestStoredRecords:
     def test_resolution_builds_no_tree(self, fleet, count_materialize):
         service = self.ticked(fleet)
         assert count_materialize == []
+        # A resolver holds only its page, period and window.
         assert all(
-            resolver._cache == {} for resolver in service._resolvers.values()
+            set(vars(resolver)) == {"page", "period_hours", "window_loads"}
+            for resolver in service._resolvers.values()
         )
 
 

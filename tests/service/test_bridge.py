@@ -1,15 +1,20 @@
 """Accuracy bridge: served-hint fidelity, scoring, end-to-end loads."""
 
+import json
+
 import pytest
 
 from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.core.offline import (
-    OfflineResolver,
-    StableSet,
-    stable_set_from_dict,
-)
+from repro.core.offline import CLASS_EMULATION_DEVICE, OfflineResolver
+from repro.core.resolver import ResolutionStrategy, VroomResolver
+from repro.pages.dynamics import LoadStamp
 from repro.service.backend import HintService, ServiceConfig
-from repro.service.bridge import BridgeSample, evaluate_sample, evaluate_samples
+from repro.service.bridge import (
+    BridgeSample,
+    _served_resolver,
+    evaluate_sample,
+    evaluate_samples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,24 +39,99 @@ def _sample_with(samples, status):
     pytest.skip(f"run produced no {status!r} sample")
 
 
-class TestPrime:
-    def test_primed_resolver_serves_the_stored_set(self, page):
-        resolver = OfflineResolver(page)
-        original = resolver.stable_set(DEFAULT_EVAL_HOUR, "phone")
-        payload = resolver.stable_record(DEFAULT_EVAL_HOUR, "phone")
+def _rows(bundle):
+    return [
+        (hint.url, hint.priority, hint.order, hint.size_estimate)
+        for hint in bundle
+    ]
 
-        fresh = OfflineResolver(page)
-        fresh.prime(stable_set_from_dict(payload, page))
-        served = fresh.stable_set(DEFAULT_EVAL_HOUR, "phone")
-        assert served.urls == original.urls
+
+class TestPrime:
+    def test_primed_resolver_serves_the_stored_set(
+        self, page, snapshot, monkeypatch
+    ):
+        payload = OfflineResolver(page).stable_set(DEFAULT_EVAL_HOUR, "phone")
+        text = json.dumps(payload)
+        live = VroomResolver(page, ResolutionStrategy.OFFLINE_ONLY)
+        want = live.hints_for(snapshot.root, as_of_hours=DEFAULT_EVAL_HOUR)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a primed hour resolves afresh")
+
+        monkeypatch.setattr(OfflineResolver, "stable_set", unreachable)
+        fresh = VroomResolver(page, ResolutionStrategy.OFFLINE_ONLY)
+        fresh.prime(payload)
+        got = fresh.hints_for(snapshot.root, as_of_hours=DEFAULT_EVAL_HOUR)
+        assert _rows(got) == _rows(want)
+        assert set(got.urls()) <= set(payload["urls"])
+        # The record is shared with the store: serving leaves it as it was.
+        assert json.dumps(payload) == text
 
     def test_prime_rejects_foreign_pages(self, corpus):
-        resolver = OfflineResolver(corpus[0])
-        alien = StableSet(
-            page=corpus[1].name, device_class="phone", as_of_hours=1.0
-        )
+        resolver = VroomResolver(corpus[0])
+        alien = {
+            "page": corpus[1].name,
+            "device_class": "phone",
+            "as_of_hours": 1.0,
+            "urls": [],
+            "exemplars": {},
+        }
         with pytest.raises(ValueError):
             resolver.prime(alien)
+
+    @pytest.mark.parametrize("atf_first", [False, True])
+    @pytest.mark.parametrize("device_class", ["phone", "tablet"])
+    def test_primed_resolver_matches_the_live_resolver(
+        self, corpus, device_class, atf_first
+    ):
+        """Every document of a client load gets, hint for hint, the
+        bundle the live resolver builds from the same record."""
+        hour = DEFAULT_EVAL_HOUR + 0.5
+        stamp = LoadStamp(
+            when_hours=hour + 1.25,
+            device=CLASS_EMULATION_DEVICE[device_class],
+            user="user3",
+        )
+        compared = 0
+        for page in corpus:
+            live = VroomResolver(page, atf_first=atf_first)
+            primed = VroomResolver(page, atf_first=atf_first)
+            primed.prime(OfflineResolver(page).stable_set(hour, device_class))
+            for doc in page.materialize(stamp).documents():
+                want = live.hints_for(
+                    doc, as_of_hours=hour, device_class=device_class
+                )
+                got = primed.hints_for(
+                    doc, as_of_hours=hour, device_class=device_class
+                )
+                assert _rows(got) == _rows(want)
+                compared += 1
+        assert compared > len(corpus)
+
+    def test_bridge_serves_what_the_live_resolver_serves(self, page):
+        hour = DEFAULT_EVAL_HOUR
+        sample = BridgeSample(
+            seq=0,
+            when_hours=hour + 2.0,
+            page_index=0,
+            page=page.name,
+            device_class="tablet",
+            user="user1",
+            status="stale_hit",
+            computed_at_hours=hour,
+            payload=OfflineResolver(page).stable_set(hour, "tablet"),
+        )
+        served = _served_resolver(page, sample)
+        live = VroomResolver(page)
+        stamp = LoadStamp(
+            when_hours=sample.when_hours, device="nexus10", user="user1"
+        )
+        for doc in page.materialize(stamp).documents():
+            assert _rows(
+                served.hints_for(doc, as_of_hours=hour, device_class="tablet")
+            ) == _rows(
+                live.hints_for(doc, as_of_hours=hour, device_class="tablet")
+            )
 
 
 class TestEvaluateSample:
