@@ -105,7 +105,6 @@ def _scored(returned: set, predictable: set) -> dict:
 
 
 def _loaded_plt(
-    page: PageBlueprint,
     snapshot,
     store,
     resolver: Optional[VroomResolver],
@@ -192,7 +191,6 @@ def evaluate_sample(
         )
         result["plt_served"] = round(
             _loaded_plt(
-                page,
                 snapshot,
                 store,
                 served,
@@ -206,7 +204,6 @@ def evaluate_sample(
         )
         result["plt_oracle"] = round(
             _loaded_plt(
-                page,
                 snapshot,
                 store,
                 oracle,
@@ -218,7 +215,6 @@ def evaluate_sample(
         )
         result["plt_no_hints"] = round(
             _loaded_plt(
-                page,
                 snapshot,
                 store,
                 None,
