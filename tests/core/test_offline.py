@@ -213,6 +213,23 @@ class TestAgainstFullLoads:
         assert json.dumps(single) == json.dumps(want)
         assert list(single["exemplars"]) == list(newest.by_url())
 
+    def test_one_tree_per_resolution(self, page, stamp, count_materialize):
+        """A resolution used to build the newest load's tree and no
+        other; it now builds none, and repeated calls recompute equal
+        records.  Only the oracle builds trees: one per window load,
+        the newest at the hour before ``as_of``."""
+        resolver = OfflineResolver(page, window_loads=3)
+        first = resolver.stable_set(stamp.when_hours, "phone")
+        assert resolver.stable_set(stamp.when_hours, "phone") == first
+        resolver.stable_set(stamp.when_hours, "tablet")
+        single = resolver.single_prior_load(stamp.when_hours, "phone")
+        again = resolver.single_prior_load(stamp.when_hours, "phone")
+        assert again == single and again is not single
+        assert count_materialize == []
+        resolver.offline_loads(stamp.when_hours, "phone")
+        assert len(count_materialize) == 3
+        assert count_materialize[-1].when_hours == stamp.when_hours - 1.0
+
 
 def _spec(name, rtype=ResourceType.IMAGE, parent="r", **fields):
     return ResourceSpec(name, rtype, "d.com", 700, parent=parent, **fields)
