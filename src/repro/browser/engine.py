@@ -29,9 +29,6 @@ from repro.net.simulator import ArraySimulator, Simulator, SimulatorLike
 from repro.pages.page import PageSnapshot
 from repro.pages.resources import PROCESSABLE_TYPES, Resource, ResourceType
 
-#: The preload scanner's poll interval in seconds.
-SCANNER_POLL_INTERVAL = 0.005
-
 #: Network priority by role; lower sorts earlier on HTTP/1.1 queues and
 #: weighs heavier in HTTP/2 weighted scheduling.
 NET_PRIORITY = {
@@ -201,11 +198,8 @@ class PageLoadEngine:
         #: check, so scan order never changes the outcome.
         self._done_blocker: Optional[str] = None
         self.wasted_bytes = 0.0
-
-        #: Documents whose preload scanner is not armed yet (see
-        #: :meth:`_arm_scanners_loop`).
-        self._scanner_waiting: List[Resource] = []
-        #: Scanner poll ticks run (surfaced in engine_counters).
+        #: Preload-scanner arms, one per document fetch begun (surfaced
+        #: in engine_counters under its historical name).
         self._browser_wakeups = 0
 
     # -- CPU helpers -------------------------------------------------------
@@ -303,7 +297,7 @@ class PageLoadEngine:
             not state.locally_referenced
             and timeline.discovered_via == "hint"
         )
-        self.client.fetch(
+        fetch = self.client.fetch(
             url,
             priority=priority,
             is_hint=is_hint,
@@ -311,6 +305,8 @@ class PageLoadEngine:
             on_complete=lambda fetch: self._fetched(url, fetch=fetch),
             on_error=lambda fetch: self._fetch_failed(url, fetch),
         )
+        if state.resource is not None and state.resource.is_document:
+            self._arm_scanner(state.resource, fetch)
 
     def _headers_arrived(self, fetch: Fetch) -> None:
         if fetch.response is not None and fetch.response.error:
@@ -358,7 +354,8 @@ class PageLoadEngine:
     def _push_arrived(self, push: PushedResponse) -> None:
         """A pushed response started arriving; treat it as discovery."""
         state = self.state_of(push.url)
-        state.fetch_requested = True
+        # A request that joined the push in flight already armed it.
+        requested, state.fetch_requested = state.fetch_requested, True
         state.fetch_obj = push
         timeline = state.timeline
         timeline.pushed = True
@@ -370,6 +367,9 @@ class PageLoadEngine:
         push.on_complete = _merge(
             push.on_complete, lambda fetch: self._fetched(push.url, fetch=fetch)
         )
+        resource = state.resource
+        if not requested and resource is not None and resource.is_document:
+            self._arm_scanner(resource, push)
 
     def _fetched(
         self,
@@ -406,6 +406,8 @@ class PageLoadEngine:
         waiters, state.fetch_waiters = state.fetch_waiters, []
         for callback in waiters:
             callback()
+        if from_cache and resource.is_document:
+            self._arm_scanner(resource, None)
         self._on_resource_available(resource)
         self._check_done()
 
@@ -655,38 +657,37 @@ class PageLoadEngine:
 
     # -- scanner -------------------------------------------------------------
 
-    def _arm_scanner(self, doc: Resource) -> None:
-        """Discover static references as their bytes stream in."""
+    def _arm_scanner(self, doc: Resource, fetch: Optional[Fetch]) -> None:
+        """Discover ``doc``'s static references as their bytes arrive.
+
+        Runs once per fetch of ``doc``: on ``fetch``'s body as it streams
+        in, or (``fetch`` None) all at once from a body the cache has just
+        delivered.
+        """
         from repro.browser.parser import static_refs
 
-        state = self.state_of(doc.url)
-
-        def arm(fetch: Fetch) -> None:
-            for ref in static_refs(doc):
-                child_url = ref.child.url
-                fetch.watch_body_offset(
-                    ref.byte_offset,
-                    lambda u=child_url: self.discover(
-                        u, via="scanner", from_url=doc.url
-                    ),
-                )
-
-        if state.timeline.from_cache or state.fetched:
-            for ref in static_refs(doc):
-                self.discover(ref.child.url, via="scanner", from_url=doc.url)
-            return
-        fetch = self.client.fetches.get(doc.url)
-        if fetch is not None:
-            arm(fetch)
+        self._browser_wakeups += 1
+        for ref in static_refs(doc):
+            child_url = ref.child.url
+            if fetch is None:
+                self.discover(child_url, via="scanner", from_url=doc.url)
+                continue
+            fetch.watch_body_offset(
+                ref.byte_offset,
+                lambda u=child_url: self.discover(
+                    u, via="scanner", from_url=doc.url
+                ),
+            )
 
     # -- completion ------------------------------------------------------------
 
     def _orphaned(self, resource) -> bool:
-        """True if ``resource`` can never be locally referenced: an
-        ancestor terminally failed, so the parse/execution that would
-        reference it will never run.  Hint/push prefetches of such
-        resources must not hold onload open — their bytes are waste, not
-        obligations."""
+        """True if an ancestor of ``resource`` terminally failed.
+
+        The parse or execution that would reference, run or render it
+        never runs, so the resource is abandoned: whether it was hinted,
+        pushed or already found by the failed document's scanner, its
+        bytes are waste, not obligations."""
         node = resource.parent
         while node is not None:
             state = self._states.get(node.url)
@@ -695,54 +696,11 @@ class PageLoadEngine:
             node = node.parent
         return False
 
-    def _pending_obligations(self) -> List[str]:
-        pending: List[str] = []
-        if not self._root_parse_done:
-            pending.append("root-parse")
-        if self._root_parse_done and self._layout_done_at is None:
-            pending.append("layout")
-        for url, state in self._states.items():
-            resource = state.resource
-            if resource is None:
-                continue
-            timeline = state.timeline
-            if timeline.discovered_at is None:
-                continue
-            if state.failed:
-                # Terminal fetch failure: obligations written off.
-                continue
-            if (
-                self._any_failed
-                and not state.locally_referenced
-                and self._orphaned(resource)
-            ):
-                continue
-            if not state.fetched:
-                pending.append(f"fetch:{url}")
-                continue
-            if resource.is_document:
-                parse = self._doc_parses.get(url)
-                if resource.parent is None:
-                    if parse is None or not parse.finished:
-                        pending.append(f"parse:{url}")
-                elif self._root_parse_done and (
-                    parse is None or not parse.finished
-                ):
-                    pending.append(f"parse:{url}")
-            elif resource.processable:
-                if not state.processed:
-                    pending.append(f"process:{url}")
-            elif not state.decoded:
-                pending.append(f"decode:{url}")
-        return pending
-
     def _check_done(self) -> None:
         """Set ``onload_at`` once no obligation remains.
 
-        This runs after nearly every engine event, so it is a boolean
-        re-statement of :meth:`_pending_obligations` with early exits and
-        no per-call list or string allocation (the diagnostic form is only
-        built when a load wedges).
+        This runs after nearly every engine event, so it exits early and
+        allocates nothing per call.
         """
         if self.onload_at is not None:
             return
@@ -751,38 +709,36 @@ class PageLoadEngine:
         blocker = self._done_blocker
         if blocker is not None:
             state = self._states.get(blocker)
-            if state is not None and self._blocks_onload(blocker, state):
+            if state is not None and self._obligation(blocker, state):
                 return
         for url, state in self._states.items():
-            if self._blocks_onload(url, state):
+            if self._obligation(url, state):
                 self._done_blocker = url
                 return
         self.onload_at = self.sim.now
 
-    def _blocks_onload(self, url: str, state: _ResourceState) -> bool:
-        """Whether ``url``'s obligations still hold onload back."""
+    def _obligation(self, url: str, state: _ResourceState) -> Optional[str]:
+        """The step of ``url`` that still holds onload back, if any:
+        ``"fetch"``, ``"parse"``, ``"process"`` or ``"decode"``."""
         resource = state.resource
         if resource is None:
-            return False
+            return None
         if state.timeline.discovered_at is None:
-            return False
+            return None
         if state.failed:
-            return False
-        if (
-            self._any_failed
-            and not state.locally_referenced
-            and self._orphaned(resource)
-        ):
-            return False
+            # Terminal fetch failure: obligations written off.
+            return None
+        if self._any_failed and self._orphaned(resource):
+            return None
         if not state.fetched:
-            return True
+            return "fetch"
         rtype = resource.spec.rtype
         if rtype is ResourceType.HTML:
             parse = self._doc_parses.get(url)
-            return parse is None or not parse.finished
+            return "parse" if parse is None or not parse.finished else None
         if rtype in PROCESSABLE_TYPES:
-            return not state.processed
-        return not state.decoded
+            return None if state.processed else "process"
+        return None if state.decoded else "decode"
 
     # -- driving ----------------------------------------------------------------
 
@@ -800,11 +756,17 @@ class PageLoadEngine:
         if self.browser_config.preknown_urls:
             for resource in self.snapshot.all_resources():
                 self.discover(resource.url, via="preknown")
-        # Arm scanners lazily: once per document, when its fetch exists.
-        self._arm_scanners_loop()
         self.sim.run(until=time_limit)
         if self.onload_at is None:
-            pending = self._pending_obligations()
+            pending = [
+                f"{step}:{url}"
+                for url, state in self._states.items()
+                if (step := self._obligation(url, state))
+            ]
+            if not self._root_parse_done:
+                pending.insert(0, "root-parse")
+            elif self._layout_done_at is None:
+                pending.insert(0, "layout")
             raise RuntimeError(
                 f"page {self.snapshot.page!r} never fired onload; "
                 f"pending={pending[:8]} (of {len(pending)})"
@@ -827,38 +789,6 @@ class PageLoadEngine:
                 self.sim.schedule_drop(interval, sample)
 
         sample()
-
-    def _arm_scanners_loop(self) -> None:
-        """Attach scanners via a standing 5 ms poll.
-
-        Each tick arms every still-waiting document whose fetch now
-        exists.  The document set is fixed for the whole load, so the
-        poll walks a shrinking to-do list instead of re-deriving the
-        document list (a full resource-tree walk) on every tick.
-        """
-        self._scanner_waiting = list(self.snapshot.documents())
-
-        def poll() -> None:
-            self._browser_wakeups += 1
-            still_waiting: List[Resource] = []
-            for doc in self._scanner_waiting:
-                state = self._states.get(doc.url)
-                started = state is not None and (
-                    state.fetch_requested
-                    and (
-                        state.timeline.from_cache
-                        or doc.url in self.client.fetches
-                    )
-                )
-                if started:
-                    self._arm_scanner(doc)
-                else:
-                    still_waiting.append(doc)
-            self._scanner_waiting = still_waiting
-            if still_waiting:
-                self.sim.schedule_drop(SCANNER_POLL_INTERVAL, poll)
-
-        poll()
 
     def _collect_metrics(self) -> LoadMetrics:
         onload = self.onload_at or self.sim.now

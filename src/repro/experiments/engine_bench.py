@@ -27,9 +27,9 @@ Scenario shapes:
 
 * ``corpus-news`` — a realistic synthetic News/Sports page under the
   push-all + fetch-asap configuration at LTE latency.  Thresholds
-  (completions, preload-scanner watches) and the scanner's 5 ms poll
-  dominate, so few refresh ticks run inline; this guards the
-  realistic-workload counters.
+  (completions, header and preload-scanner watches) dominate, so few
+  refresh ticks run inline; this guards the realistic-workload
+  counters.
 * ``push-all-high-rtt`` — the slow-start-heavy shape from the paper's
   motivation: high RTT, lossy link, server push keeping many streams
   concurrent while windows are still opening.  Refresh ticks dominate,
@@ -255,10 +255,10 @@ def engine_benchmark(
 #: counters after verifying the change is intentional.
 SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
     "corpus-news": {
-        "events_scheduled_reference": 1451,
-        "events_scheduled_fast": 1446,
+        "events_scheduled_reference": 1191,
+        "events_scheduled_fast": 1183,
         "link_pokes": 368,
-        "link_fast_forward_steps": 5,
+        "link_fast_forward_steps": 8,
         "link_wf_fast_hits": 60,
     },
     "push-all-high-rtt": {

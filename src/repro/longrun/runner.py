@@ -18,9 +18,9 @@ unprocessed lookup exists at any moment.
 A :class:`RollupAggregator` folds each lookup into the current rollup
 window (fixed-bucket :class:`LatencyHistogram` + Welford running stats)
 and emits one row per window; state is O(horizon / rollup_hours).
-The service trims its per-page resolver memo tables after every tick —
-they are keyed by resolution hour and would otherwise grow forever for
-zero hit-rate benefit.
+Offline resolution keeps no memo: each tick's batch stores the record
+it resolves, so nothing the service's resolvers hold grows with
+simulated time.
 
 **Checkpoint/resume.**  The runner's whole state (service, workload
 stream, clock, pending lookahead, aggregator, digests, fingerprint

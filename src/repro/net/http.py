@@ -150,11 +150,15 @@ class Fetch:
     _drop_planned = False
 
     def watch_body_offset(self, offset: float, callback: Callable[[], None]) -> None:
-        """Fire ``callback`` when ``offset`` bytes of the *body* arrived."""
+        """Fire ``callback`` when ``offset`` bytes of the *body* arrived.
+
+        An injected 5xx error page is not the body: its stream carries no
+        body watch, and the retry (if any) re-arms the watch.
+        """
         entry = (offset, callback)
         self._body_watches.append(entry)
-        stream = self._stream
-        if stream is not None:
+        stream, response = self._stream, self.response
+        if stream is not None and response is not None and not response.error:
             stream.watch_offset(*self._stream_watch(entry, stream.bytes_total))
 
     def _stream_watch(
@@ -476,14 +480,17 @@ class HttpClient:
         )
         total = header_bytes + response.size
         fetch._header_bytes = float(header_bytes)
-        # Headers first, then the re-armed body watches, then the planned
-        # drop: all registered with the stream, so it costs one link poke.
+        # Headers first, then the re-armed body watches (none on an error
+        # page), then the planned drop: all registered with the stream, so
+        # it costs one link poke.
         watches: List[Tuple[float, Callable[[], None]]] = [
             (min(header_bytes, total), lambda: self._headers_arrived(fetch))
         ]
-        watches.extend(
-            fetch._stream_watch(entry, total) for entry in fetch._body_watches
-        )
+        if not response.error:
+            watches.extend(
+                fetch._stream_watch(entry, total)
+                for entry in fetch._body_watches
+            )
         if fetch._drop_planned:
             fraction = self.config.fault_plan.drop_fraction(
                 fetch.url, fetch.attempt

@@ -358,20 +358,24 @@ class TestFailureModes:
 
 
 class TestScannerDrivers:
-    """The preload scanner's 5 ms poll driver."""
+    """The preload scanner is armed where each document fetch begins."""
 
     @staticmethod
-    def _run_counting_documents():
-        # The iframe's fetch starts only once the root parse reaches it,
-        # so the scanner to-do list stays non-empty past t=0 and the
-        # poll grid actually gets walked.
-        page = build_page(
+    def _frame_page():
+        # The iframe's fetch starts only once the root scanner reaches it,
+        # well after t=0.
+        return build_page(
             extra_specs=[
                 spec("frame", ResourceType.HTML, "root", position=0.9),
                 spec("frame_img", ResourceType.IMAGE, "frame", position=0.5),
             ]
         )
-        snapshot = page.materialize(STAMP)
+
+    def test_one_document_walk_and_one_arm_per_document_fetch(self):
+        """One resource-tree walk per load (when iframe parses start),
+        and one scanner arm per document fetch begun: no timer re-checks
+        documents that are still waiting for their fetch."""
+        snapshot = self._frame_page().materialize(STAMP)
         store = record_snapshot(snapshot)
         calls = []
         original = snapshot.documents
@@ -387,16 +391,33 @@ class TestScannerDrivers:
             browser_config=BrowserConfig(when_hours=STAMP.when_hours),
         )
         metrics = engine.run()
-        return len(calls), metrics
+        assert len(calls) == 1
+        fetches_begun = sum(
+            1
+            for doc in original()
+            if metrics.timelines[doc.url].fetch_started_at is not None
+        )
+        assert fetches_begun == 2
+        assert metrics.engine_counters["browser_wakeups"] == fetches_begun
 
-    # Exactly two document-list builds per load: one when the scanner
-    # driver hoists its to-do list, one when iframe parses start.  A
-    # regression to per-tick rebuilding would show up as hundreds.
-
-    def test_poll_loop_builds_document_list_once(self):
-        """Regression: the 5 ms poll must hoist the document list — one
-        resource-tree walk per load, not one per tick."""
-        calls, metrics = self._run_counting_documents()
-        assert calls == 2
-        # Sanity: the poll actually ran (many grid ticks on this page).
-        assert metrics.engine_counters["browser_wakeups"] > 1
+    def test_cached_document_scanned_when_cache_delivers(self):
+        """A cached iframe's references are found once the cache has
+        delivered its bytes, not before."""
+        page = self._frame_page()
+        snapshot = page.materialize(STAMP)
+        store = record_snapshot(snapshot)
+        cache = BrowserCache()
+        cache.seed_from_snapshot(
+            snapshot.all_resources(), when_hours=STAMP.when_hours
+        )
+        browser = BrowserConfig(when_hours=STAMP.when_hours, cache=cache)
+        metrics = load_page(
+            snapshot, build_servers(store), browser_config=browser
+        )
+        frame = metrics.timelines[snapshot.find("frame").url]
+        child = metrics.timelines[snapshot.find("frame_img").url]
+        assert frame.from_cache
+        assert child.discovered_via == "scanner"
+        assert child.discovered_at == pytest.approx(
+            frame.fetch_started_at + browser.cache_hit_latency, abs=1e-12
+        )

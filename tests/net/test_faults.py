@@ -545,3 +545,108 @@ class TestHintDegradation:
         orphan = metrics.timelines[snapshot.find("scriptB").url]
         assert orphan.fetched_at is not None
         assert orphan.processed_at is None
+
+
+class TestFailedDocuments:
+    """Hint prefetches of iframe documents that die: the re-fetch gets a
+    scanner, an error page is never scanned, and a failed document's
+    subresources do not hold onload."""
+
+    @staticmethod
+    def framed_page():
+        """A long root whose iframe sits at its very end, so Vroom's hint
+        prefetch of the iframe starts (and can die) long before the root
+        scanner references it."""
+        page = PageBlueprint(name="framed", root="root")
+        page.add(ResourceSpec("root", ResourceType.HTML, "a.com", 400_000,
+                              cacheable=False))
+        page.add(ResourceSpec("css", ResourceType.CSS, "a.com", 20_000,
+                              parent="root", position=0.05))
+        page.add(ResourceSpec("frame", ResourceType.HTML, "a.com", 20_000,
+                              parent="root", position=0.98, cacheable=False))
+        page.add(ResourceSpec("frame_img", ResourceType.IMAGE, "a.com",
+                              50_000, parent="frame", position=0.6))
+        page.add(ResourceSpec("frame_js", ResourceType.JS, "a.com", 20_000,
+                              parent="frame", position=0.9))
+        page.validate()
+        return page
+
+    @staticmethod
+    def load(page, when_hours, config, plan, resilience):
+        from repro.baselines.configs import run_config
+
+        snapshot = page.materialize(LoadStamp(when_hours=when_hours))
+        store = record_snapshot(snapshot)
+        metrics = run_config(
+            config, page, snapshot, store,
+            fault_plan=plan, resilience=resilience,
+        )
+        return snapshot, metrics
+
+    def test_refetched_document_gets_a_scanner(self):
+        """The iframe's hint prefetch is dropped; the page's own fetch of
+        it must scan its body, or ``frame_img`` is never referenced."""
+        plan = FaultPlan(seed=1, rules=(FaultRule(
+            kind=FaultKind.CONNECTION_DROP, rate=1.0,
+            url_substring="frame.html", hints_only=True,
+        ),))
+        snapshot, metrics = self.load(
+            self.framed_page(), 50.0, "vroom-fair", plan,
+            ResiliencePolicy(request_timeout=2.0, max_retries=0),
+        )
+        assert metrics.connection_drops >= 1
+        frame = metrics.timelines[snapshot.find("frame").url]
+        assert frame.fetched_at is not None
+        image = metrics.timelines[snapshot.find("frame_img").url]
+        assert image.rendered_at is not None
+        assert image.rendered_at <= metrics.plt
+
+    def test_error_page_is_not_scanned(self):
+        """The iframe's hint prefetch draws a 5xx and is not retried; the
+        error page's bytes must not fire the scanner's body watches."""
+        plan = FaultPlan(seed=1, rules=(FaultRule(
+            kind=FaultKind.SERVER_ERROR, rate=1.0,
+            url_substring="frame.html", hints_only=True,
+        ),))
+        snapshot, metrics = self.load(
+            self.framed_page(), 50.0, "vroom-no-stage", plan,
+            ResiliencePolicy(request_timeout=2.0, max_retries=0),
+        )
+        assert metrics.plt > 0
+        assert metrics.error_responses >= 1
+        for name in ("frame_img", "frame_js"):
+            timeline = metrics.timelines.get(snapshot.find(name).url)
+            assert timeline is None or timeline.discovered_via != "scanner"
+
+    def test_failed_document_abandons_scanned_script(self):
+        """``r0``'s scanner finds its synchronous script ``r1`` before
+        ``r0`` dies as a locally needed document.  Only ``r0``'s parse
+        could run ``r1``, so ``r1`` must not hold onload."""
+        page = PageBlueprint(name="c", root="root")
+        page.add(ResourceSpec("root", ResourceType.HTML, "fp.com", 152_101,
+                              cacheable=False))
+        for name, rtype, size, position, cacheable in (
+            ("r0", ResourceType.HTML, 6_275, 0.306, False),
+            ("r5", ResourceType.HTML, 49_266, 0.325, False),
+            ("r4", ResourceType.CSS, 50_462, 0.503, True),
+            ("r2", ResourceType.CSS, 32_903, 0.554, True),
+        ):
+            page.add(ResourceSpec(name, rtype, "fp.com", size, parent="root",
+                                  position=position, cacheable=cacheable))
+        page.add(ResourceSpec("r1", ResourceType.JS, "fp.com", 43_062,
+                              parent="r0", position=0.641))
+        page.add(ResourceSpec("r3", ResourceType.IMAGE, "fp.com", 1_006,
+                              parent="r0", position=0.697, above_fold=True,
+                              pixel_weight=1.0))
+        page.validate()
+        plan = FaultPlan(seed=73, rules=(FaultRule(
+            kind=FaultKind.CONNECTION_DROP, rate=0.3, hints_only=True,
+        ),))
+        snapshot, metrics = self.load(
+            page, 77.0, "vroom-no-stage", plan,
+            ResiliencePolicy(max_retries=0),
+        )
+        assert metrics.plt > 0
+        assert metrics.timelines[snapshot.find("r0").url].failed
+        script = metrics.timelines[snapshot.find("r1").url]
+        assert script.processed_at is None

@@ -256,6 +256,33 @@ class TestBodyWatches:
         assert len(hits) == 1
         assert hits[0] < fetch.completed_at
 
+    def test_error_page_fires_no_body_watch(self):
+        """An injected 5xx page is not the body: neither a watch armed
+        before it nor one added while it streams fires on its bytes; both
+        fire once, on the retry's body."""
+        # Seed 6 errors attempt 1 and spares attempt 2.
+        plan = FaultPlan(seed=6).with_rule(
+            FaultRule(kind=FaultKind.SERVER_ERROR, rate=0.5)
+        )
+        sim, client, _ = make_client(
+            {"a.com/page.html": 100_000}, fault_plan=plan, max_retries=1
+        )
+        hits, good_headers = [], []
+
+        def on_headers(fetch):
+            if fetch.response.error:
+                fetch.watch_body_offset(100, lambda: hits.append(sim.now))
+            else:
+                good_headers.append(sim.now)
+
+        fetch = client.fetch("a.com/page.html", on_headers=on_headers)
+        fetch.watch_body_offset(100, lambda: hits.append(sim.now))
+        sim.run()
+        assert client.error_responses == 1
+        assert fetch.completed_at is not None
+        assert len(hits) == 2
+        assert min(hits) >= good_headers[0]
+
 
 class TestResponseStart:
     def test_one_link_poke_per_response_start(self):

@@ -1,17 +1,22 @@
-"""Property test: random small pages load correctly under every policy.
+"""Property tests: random small pages load correctly under every policy.
 
 Hypothesis generates miniature page structures (a root document with a
-random mix of CSS, sync/async scripts, media, chains and iframes); every
-generated page must load to completion under the stock browser, Vroom
-and the fetch-ASAP strawman, with the universal invariants holding.
-This is the broadest net for scheduling/bookkeeping bugs in the stack.
+random mix of CSS, sync/async scripts, media, chains and iframes that
+carry a script, an image and a stylesheet of their own); every generated
+page must load to completion under the stock browser, Vroom and the
+fetch-ASAP strawman, with the universal invariants holding, and must
+still fire onload when hint prefetches draw server errors, drops or
+stalls.  This is the broadest net for scheduling/bookkeeping bugs in the
+stack.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.configs import run_config
 from repro.browser.engine import BrowserConfig, load_page
 from repro.core.scheduler import FetchAsapScheduler, VroomScheduler
 from repro.core.server import vroom_servers
+from repro.net.faults import FaultKind, FaultPlan, FaultRule, ResiliencePolicy
 from repro.net.http import NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.pages.dynamics import LoadStamp
@@ -75,6 +80,20 @@ def small_pages(draw):
                              max(size, 2_000), parent="root",
                              position=position)
             )
+            for suffix, rtype in (
+                ("js", ResourceType.JS),
+                ("img", ResourceType.IMAGE),
+                ("css", ResourceType.CSS),
+            ):
+                page.add(
+                    ResourceSpec(
+                        f"{name}_{suffix}", rtype, domain,
+                        draw(st.integers(min_value=500, max_value=30_000)),
+                        parent=name,
+                        position=draw(st.floats(min_value=0.02,
+                                                max_value=0.98)),
+                    )
+                )
         elif kind == "chain_js" and last_js is not None:
             spec = ResourceSpec(
                 name, ResourceType.JS, domain, size,
@@ -117,3 +136,39 @@ def test_random_pages_load_under_every_policy(page):
             if resource.processable:
                 assert timeline.processed_at is not None, resource.name
         assert metrics.aft <= metrics.plt + 1e-9
+
+
+_hint_faults = st.builds(
+    lambda kind, rate, seed: FaultPlan(
+        seed=seed, rules=(FaultRule(kind=kind, rate=rate, hints_only=True),)
+    ),
+    st.sampled_from(
+        [FaultKind.SERVER_ERROR, FaultKind.CONNECTION_DROP, FaultKind.STALL]
+    ),
+    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=0, max_value=1_000),
+)
+
+
+@given(small_pages(), _hint_faults, st.integers(min_value=0, max_value=2))
+@settings(max_examples=25, deadline=None)
+def test_random_pages_fire_onload_under_hint_faults(page, plan, retries):
+    """Dead hint prefetches never wedge a load: the page falls back to
+    its own fetches, and a document that dies takes its subresources'
+    obligations with it."""
+    snapshot = page.materialize(STAMP)
+    store = record_snapshot(snapshot)
+    resilience = ResiliencePolicy(request_timeout=2.0, max_retries=retries)
+    for config in (
+        "http2",
+        "vroom",
+        "vroom-no-stage",
+        "vroom-fair",
+        "push-all-fetch-asap",
+    ):
+        metrics = run_config(
+            config, page, snapshot, store,
+            fault_plan=plan, resilience=resilience,
+        )
+        assert metrics.plt > 0, config
+        assert metrics.aft <= metrics.plt + 1e-9, config
