@@ -1,15 +1,19 @@
-"""Incremental HTML document parsing with real blocking semantics.
+"""HTML document parsing with real blocking semantics.
 
-Each document's parse is a little state machine driven by three things:
-byte arrival (the parser cannot scan past bytes it does not have), the CPU
-queue (parse segments and script execution are serial CPU tasks) and
-blocking rules (a synchronous script blocks the parser until it is fetched,
-earlier stylesheets are applied, and the script has executed).
+Each document's parse is a little state machine that parses the body
+segment by segment, one segment per static reference.  The engine starts
+a parse only once the document's whole body is fetched, so the byte gate
+each segment passes (``wait_for_bytes``) finds its bytes already there.
+What drives the parse is the CPU queue (parse segments and script
+execution are serial CPU tasks) and the blocking rules (a synchronous
+script blocks the parser until it is fetched, earlier stylesheets are
+applied, and the script has executed).
 
-The preload scanner is modelled separately from the parser: static
-references are *discovered* the moment their enclosing bytes arrive, even
-while the parser is blocked on a script — exactly the behaviour that lets
-real browsers overlap some fetches, and exactly what Vroom generalises.
+The preload scanner is modelled separately from the parser, and only it
+reads a document's bytes as they arrive: static references are
+*discovered* the moment their enclosing bytes arrive, before the
+document's parse can start — exactly the behaviour that lets real
+browsers overlap some fetches, and exactly what Vroom generalises.
 """
 
 from __future__ import annotations

@@ -594,10 +594,16 @@ def cmd_longrun(args) -> int:
     _maybe_enable_audit(args)
 
     def write_report(payload) -> None:
+        # The ``perf`` block (walls, lookups/s, peak RSS) describes one
+        # run on one host, so it is printed but not written: the report
+        # holds only what the code and the spec determine.
         if not args.report:
             return
+        written = {
+            key: value for key, value in payload.items() if key != "perf"
+        }
         with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(written, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"longrun report written to {args.report}")
 

@@ -94,10 +94,12 @@ class OfflineResolver:
     ) -> Set[str]:
         """The URLs every load of the window saw: the older loads at
         ``older`` (oldest first) and the newest load, whose URLs the
-        caller has already resolved."""
-        url_sets = [set(self.page.resolve_urls(stamp)) for stamp in older]
-        url_sets.append(set(newest_urls))
-        return set.intersection(*url_sets)
+        caller has already resolved.  Only the newest load's URLs become
+        a set; each older load's list is intersected with it as it is."""
+        stable = set(newest_urls)
+        for stamp in older:
+            stable.intersection_update(self.page.resolve_urls(stamp))
+        return stable
 
     def stable_set(
         self, as_of_hours: float, device_class: str = "phone"

@@ -88,7 +88,6 @@ class ClassInfo:
     qualname: str  # ``module:Class``
     name: str
     path: str
-    line: int
     has_slots: bool
     is_exception: bool
     #: Decorator spelling like ``dataclass`` / ``dataclass(frozen=True)``.
@@ -306,7 +305,6 @@ class _ModuleCollector(ast.NodeVisitor):
             qualname=qualname,
             name=node.name,
             path=self.info.path,
-            line=node.lineno,
             has_slots=has_slots,
             is_exception=is_exception,
             is_dataclass=is_dataclass,

@@ -309,7 +309,7 @@ class _HotFunctionVisitor(ast.NodeVisitor):
             self._emit(
                 "PERF405",
                 node,
-                f"instantiates `{cls.name}` ({cls.path}:{cls.line}) which "
+                f"instantiates `{cls.name}` ({cls.path}) which "
                 "has no __slots__ — hot-path instances carry a dict each",
             )
         self.generic_visit(node)

@@ -18,20 +18,22 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple, cast
 
 from repro.calibration import DEVICE_CLASSES
 from repro.pages.resources import ResourceSpec, ResourceType
 
-_EXT_BY_TYPE = {
-    ResourceType.HTML: "html",
-    ResourceType.CSS: "css",
-    ResourceType.JS: "js",
-    ResourceType.IMAGE: "jpg",
-    ResourceType.FONT: "woff2",
-    ResourceType.VIDEO: "mp4",
-    ResourceType.JSON: "json",
-    ResourceType.OTHER: "bin",
+#: Each type's URL suffix: one string per type, which every URL of
+#: that type ends with.
+_SUFFIX_BY_TYPE = {
+    ResourceType.HTML: ".html",
+    ResourceType.CSS: ".css",
+    ResourceType.JS: ".js",
+    ResourceType.IMAGE: ".jpg",
+    ResourceType.FONT: ".woff2",
+    ResourceType.VIDEO: ".mp4",
+    ResourceType.JSON: ".json",
+    ResourceType.OTHER: ".bin",
 }
 
 
@@ -106,20 +108,6 @@ def stable_nonce(*parts: object) -> int:
     return int(_digest(*parts), 16) % 100_000
 
 
-def rotation_epoch(spec: ResourceSpec, when_hours: float) -> Optional[int]:
-    """Epoch index of a rotating resource at a wall-clock time.
-
-    ``None`` for non-rotating resources.  A rotating resource's URL is a
-    pure function of its epoch, so two loads within the same epoch see the
-    same URL and loads across an epoch boundary see different ones.
-    """
-    if spec.lifetime_hours is None:
-        return None
-    if spec.lifetime_hours <= 0:
-        raise ValueError(f"{spec.name!r}: non-positive rotation lifetime")
-    return int(when_hours // spec.lifetime_hours)
-
-
 def has_flux(spec: ResourceSpec) -> bool:
     """Whether ``spec``'s URL can differ between stamps.
 
@@ -135,29 +123,84 @@ def has_flux(spec: ResourceSpec) -> bool:
     )
 
 
-def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:  # repro: hotpath
+#: The parts of a spec's URL that no stamp changes, from
+#: :func:`url_parts`: the ``domain/name`` head, the rotation lifetime
+#: (``None`` if the URL does not rotate), the nonce digest's head
+#: (``None`` without a nonce), whether the device class is a token, the
+#: personalisation digest's head (``None`` if not personalised) and the
+#: type's suffix.
+UrlParts = Tuple[str, Optional[float], Optional[str], bool, Optional[str], str]
+
+#: One row of a URL list to fill: its index, then its :data:`UrlParts`.
+UrlRow = Tuple[
+    int, str, Optional[float], Optional[str], bool, Optional[str], str
+]
+
+
+def url_parts(spec: ResourceSpec) -> UrlParts:
+    """The stamp-independent parts of ``spec``'s URL.
+
+    Raises ``ValueError`` for a non-positive rotation lifetime.
+    """
+    lifetime = spec.lifetime_hours
+    if lifetime is not None and lifetime <= 0:
+        raise ValueError(f"{spec.name!r}: non-positive rotation lifetime")
+    return (
+        f"{spec.domain}/{spec.name}",
+        lifetime,
+        spec.name if spec.unpredictable else None,
+        spec.device_dependent,
+        spec.domain if spec.personalized else None,
+        _SUFFIX_BY_TYPE[spec.rtype],
+    )
+
+
+def fill_urls(  # repro: hotpath
+    urls: List[Optional[str]], rows: Iterable[UrlRow], stamp: LoadStamp
+) -> None:
+    """Set ``urls[row]`` to the URL of each of ``rows`` under ``stamp``.
+
+    The one statement of the URL format: the head, then one token per
+    kind of flux in this order, then the suffix.
+
+    * ``_e{epoch}``, the rotation epoch ``int(when_hours // lifetime)``:
+      two loads in one epoch see the same URL, loads across an epoch
+      boundary different ones;
+    * ``_n{digest}``, the nonce digest ``_digest(name, nonce, hour)``;
+    * ``_{device_class}``;
+    * ``_u{digest}``, the personalisation digest ``_digest(domain, user)``.
+
+    The digests hash the head part joined with the stamp's ``nonce_tail``
+    or ``user_tail``, which the stamp computes once per load; an f-string
+    formats an ``int``, a ``float`` or a ``str`` exactly as ``str`` does,
+    so they equal :func:`_digest` of the parts.  ``stamp.device_class``
+    is read only for a device row, so an unknown device raises only when
+    such a row is filled.
+    """
+    when = stamp.when_hours
+    for row, url, lifetime, nonce_head, device, user_head, suffix in rows:
+        if lifetime is not None:
+            url = f"{url}_e{int(when // lifetime)}"
+        if nonce_head is not None:
+            url = f"{url}_n{_digest_of(nonce_head + stamp.nonce_tail)}"
+        if device:
+            url = f"{url}_{stamp.device_class}"
+        if user_head is not None:
+            url = f"{url}_u{_digest_of(user_head + stamp.user_tail)}"
+        urls[row] = url + suffix
+
+
+def resolve_url(spec: ResourceSpec, stamp: LoadStamp) -> str:
     """The concrete URL ``spec`` resolves to under ``stamp``.
 
     Deterministic: identical (spec, stamp) pairs always agree, and two
     stamps differing only in fields irrelevant to the spec (e.g. nonce for
-    a stable resource) also agree.  The URL is ``domain/`` followed by
-    the spec name and one ``_``-separated token per kind of flux, in this
-    order: rotation epoch, nonce digest, device class, personalisation
-    digest.  The digests are ``_digest(name, nonce, hour)`` and
-    ``_digest(domain, user)``, read off the stamp's ``nonce_tail`` and
-    ``user_tail``: those parts already joined, since an f-string formats
-    an ``int``, a ``float`` or a ``str`` exactly as ``str`` does.
+    a stable resource) also agree.  The format is
+    :func:`fill_urls`'s, applied to this one spec.
     """
-    url = f"{spec.domain}/{spec.name}"
-    if spec.lifetime_hours is not None:
-        url = f"{url}_e{rotation_epoch(spec, stamp.when_hours)}"
-    if spec.unpredictable:
-        url = f"{url}_n{_digest_of(spec.name + stamp.nonce_tail)}"
-    if spec.device_dependent:
-        url = f"{url}_{stamp.device_class}"
-    if spec.personalized:
-        url = f"{url}_u{_digest_of(spec.domain + stamp.user_tail)}"
-    return f"{url}.{_EXT_BY_TYPE[spec.rtype]}"
+    urls: List[Optional[str]] = [None]
+    fill_urls(urls, [(0, *url_parts(spec))], stamp)
+    return cast(str, urls[0])
 
 
 def resolve_size(spec: ResourceSpec, stamp: LoadStamp) -> int:
@@ -170,8 +213,3 @@ def resolve_size(spec: ResourceSpec, stamp: LoadStamp) -> int:
     if spec.device_dependent and stamp.device_class == "tablet":
         size = int(size * 1.6)
     return max(1, size)
-
-
-def url_is_shared(spec: ResourceSpec, a: LoadStamp, b: LoadStamp) -> bool:
-    """Whether two loads resolve ``spec`` to the same URL."""
-    return resolve_url(spec, a) == resolve_url(spec, b)

@@ -12,13 +12,16 @@ from the finished tree when first read (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, cast
 
 from repro.pages.dynamics import (
     LoadStamp,
+    UrlRow,
+    fill_urls,
     has_flux,
     resolve_size,
     resolve_url,
+    url_parts,
 )
 from repro.pages.resources import (
     Discovery,
@@ -116,15 +119,16 @@ class PageBlueprint:
         """The URL of every resource the root reaches, in processing order.
 
         Equal to ``materialize(stamp).urls()`` without building the tree:
-        each row of the memoised :class:`_Skeleton` without flux already
-        carries its URL, so only flux rows call :func:`resolve_url`, and
-        they share the URL tokens the stamp caches on first read.
+        the memoised :class:`_Skeleton` holds every flux-free row's URL
+        and every flux row's stamp-independent parts, so one
+        :func:`fill_urls` call fills a copy of the URL list, and the
+        flux rows share the URL tokens the stamp caches on first read.
         Specs the root cannot reach are neither listed nor resolved.
         """
-        return [
-            resolve_url(spec, stamp) if url is None else url
-            for spec, _, _, _, url, _ in self._skeleton().rows
-        ]
+        skeleton = self._skeleton()
+        urls = skeleton.urls.copy()
+        fill_urls(urls, skeleton.flux, stamp)
+        return cast(List[str], urls)
 
     def sized_specs(self, stamp: LoadStamp) -> List[Tuple[ResourceSpec, int]]:
         """Every spec the root reaches, in processing order, with its
@@ -148,7 +152,7 @@ class PageBlueprint:
                 if resize and spec.device_dependent
                 else size,
             )
-            for spec, _, _, _, _, size in skeleton.rows
+            for spec, _, _, _, size in skeleton.rows
         ]
 
     def materialize(self, stamp: LoadStamp) -> "PageSnapshot":  # repro: hotpath
@@ -168,7 +172,7 @@ class PageBlueprint:
         walk: List[Resource] = []
         append = walk.append
         for order, (spec, size) in enumerate(self.sized_specs(stamp)):
-            _, parent_row, iframe_doc, in_iframe, _, _ = rows[order]
+            _, parent_row, iframe_doc, in_iframe, _ = rows[order]
             parent = walk[parent_row] if parent_row >= 0 else None
             # Positional in field order: keywords cost ~15% of the pass.
             resource = Resource(
@@ -219,12 +223,16 @@ class PageBlueprint:
         """The stamp-independent shape of every snapshot (memoised).
 
         Built from :meth:`children_of` in one pre-order pass and dropped
-        with it on :meth:`add`.
+        with it on :meth:`add`.  Raises ``ValueError`` if a spec the root
+        reaches has a non-positive rotation lifetime.
         """
         skeleton = self._skeleton_cache
         if skeleton is not None:
             return skeleton
         rows: List[_Row] = []
+        urls: List[Optional[str]] = []
+        flux: List[UrlRow] = []
+        fixed: List[UrlRow] = []
         device_sized = False
         row_of: Dict[str, int] = {}
         # (spec, parent row, parent's in_iframe or parent is an iframe doc)
@@ -234,13 +242,20 @@ class PageBlueprint:
             row = len(rows)
             row_of[spec.name] = row
             iframe_doc = parent_row >= 0 and spec.is_document
-            url = None if has_flux(spec) else resolve_url(spec, _ANY_STAMP)
+            entry = (row, *url_parts(spec))
+            if has_flux(spec):
+                flux.append(entry)
+            else:
+                fixed.append(entry)
+            urls.append(None)
             size = resolve_size(spec, _ANY_STAMP)
-            rows.append((spec, parent_row, iframe_doc, in_iframe, url, size))
+            rows.append((spec, parent_row, iframe_doc, in_iframe, size))
             device_sized = device_sized or spec.device_dependent
             below = in_iframe or iframe_doc
             for child in reversed(self.children_of(spec.name)):
                 stack.append((child, row, below))
+        # A flux-free row resolves to the same URL under every stamp.
+        fill_urls(urls, fixed, _ANY_STAMP)
         strays = [
             spec for spec in self.specs.values() if spec.name not in row_of
         ]
@@ -250,6 +265,8 @@ class PageBlueprint:
         # runs once per blueprint.
         skeleton = self._skeleton_cache = _Skeleton(
             rows=rows,
+            urls=urls,
+            flux=tuple(flux),
             device_sized=device_sized,
             strays=strays,
             slots=[(name, row_of[name]) for name in self.specs],
@@ -269,10 +286,9 @@ class PageBlueprint:
 
 
 #: One pre-order row of a :class:`_Skeleton`: the spec, its parent's row
-#: (-1 for the root), ``is_iframe_doc``, ``in_iframe``, the URL when the
-#: spec has no flux (``None`` means resolve it per stamp), and the size
-#: under :data:`_ANY_STAMP`.
-_Row = Tuple[ResourceSpec, int, bool, bool, Optional[str], int]
+#: (-1 for the root), ``is_iframe_doc``, ``in_iframe`` and the size under
+#: :data:`_ANY_STAMP`.
+_Row = Tuple[ResourceSpec, int, bool, bool, int]
 
 #: The stamp the skeleton resolves under.  A spec without flux resolves
 #: to the same URL under every stamp, and only a device-dependent spec
@@ -285,14 +301,18 @@ class _Skeleton(NamedTuple):
 
     ``rows`` lists the resources the root reaches, in the client's
     pre-order processing order.  A child is in an iframe if its parent
-    is, or if its parent is a document other than the root.
-    ``device_sized`` says whether any row's size depends on the device
-    class.  ``strays`` are specs the root does not reach, and ``slots``
-    maps each spec name, in spec order, to its index in ``rows +
-    strays``: the key order of :attr:`PageSnapshot.resources`.
+    is, or if its parent is a document other than the root.  ``urls``
+    holds each row's URL, ``None`` at a flux row, and ``flux`` holds
+    each flux row's index and :func:`~repro.pages.dynamics.url_parts`,
+    in row order.  ``device_sized`` says whether any row's size depends
+    on the device class.  ``strays`` are specs the root does not reach,
+    and ``slots`` maps each spec name, in spec order, to its index in
+    ``rows + strays``: the key order of :attr:`PageSnapshot.resources`.
     """
 
     rows: List[_Row]
+    urls: List[Optional[str]]
+    flux: Tuple[UrlRow, ...]
     device_sized: bool
     strays: List[ResourceSpec]
     slots: List[Tuple[str, int]]
@@ -381,20 +401,3 @@ class PageSnapshot:
                 continue
             stack.extend(reversed(node.children))
         return out
-
-
-def shared_urls(a: PageSnapshot, b: PageSnapshot) -> List[str]:
-    """URLs fetched by both snapshots (order follows ``a``)."""
-    b_urls = set(b.urls())
-    return [url for url in a.urls() if url in b_urls]
-
-
-def merge_url_sets(snapshots: Iterable[PageSnapshot]) -> Dict[str, int]:
-    """URL -> number of snapshots containing it."""
-    counts: Dict[str, int] = {}
-    for snapshot in snapshots:
-        # dict.fromkeys deduplicates while keeping snapshot order, so the
-        # result's insertion order is hash-seed independent.
-        for url in dict.fromkeys(snapshot.urls()):
-            counts[url] = counts.get(url, 0) + 1
-    return counts

@@ -5,13 +5,7 @@ import itertools
 
 import pytest
 
-from repro.pages.dynamics import (
-    LoadStamp,
-    resolve_size,
-    resolve_url,
-    rotation_epoch,
-    url_is_shared,
-)
+from repro.pages.dynamics import LoadStamp, resolve_size, resolve_url
 from repro.pages.page import PageBlueprint
 from repro.pages.resources import ResourceSpec, ResourceType
 
@@ -71,18 +65,19 @@ class TestLoadStamp:
 
 class TestRotation:
     def test_non_rotating_has_no_epoch(self):
-        assert rotation_epoch(make_spec(), 50.0) is None
+        url = resolve_url(make_spec(), LoadStamp(when_hours=50.0))
+        assert url == "a.com/res.jpg"
 
     def test_epoch_advances_with_time(self):
         spec = make_spec(lifetime_hours=6.0)
-        assert rotation_epoch(spec, 5.9) == 0
-        assert rotation_epoch(spec, 6.1) == 1
-        assert rotation_epoch(spec, 59.0) == 9
+        for hours, epoch in ((5.9, 0), (6.0, 1), (6.1, 1), (59.0, 9)):
+            url = resolve_url(spec, LoadStamp(when_hours=hours))
+            assert url == f"a.com/res_e{epoch}.jpg"
 
     def test_zero_lifetime_rejected(self):
         spec = make_spec(lifetime_hours=0.0)
         with pytest.raises(ValueError):
-            rotation_epoch(spec, 1.0)
+            resolve_url(spec, LoadStamp(when_hours=1.0))
 
     def test_rotating_url_changes_across_epochs(self):
         spec = make_spec(lifetime_hours=6.0)
@@ -100,11 +95,15 @@ class TestResolveUrl:
 
     def test_stable_spec_ignores_nonce(self):
         spec = make_spec()
-        assert url_is_shared(spec, STAMP, STAMP.back_to_back())
+        assert resolve_url(spec, STAMP) == resolve_url(
+            spec, STAMP.back_to_back()
+        )
 
     def test_unpredictable_differs_per_nonce(self):
         spec = make_spec(unpredictable=True)
-        assert not url_is_shared(spec, STAMP, STAMP.back_to_back())
+        assert resolve_url(spec, STAMP) != resolve_url(
+            spec, STAMP.back_to_back()
+        )
 
     def test_device_variant_by_class_not_model(self):
         spec = make_spec(device_dependent=True)
@@ -174,9 +173,11 @@ _EXT = {
 def token_join_url(spec, stamp):
     """The token-list URL builder that the one-pass version replaced."""
     tokens = [spec.name]
-    epoch = rotation_epoch(spec, stamp.when_hours)
-    if epoch is not None:
-        tokens.append(f"e{epoch}")
+    lifetime = spec.lifetime_hours
+    if lifetime is not None:
+        if lifetime <= 0:
+            raise ValueError(f"{spec.name!r}: non-positive rotation lifetime")
+        tokens.append(f"e{int(stamp.when_hours // lifetime)}")
     if spec.unpredictable:
         tokens.append(
             "n" + _token_digest(spec.name, stamp.nonce, stamp.when_hours)
@@ -253,6 +254,18 @@ class TestUrlFormatOracle:
                 resolve_url(spec, stamp)
             with pytest.raises(ValueError, match="non-positive rotation"):
                 token_join_url(spec, stamp)
+
+    def test_non_positive_lifetime_raises_from_the_page(self):
+        # The skeleton compiles every row's URL parts, so a page that
+        # reaches such a spec raises before any URL or size is read.
+        for lifetime in (0.0, -1.0):
+            page = PageBlueprint(name="one", root="root")
+            page.add(make_spec(name="root", rtype=ResourceType.HTML))
+            page.add(make_spec(parent="root", lifetime_hours=lifetime))
+            reads = (page.resolve_urls, page.materialize, page.sized_specs)
+            for read in reads:
+                with pytest.raises(ValueError, match="non-positive rotation"):
+                    read(STAMP)
 
     def test_unknown_device_raises_only_for_device_dependent_specs(self):
         stamp = LoadStamp(when_hours=3.0, device="iphone99")

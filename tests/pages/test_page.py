@@ -1,13 +1,11 @@
 """Unit tests for blueprints and snapshots."""
 
+from collections import Counter
+
 import pytest
 
 from repro.pages.dynamics import LoadStamp
-from repro.pages.page import (
-    PageBlueprint,
-    merge_url_sets,
-    shared_urls,
-)
+from repro.pages.page import PageBlueprint
 from repro.pages.resources import Discovery, ResourceSpec, ResourceType
 
 STAMP = LoadStamp(when_hours=10.0)
@@ -180,13 +178,35 @@ class TestSnapshot:
 
 class TestSnapshotComparisons:
     def test_shared_urls_identity(self):
+        # Two loads under one stamp fetch the same URLs, in the same order.
         page = tiny_page()
         a = page.materialize(STAMP)
         b = page.materialize(STAMP)
-        assert shared_urls(a, b) == a.urls()
+        assert a.urls() == b.urls() == page.resolve_urls(STAMP)
+        assert len(set(a.urls())) == len(page.specs)
 
     def test_merge_url_sets_counts(self):
+        # Every URL appears exactly once in each same-stamp load, whether
+        # materialized or only resolved (three of each).
         page = tiny_page()
-        snaps = [page.materialize(STAMP) for _ in range(3)]
-        counts = merge_url_sets(snaps)
-        assert all(count == 3 for count in counts.values())
+        loads = [page.materialize(STAMP).urls() for _ in range(3)]
+        loads += [page.resolve_urls(STAMP) for _ in range(3)]
+        counts = Counter(url for urls in loads for url in urls)
+        assert len(counts) == len(page.specs)
+        assert all(count == 6 for count in counts.values())
+
+    def test_back_to_back_loads_differ_only_in_nonce_urls(self):
+        page = tiny_page()
+        page.add(
+            spec("beacon", ResourceType.IMAGE, "root", unpredictable=True)
+        )
+        first = page.resolve_urls(STAMP)
+        second = page.resolve_urls(STAMP.back_to_back())
+        changed = [
+            resource.name
+            for resource, a, b in zip(
+                page.materialize(STAMP).all_resources(), first, second
+            )
+            if a != b
+        ]
+        assert changed == ["beacon"]

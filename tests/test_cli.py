@@ -164,6 +164,16 @@ class TestLongrunCommand:
         assert payload["resume"]["match"] is True
         assert payload["ab"]["stream_identical"] is True
 
+    def test_report_leaves_the_host_walls_out(self, tmp_path, capsys):
+        import json
+
+        path = str(tmp_path / "longrun.json")
+        assert main(["longrun", "--smoke", "--report", path]) == 0
+        assert "lookups/s" in capsys.readouterr().out
+        with open(path) as handle:
+            payload = json.load(handle)
+        assert "perf" not in payload
+
     def test_rejects_nonpositive_hours(self, capsys):
         assert main(["longrun", "--hours", "0", "--report", ""]) == 2
         assert "--hours" in capsys.readouterr().err
