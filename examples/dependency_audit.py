@@ -35,7 +35,7 @@ def main() -> None:
     )
 
     # -- what online analysis adds for THIS response -------------------
-    analysis = analyze_html(snapshot.root.url, snapshot.root.body)
+    analysis = analyze_html(snapshot.root)
     fresh = [url for url in analysis.urls if url not in stable]
     print(
         f"online HTML analysis: {len(analysis.urls)} URLs in the served "

@@ -32,6 +32,9 @@ checked *while a load runs* instead:
 * **waterfill-fast-path** — the closed-form 1–3-connection
   water-filling allocation is bit-identical to the general iterative
   solver on the same inputs.
+* **document-scan** — a document's stored markup scan, which every load
+  of its snapshot reads, always equals a fresh scan of its body (a stale
+  or mutated scan would misplace the parser's and scanner's offsets).
 
 This module sits at layer 0 of the package DAG (like
 :mod:`repro.calibration`): it imports nothing from ``repro``, so every
@@ -68,6 +71,7 @@ __all__ = [
     "fast_forward_bounds",
     "busy_set_matches",
     "waterfill_equivalent",
+    "scan_matches",
 ]
 
 
@@ -282,6 +286,27 @@ def waterfill_equivalent(
             "waterfill-fast-path",
             f"closed-form allocation {fast!r} != general solver "
             f"{general!r} for caps {caps!r} budget {budget!r}",
+        )
+
+
+def scan_matches(url: str, stored: tuple, fresh: tuple) -> None:
+    """A document's stored scan equals a fresh scan of its body.
+
+    Both are ``(refs, urls)`` pairs: ``refs`` holds ``(child,
+    byte_offset)`` pairs and ``urls`` the tag URLs.  Assigning the body
+    must drop the stored scan and no reader may change it, so any
+    difference means a stale or mutated scan.
+    """
+    if stored != fresh:
+
+        def shown(scan: tuple) -> str:
+            refs = [(child.url, offset) for child, offset in scan[0]]
+            return f"refs {refs!r}, urls {list(scan[1])!r}"
+
+        raise AuditError(
+            "document-scan",
+            f"stored scan of {url!r} ({shown(stored)}) != fresh scan "
+            f"({shown(fresh)})",
         )
 
 

@@ -138,7 +138,6 @@ class _ResourceState:
     locally_referenced: bool = False
     _css_queued: bool = False
     _decode_queued: bool = False
-    fetch_obj: Optional[Fetch] = None
     fetch_waiters: List[Callable[[], None]] = field(default_factory=list)
     process_waiters: List[Callable[[], None]] = field(default_factory=list)
 
@@ -356,7 +355,6 @@ class PageLoadEngine:
         state = self.state_of(push.url)
         # A request that joined the push in flight already armed it.
         requested, state.fetch_requested = state.fetch_requested, True
-        state.fetch_obj = push
         timeline = state.timeline
         timeline.pushed = True
         if timeline.discovered_at is None:
@@ -381,7 +379,6 @@ class PageLoadEngine:
         if state.fetched:
             return
         state.fetched = True
-        state.fetch_obj = fetch
         timeline = state.timeline
         timeline.fetched_at = self.sim.now
         if timeline.headers_at is None:
@@ -525,19 +522,16 @@ class PageLoadEngine:
         def wait_for_bytes(
             document: Resource, offset: int, callback: Callable[[], None]
         ) -> None:
-            state = self.state_of(document.url)
-            if state.fetched:
-                self.sim.call_soon(callback)
-                return
-            if state.failed:
-                # The document's bytes will never arrive; freeze its parse
-                # (its obligations are written off by the failure).
-                return
-            fetch = state.fetch_obj or self.client.fetches.get(document.url)
-            if fetch is None or fetch.completed_at is not None:
-                state.fetch_waiters.append(callback)
-                return
-            fetch.watch_body_offset(offset, callback)
+            # A parse starts only once its document is fetched, and a
+            # fetched document stays fetched: its bytes are all here.
+            if audit.ENABLED:
+                audit.require(
+                    self.state_of(document.url).fetched,
+                    "parse-after-fetch",
+                    f"parse of {document.url!r} waits for byte {offset} "
+                    "of a document not yet fetched",
+                )
+            self.sim.call_soon(callback)
 
         def wait_for_fetch(
             child: Resource, callback: Callable[[], None]
@@ -664,10 +658,8 @@ class PageLoadEngine:
         in, or (``fetch`` None) all at once from a body the cache has just
         delivered.
         """
-        from repro.browser.parser import static_refs
-
         self._browser_wakeups += 1
-        for ref in static_refs(doc):
+        for ref in doc.scan.refs:
             child_url = ref.child.url
             if fetch is None:
                 self.discover(child_url, via="scanner", from_url=doc.url)

@@ -18,41 +18,9 @@ browsers overlap some fetches, and exactly what Vroom generalises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.pages import markup
-from repro.pages.resources import Discovery, Resource, ResourceType
-
-
-@dataclass
-class ParsedRef:
-    """A static reference inside a document body."""
-
-    child: Resource
-    byte_offset: int
-
-
-def static_refs(doc: Resource) -> List[ParsedRef]:
-    """Static children of ``doc`` with their true byte offsets in the body.
-
-    Offsets come from scanning the rendered body, so the parser model sees
-    exactly what a real tokenizer would.  Children whose tags were not
-    found (shouldn't happen) fall back to their nominal position.
-    """
-    offsets: Dict[str, int] = {}
-    for url, end in markup.extract_urls_with_offsets(doc.body):
-        offsets.setdefault(url, end)
-    refs = []
-    for child in doc.children:
-        if child.spec.discovery is not Discovery.STATIC_MARKUP:
-            continue
-        fallback = int(child.spec.position * max(1, doc.size))
-        refs.append(
-            ParsedRef(child=child, byte_offset=offsets.get(child.url, fallback))
-        )
-    refs.sort(key=lambda ref: ref.byte_offset)
-    return refs
+from repro.pages.resources import Resource, ResourceType
 
 
 class DocumentParse:
@@ -77,7 +45,8 @@ class DocumentParse:
         on_segment: Optional[Callable[[int, int], None]] = None,
     ):
         self.doc = doc
-        self.refs = static_refs(doc)
+        #: Static references in offset order, from the document's one scan.
+        self.refs = doc.scan.refs
         self._parse_time = parse_time
         self._submit_cpu = submit_cpu
         self._wait_for_bytes = wait_for_bytes

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.calibration import VROOM_ONLINE_PARSE_OVERHEAD
-from repro.pages import markup
+from repro.pages.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -32,20 +32,16 @@ class OnlineAnalysis:
         return len(self.urls)
 
 
-def analyze_html(source_url: str, body: str) -> OnlineAnalysis:
-    """Extract statically referenced URLs from a served HTML body.
+def analyze_html(doc: Resource) -> OnlineAnalysis:
+    """The statically referenced URLs of a served HTML document.
 
     Only markup-visible references are found: URLs assembled inside script
-    bodies stay invisible, exactly as for a real streaming tokenizer.
+    bodies stay invisible, exactly as for a real streaming tokenizer.  The
+    URLs come from the document's one stored scan (:attr:`Resource.scan`),
+    distinct and in markup order.
     """
-    urls = []
-    seen = set()
-    for url in markup.extract_urls(body):
-        if url not in seen:
-            seen.add(url)
-            urls.append(url)
     return OnlineAnalysis(
-        source_url=source_url,
-        urls=urls,
+        source_url=doc.url,
+        urls=list(doc.scan.urls),
         parse_overhead=VROOM_ONLINE_PARSE_OVERHEAD,
     )

@@ -188,7 +188,7 @@ class VroomResolver:
 
     def _online_hints(self, doc: Resource) -> List[DependencyHint]:
         """URLs parsed out of the exact body being served."""
-        analysis = analyze_html(doc.url, doc.body)
+        analysis = analyze_html(doc)
         by_url = {child.url: child for child in doc.children}
         hints = []
         for index, url in enumerate(analysis.urls):

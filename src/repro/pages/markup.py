@@ -15,12 +15,16 @@ Script bodies reference their dynamically computed children inside string
 literals assembled at run time, so a static parse cannot see them —
 mirroring why online HTML analysis misses script-computed resources.
 Stylesheet bodies use ``url(...)`` references.
+
+A document's body is scanned once (:func:`scan_document`) and the scan is
+kept on the resource (:attr:`Resource.scan`): the browser's parser and
+preload scanner and the server's online analysis all read that one scan.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.pages.resources import Discovery, Resource, ResourceType
 
@@ -129,22 +133,15 @@ def render_body(resource: Resource) -> str:
     return ""
 
 
-def extract_urls(html_body: str) -> List[str]:
-    """Statically extract every URL referenced by tags in an HTML body.
+def extract_urls_with_offsets(html_body: str) -> List[Tuple[str, int]]:
+    """Every URL referenced by tags in an HTML body, in document order,
+    with the byte offset where its tag ends.
 
     This is the parse a Vroom-compliant server performs while serving an
     HTML response (Sec 4.1.2) and also what the browser's preload scanner
-    sees.  Returns URLs in document order.
-    """
-    return _TAG_RE.findall(html_body)
-
-
-def extract_urls_with_offsets(html_body: str) -> List[Tuple[str, int]]:
-    """Like :func:`extract_urls` but with the byte offset of each tag end.
-
-    The preload scanner can only discover a reference once the bytes
-    containing the full tag have arrived, so offsets matter to the browser
-    model.
+    sees.  The scanner can only discover a reference once the bytes
+    containing the full tag have arrived, so offsets matter to the
+    browser model.
     """
     return [
         (match.group(1), match.end())
@@ -157,9 +154,45 @@ def extract_css_urls(css_body: str) -> List[str]:
     return [url.strip() for url in _CSS_URL_RE.findall(css_body)]
 
 
-def urls_visible_to_scanner(bodies: Iterable[str]) -> List[str]:
-    """Union of statically visible URLs across several HTML bodies."""
-    seen: List[str] = []
-    for body in bodies:
-        seen.extend(extract_urls(body))
-    return seen
+class ParsedRef(NamedTuple):
+    """A static reference inside a document body."""
+
+    child: Resource
+    #: Where the child's tag ends in the body.
+    byte_offset: int
+
+
+class DocumentScan(NamedTuple):
+    """One scan of a document's body: what all of its readers need."""
+
+    #: Static children with their tag offsets, sorted by offset (ties
+    #: keep child order).  The parser and the preload scanner read these.
+    refs: Tuple[ParsedRef, ...]
+    #: Distinct tag URLs in markup order.  Online analysis reads these.
+    urls: Tuple[str, ...]
+
+
+def scan_document(doc: Resource) -> DocumentScan:
+    """Scan ``doc``'s body for its static references and tag URLs.
+
+    Offsets come from the rendered body, so the parser model sees exactly
+    what a real tokenizer would: a child's offset is the end of the first
+    tag naming its URL.  A child whose tag was not found (shouldn't
+    happen) falls back to its nominal position.
+    """
+    offsets: Dict[str, int] = {}
+    for url, end in extract_urls_with_offsets(doc.body):
+        offsets.setdefault(url, end)
+    span = max(1, doc.size)
+    refs = [
+        # repro: allow[PERF405] a NamedTuple carries no dict, and this
+        # runs once per document of a snapshot.
+        ParsedRef(
+            child, offsets.get(child.url, int(child.spec.position * span))
+        )
+        for child in doc.children
+        if child.spec.discovery is Discovery.STATIC_MARKUP
+    ]
+    refs.sort(key=lambda ref: ref.byte_offset)
+    # repro: allow[PERF405] a NamedTuple carries no dict.
+    return DocumentScan(tuple(refs), tuple(offsets))

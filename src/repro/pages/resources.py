@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro import audit
+
 
 class ResourceType(enum.Enum):
     """MIME-class of a resource, driving CPU cost and priority."""
@@ -144,8 +146,11 @@ class Resource:
     body is rendered by :func:`repro.pages.markup.render_body` the first
     time it is read and cached on the resource.  A body read later is
     byte-identical to one rendered eagerly; callers that only need URLs
-    never pay for rendering.  Assigning :attr:`body` replaces the cached
-    value.  The cache takes no part in ``repr`` or ``==``.
+    never pay for rendering.  :attr:`scan`, a document's static
+    references and tag URLs, is cached the same way, so every load of a
+    snapshot shares one scan of each document.  Assigning :attr:`body`
+    replaces the cached body and drops the cached scan.  Neither cache
+    takes part in ``repr`` or ``==``.
     """
 
     spec: ResourceSpec
@@ -164,6 +169,10 @@ class Resource:
     _body: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The scan of the body, or ``None`` until :attr:`scan` is first read.
+    _scan: Optional["markup.DocumentScan"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __hash__(self) -> int:
         return hash((id(self.spec), self.url))
@@ -178,6 +187,20 @@ class Resource:
     @body.setter
     def body(self, value: str) -> None:
         self._body = value
+        self._scan = None
+
+    @property
+    def scan(self) -> "markup.DocumentScan":  # repro: hotpath
+        """The one scan of :attr:`body`, made on first read.
+
+        Under audit every later read is checked against a fresh scan.
+        """
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = markup.scan_document(self)
+        elif audit.ENABLED:
+            audit.scan_matches(self.url, scan, markup.scan_document(self))
+        return scan
 
     @property
     def name(self) -> str:

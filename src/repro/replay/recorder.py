@@ -24,7 +24,11 @@ def domain_rtt(domain: str) -> float:
 
 
 def record_snapshot(snapshot: PageSnapshot) -> ReplayStore:
-    """Capture every exchange a load of ``snapshot`` performs."""
+    """Capture every exchange a load of ``snapshot`` performs.
+
+    The store keeps no body text: a recorded body is its resource's
+    ``body``, rendered when a reader first needs it.
+    """
     store = ReplayStore(page=snapshot.page)
     for resource in snapshot.all_resources():
         store.add(
@@ -33,7 +37,6 @@ def record_snapshot(snapshot: PageSnapshot) -> ReplayStore:
                 domain=resource.domain,
                 size=resource.size,
                 is_html=resource.is_document,
-                body=resource.body,
                 resource=resource,
             ),
             rtt=domain_rtt(resource.domain),

@@ -16,8 +16,8 @@ class RecordedResponse:
     domain: str
     size: int
     is_html: bool
-    body: str = ""
-    #: The resource behind the exchange (carried for policy layers).
+    #: The resource behind the exchange (carried for policy layers); its
+    #: ``body`` is the recorded body.
     resource: Optional[Resource] = None
 
 

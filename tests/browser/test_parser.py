@@ -2,7 +2,7 @@
 
 from typing import Callable, List
 
-from repro.browser.parser import DocumentParse, static_refs
+from repro.browser.parser import DocumentParse
 from repro.net.simulator import Simulator
 from repro.pages import markup
 from repro.pages.dynamics import LoadStamp
@@ -96,7 +96,7 @@ class TestStaticRefs:
                 child("j1", ResourceType.JS, 0.5),
             ]
         )
-        refs = static_refs(doc)
+        refs = doc.scan.refs
         pairs = dict(markup.extract_urls_with_offsets(doc.body))
         for ref in refs:
             assert ref.byte_offset == pairs[ref.child.url]
@@ -108,7 +108,7 @@ class TestStaticRefs:
                 child("early", ResourceType.IMAGE, 0.1),
             ]
         )
-        refs = static_refs(doc)
+        refs = doc.scan.refs
         assert [r.child.name for r in refs] == ["early", "late"]
 
     def test_script_computed_children_excluded(self):
@@ -125,7 +125,7 @@ class TestStaticRefs:
                 ),
             ]
         )
-        refs = static_refs(doc)
+        refs = doc.scan.refs
         assert all(r.child.name != "dyn" for r in refs)
 
 

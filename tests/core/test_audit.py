@@ -1,5 +1,7 @@
 """Unit coverage for every helper in :mod:`repro.audit`."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import audit
@@ -101,6 +103,17 @@ def test_fetch_bytes_accounted():
     audit.fetch_bytes_accounted("u", 1100.2, 100.0, 1000.0)  # in tolerance
     with pytest.raises(audit.AuditError, match="fetch-bytes"):
         audit.fetch_bytes_accounted("u", 900.0, 100.0, 1000.0)
+
+
+def test_scan_matches():
+    child = SimpleNamespace(url="a.com/x.jpg")
+    stored = (((child, 40),), ("a.com/x.jpg",))
+    audit.scan_matches("a.com/", stored, (((child, 40),), ("a.com/x.jpg",)))
+    with pytest.raises(audit.AuditError, match="document-scan") as info:
+        audit.scan_matches(
+            "a.com/", stored, (((child, 41),), ("a.com/x.jpg",))
+        )
+    assert "('a.com/x.jpg', 41)" in str(info.value)
 
 
 def test_bytes_conserved():

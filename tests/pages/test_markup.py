@@ -105,7 +105,9 @@ class TestExtraction:
             make_resource("f0", ResourceType.HTML, position=0.8),
         ]
         doc = doc_with_children(children)
-        extracted = markup.extract_urls(doc.body)
+        extracted = [
+            url for url, _ in markup.extract_urls_with_offsets(doc.body)
+        ]
         assert extracted == [child.url for child in doc.children]
 
     def test_offsets_are_monotone_and_cover_tags(self):
@@ -121,18 +123,34 @@ class TestExtraction:
             assert url in doc.body[:offset]
 
     def test_extract_from_empty_body(self):
-        assert markup.extract_urls("") == []
+        assert markup.extract_urls_with_offsets("") == []
         assert markup.extract_css_urls("") == []
 
-    def test_urls_visible_to_scanner_union(self):
-        doc_a = doc_with_children(
-            [make_resource("a0", ResourceType.IMAGE, position=0.3)]
+
+class TestScanDocument:
+    def test_first_tag_wins_and_a_missing_tag_falls_back(self):
+        shown = make_resource("shown", ResourceType.IMAGE, position=0.9)
+        missing = make_resource("missing", ResourceType.CSS, position=0.5)
+        hidden = make_resource(
+            "hidden", ResourceType.IMAGE, discovery=Discovery.SCRIPT_COMPUTED
         )
-        img_b = make_resource("b0", ResourceType.IMAGE, position=0.3)
-        doc_b = doc_with_children([img_b])
-        urls = markup.urls_visible_to_scanner([doc_a.body, doc_b.body])
-        assert doc_a.children[0].url in urls
-        assert img_b.url in urls
+        doc = doc_with_children([shown, missing, hidden], size=1000)
+        tag = f'<img src="{shown.url}"'
+        doc.body = f"{tag}>..{tag}>"
+        scan = markup.scan_document(doc)
+        assert [(ref.child.name, ref.byte_offset) for ref in scan.refs] == [
+            ("shown", len(tag)),
+            ("missing", 500),
+        ]
+        assert scan.urls == (shown.url,)
+
+    def test_equal_offsets_keep_child_order(self):
+        first = make_resource("first", ResourceType.IMAGE, position=0.5)
+        second = make_resource("second", ResourceType.IMAGE, position=0.5)
+        doc = doc_with_children([first, second], size=1000)
+        doc.body = ""
+        names = [ref.child.name for ref in markup.scan_document(doc).refs]
+        assert names == ["first", "second"]
 
 
 def test_render_body_dispatch():

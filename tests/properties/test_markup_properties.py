@@ -50,7 +50,7 @@ def documents(draw):
 @given(documents())
 @settings(max_examples=40, deadline=None)
 def test_extraction_recovers_exactly_the_static_children(doc):
-    urls = markup.extract_urls(doc.body)
+    urls = doc.scan.urls
     static = [
         child.url
         for child in doc.children
@@ -71,3 +71,24 @@ def test_offsets_within_body(doc):
     for url, offset in markup.extract_urls_with_offsets(doc.body):
         assert 0 < offset <= len(doc.body)
         assert url in doc.body[:offset]
+
+
+@given(documents())
+@settings(max_examples=40, deadline=None)
+def test_stored_scan_matches_a_fresh_derivation(doc):
+    scan = doc.scan
+    first_end = {}
+    for url, end in markup.extract_urls_with_offsets(doc.body):
+        first_end.setdefault(url, end)
+    static = [
+        child
+        for child in doc.children
+        if child.spec.discovery is Discovery.STATIC_MARKUP
+    ]
+    want = sorted(
+        ((child.name, first_end[child.url]) for child in static),
+        key=lambda pair: pair[1],
+    )
+    assert [(ref.child.name, ref.byte_offset) for ref in scan.refs] == want
+    assert scan.urls == tuple(first_end)
+    assert doc.scan is scan

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pages import markup
 from repro.replay.recorder import domain_rtt, record_snapshot
 from repro.replay.replayer import build_servers
 from repro.replay.store import RecordedResponse
@@ -17,7 +18,22 @@ class TestRecorder:
         for doc in snapshot.documents():
             recorded = store.lookup(doc.url)
             assert recorded.is_html
-            assert recorded.body == doc.body
+            assert recorded.resource is doc
+            assert recorded.resource.body == markup.render_body(doc)
+
+    def test_records_no_body(self, small_page, stamp, monkeypatch):
+        snapshot = small_page.materialize(stamp)
+        rendered = []
+        render = markup.render_body
+
+        def counting(resource):
+            rendered.append(resource.name)
+            return render(resource)
+
+        monkeypatch.setattr(markup, "render_body", counting)
+        store = record_snapshot(snapshot)
+        assert set(store.urls()) == set(snapshot.urls())
+        assert rendered == []
 
     def test_total_bytes_match(self, snapshot):
         store = record_snapshot(snapshot)

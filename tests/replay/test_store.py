@@ -29,7 +29,6 @@ class TestRecordedResponse:
         response = RecordedResponse(
             url="x.com/a.js", domain="x.com", size=10, is_html=False
         )
-        assert response.body == ""
         assert response.resource is None
 
 
@@ -37,7 +36,7 @@ class TestReplayStoreRoundTrip:
     def _store(self):
         store = ReplayStore(page="p")
         first = RecordedResponse(
-            url="a.com/", domain="a.com", size=100, is_html=True, body="<p>"
+            url="a.com/", domain="a.com", size=100, is_html=True
         )
         second = RecordedResponse(
             url="a.com/x.js", domain="a.com", size=50, is_html=False
@@ -53,7 +52,7 @@ class TestReplayStoreRoundTrip:
     def test_add_lookup_round_trip(self):
         store = self._store()
         assert store.urls() == ["a.com/", "a.com/x.js", "b.com/y.css"]
-        assert store.lookup("a.com/").body == "<p>"
+        assert store.lookup("a.com/").is_html
         assert store.lookup("a.com/x.js").size == 50
         assert store.lookup("missing") is None
         assert store.total_bytes() == 175
@@ -87,7 +86,7 @@ class TestReplayStoreRoundTrip:
             copied = clone.lookup(url)
             assert copied.size == original.size
             assert copied.is_html == original.is_html
-            assert copied.body == original.body
             # The back-pointer survives and still matches its exchange.
             assert copied.resource is not None
             assert copied.resource.url == url
+            assert copied.resource.body == original.resource.body
