@@ -57,7 +57,6 @@ from repro.service import (
     HintService,
     PlacementMap,
     ServiceConfig,
-    ServiceReport,
     evaluate_samples,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "PlacementMap",
     "HintService",
     "ServiceConfig",
-    "ServiceReport",
     "evaluate_samples",
     "ExperimentRun",
     "run_sweep",

@@ -23,7 +23,13 @@ from repro.browser.metrics import (
     speed_index,
 )
 from repro.browser.parser import DocumentParse
-from repro.net.http import Fetch, HttpClient, NetworkConfig, PushedResponse
+from repro.net.http import (
+    Fetch,
+    HttpClient,
+    NetworkConfig,
+    PushedResponse,
+    chain_callbacks,
+)
 from repro.net.origin import OriginServer
 from repro.net.simulator import ArraySimulator, Simulator, SimulatorLike
 from repro.pages.page import PageSnapshot
@@ -362,7 +368,7 @@ class PageLoadEngine:
             timeline.discovered_via = "push"
         if timeline.fetch_started_at is None:
             timeline.fetch_started_at = push.requested_at
-        push.on_complete = _merge(
+        push.on_complete = chain_callbacks(
             push.on_complete, lambda fetch: self._fetched(push.url, fetch=fetch)
         )
         resource = state.resource
@@ -840,18 +846,6 @@ class PageLoadEngine:
         if not self._render_events:
             return self.onload_at or self.sim.now
         return max(time for time, _ in self._render_events)
-
-
-def _merge(
-    first: Optional[Callable[[Fetch], None]],
-    second: Callable[[Fetch], None],
-) -> Callable[[Fetch], None]:
-    def combined(fetch: Fetch) -> None:
-        if first is not None:
-            first(fetch)
-        second(fetch)
-
-    return combined
 
 
 def load_page(

@@ -50,12 +50,6 @@ class ResourceTimeline:
         ]
         return max(times) if times else None
 
-    @property
-    def network_time(self) -> float:
-        if self.fetch_started_at is None or self.fetched_at is None:
-            return 0.0
-        return self.fetched_at - self.fetch_started_at
-
 
 @dataclass
 class LoadMetrics:

@@ -469,21 +469,25 @@ def cmd_service(args) -> int:
     pages = _corpus_or_exit(args.corpus, args.pages)
     if pages is None:
         return 2
-    payload = service_benchmark(
-        pages,
-        horizon_hours=args.hours,
-        rate_per_hour=args.rate,
-        shards=args.shards,
-        shard_memory_bytes=args.shard_memory_kb * 1024,
-        ttl_hours=args.ttl,
-        freshness_hours=args.fresh,
-        batch_period_hours=args.batch_period,
-        crawl_budget_per_hour=args.budget,
-        zipf_exponent=args.zipf,
-        seed=args.seed,
-        bridge_sample_every=args.bridge_every,
-        budgets=tuple(args.budgets),
-    )
+    try:
+        payload = service_benchmark(
+            pages,
+            horizon_hours=args.hours,
+            rate_per_hour=args.rate,
+            shards=args.shards,
+            shard_memory_bytes=args.shard_memory_kb * 1024,
+            ttl_hours=args.ttl,
+            freshness_hours=args.fresh,
+            batch_period_hours=args.batch_period,
+            crawl_budget_per_hour=args.budget,
+            zipf_exponent=args.zipf,
+            seed=args.seed,
+            bridge_sample_every=args.bridge_every,
+            budgets=tuple(args.budgets),
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     report = payload["report"]
     totals = report["totals"]
     latency = report["latency"]

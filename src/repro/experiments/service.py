@@ -19,21 +19,130 @@ bit-identical under a fixed seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import audit
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.page import PageBlueprint
 from repro.replay.cache import SnapshotCache
-from repro.service.backend import HintService, ServiceConfig
-from repro.service.bridge import evaluate_samples
-from repro.service.placement import PlacementMap, shard_outage_rule
+from repro.service.backend import (
+    HintService,
+    ServiceConfig,
+    chain_step,
+    served_record,
+)
+from repro.service.bridge import BridgeSample, evaluate_samples
+from repro.service.placement import (
+    FleetLookup,
+    PlacementMap,
+    shard_outage_rule,
+)
+from repro.service.store import LookupStatus
+from repro.service.workload import Lookup
 
 #: Crawl budgets (page loads per simulated hour) swept by default.
 DEFAULT_BUDGETS: Sequence[float] = (6.0, 15.0, 60.0)
 
 #: Budgets whose sampled lookups get the full end-to-end bridge.
 DEFAULT_BRIDGE_BUDGETS = 2
+
+
+class LookupObserver:
+    """The per-lookup instruments of one service run, on the
+    ``on_lookup`` hook of :meth:`HintService.run_to`.  Each keeps only
+    what it is asked for:
+
+    * ``sample_every`` — a :class:`BridgeSample` of every Nth lookup,
+      for the accuracy bridge;
+    * ``window`` — the served tally of the lookups inside run-relative
+      ``(begin, end)`` hours: how did serving hold up *during* an
+      incident?
+    * ``chain`` — the hex served-hint chain: ``""`` chained with
+      :func:`~repro.service.backend.chain_step` over every lookup's
+      :func:`~repro.service.backend.served_record`.
+
+    A lookup's hour is ``start_hour + lookup.when_hours``, the hour
+    :meth:`HintService.process_lookup` served it at.
+    """
+
+    def __init__(
+        self,
+        pages: List[PageBlueprint],
+        config: ServiceConfig,
+        *,
+        sample_every: int = 0,
+        window: Optional[Tuple[float, float]] = None,
+        chain: bool = False,
+    ):
+        self.pages = pages
+        self.start_hour = config.start_hour
+        self.sample_every = sample_every
+        self.window = window
+        self.samples: List[BridgeSample] = []
+        self.window_lookups = self.window_served = 0
+        self.chain: Optional[str] = "" if chain else None
+
+    def __call__(
+        self, lookup: Lookup, result: FleetLookup, latency_ms: float
+    ) -> None:
+        now = self.start_hour + lookup.when_hours
+        entry, status = result.entry, result.status
+        served = status in (LookupStatus.HIT, LookupStatus.STALE_HIT)
+        if self.window is not None:
+            begin, end = self.window
+            if begin <= now - self.start_hour < end:
+                self.window_lookups += 1
+                self.window_served += 1 if served else 0
+        if self.chain is not None:
+            urls = entry.payload.get("urls", []) if served and entry else []
+            record = served_record(lookup, status, urls)
+            self.chain = chain_step(self.chain, record)
+        if self.sample_every and lookup.seq % self.sample_every == 0:
+            self.samples.append(
+                BridgeSample(
+                    seq=lookup.seq,
+                    when_hours=now,
+                    page_index=lookup.page_index,
+                    page=self.pages[lookup.page_index].name,
+                    device_class=lookup.device_class,
+                    user=lookup.user,
+                    status=status.value,
+                    computed_at_hours=(
+                        entry.computed_at_hours if entry is not None else None
+                    ),
+                    payload=(entry.payload if entry is not None else None),
+                )
+            )
+
+    def results(self) -> dict:
+        """What was asked for, keyed ``samples``, ``window``, ``chain``."""
+        out: dict = {}
+        if self.sample_every:
+            out["samples"] = list(self.samples)
+        if self.window is not None:
+            lookups, served = self.window_lookups, self.window_served
+            out["window"] = {
+                "begin_hours": self.window[0],
+                "end_hours": self.window[1],
+                "lookups": lookups,
+                "served": served,
+                "served_rate": round(served / lookups, 6) if lookups else 0.0,
+            }
+        if self.chain is not None:
+            out["chain"] = self.chain
+        return out
+
+
+def observed_run(
+    pages: List[PageBlueprint], config: ServiceConfig, **instruments
+) -> dict:
+    """Run a fresh service to its horizon under a :class:`LookupObserver`
+    built with ``instruments``; return ``{"report": ...}`` plus only what
+    was asked for (:meth:`LookupObserver.results`)."""
+    observer = LookupObserver(pages, config, **instruments)
+    service = HintService(pages, config)
+    report = service.run_to(config.horizon_hours, observer).report()
+    return {"report": report, **observer.results()}
 
 
 def staleness_experiment(
@@ -83,22 +192,23 @@ def staleness_experiment(
             crawl_budget_per_hour=budget,
             prewarm=True,
             seed=seed,
-            bridge_sample_every=bridge_sample_every,
         )
-        report = HintService(pages, config).run()
+        sample_every = bridge_sample_every if index < bridge_budgets else 0
+        run = observed_run(pages, config, sample_every=sample_every)
+        totals = run["report"]["totals"]
         row = {
             "crawl_budget_per_hour": budget,
-            "hit_rate": report.totals["hit_rate"],
-            "fresh_hit_rate": report.totals["fresh_hit_rate"],
-            "stale_hit_rate": report.totals["stale_hit_rate"],
-            "miss_rate": report.totals["miss_rate"],
-            "evictions": report.totals["evictions"],
-            "scheduler": report.scheduler,
+            "hit_rate": totals["hit_rate"],
+            "fresh_hit_rate": totals["fresh_hit_rate"],
+            "stale_hit_rate": totals["stale_hit_rate"],
+            "miss_rate": totals["miss_rate"],
+            "evictions": totals["evictions"],
+            "scheduler": run["report"]["scheduler"],
         }
-        if index < bridge_budgets and report.samples:
+        if run.get("samples"):
             bridge = evaluate_samples(
                 pages,
-                report.samples,
+                run["samples"],
                 max_samples=bridge_max_samples,
                 with_loads=bridge_with_loads,
                 cache=active_cache,
@@ -143,11 +253,17 @@ def _totals_slice(report_dict: dict) -> dict:
     }
 
 
-def _window_samples(report, config: ServiceConfig, begin: float, end: float):
-    """Bridge samples that fell inside the run-relative window."""
-    lo = config.start_hour + begin
-    hi = config.start_hour + end
-    return [s for s in report.samples if lo <= s.when_hours < hi]
+def _bridge_window(
+    pages: List[PageBlueprint], run: dict, config: ServiceConfig, **bridge
+) -> Optional[dict]:
+    """The accuracy bridge's aggregate over the samples of an
+    :func:`observed_run` that fell inside its window (None if none did)."""
+    lo = config.start_hour + run["window"]["begin_hours"]
+    hi = config.start_hour + run["window"]["end_hours"]
+    inside = [s for s in run.get("samples", ()) if lo <= s.when_hours < hi]
+    if not inside:
+        return None
+    return evaluate_samples(pages, inside, **bridge)["aggregate"]
 
 
 def failover_experiment(
@@ -208,28 +324,32 @@ def failover_experiment(
             crawl_budget_per_hour=crawl_budget_per_hour,
             prewarm=True,
             seed=seed,
-            bridge_sample_every=bridge_sample_every,
             shard_fault_rules=(rule,),
-            track_window=(down_at_hours, up_at_hours),
         )
-        report = HintService(pages, config).run()
-        report_dict = report.as_dict()
+        run = observed_run(
+            pages,
+            config,
+            sample_every=bridge_sample_every,
+            window=(down_at_hours, up_at_hours),
+        )
+        report = run["report"]
         row = {
             "replication": replication,
-            "totals": _totals_slice(report_dict),
-            "latency": _latency_slice(report_dict),
-            "window": report_dict["window"],
-            "health_events": report_dict["placement"]["health_events"],
+            "totals": _totals_slice(report),
+            "latency": _latency_slice(report),
+            "window": run["window"],
+            "health_events": report["placement"]["health_events"],
         }
-        degraded = _window_samples(report, config, down_at_hours, up_at_hours)
-        if degraded:
-            row["bridge_window"] = evaluate_samples(
-                pages,
-                degraded,
-                max_samples=bridge_max_samples,
-                with_loads=bridge_with_loads,
-                cache=active_cache,
-            )["aggregate"]
+        bridge = _bridge_window(
+            pages,
+            run,
+            config,
+            max_samples=bridge_max_samples,
+            with_loads=bridge_with_loads,
+            cache=active_cache,
+        )
+        if bridge is not None:
+            row["bridge_window"] = bridge
         rows.append(row)
     return {
         "victim_shard": victim,
@@ -287,40 +407,36 @@ def flash_crowd_experiment(
             crawl_budget_per_hour=crawl_budget_per_hour,
             prewarm=True,
             seed=seed,
-            bridge_sample_every=bridge_sample_every,
             frontend_cache_entries=capacity,
             flash_at_hours=flash_at_hours,
             flash_duration_hours=flash_duration_hours,
             flash_multiplier=flash_multiplier,
             flash_focus=flash_focus,
-            track_window=(
-                flash_at_hours,
-                flash_at_hours + flash_duration_hours,
-            ),
         )
-        report = HintService(pages, config).run()
-        report_dict = report.as_dict()
+        run = observed_run(
+            pages,
+            config,
+            sample_every=bridge_sample_every,
+            window=(flash_at_hours, flash_at_hours + flash_duration_hours),
+        )
+        report = run["report"]
         row = {
             "frontend_cache_entries": capacity,
-            "totals": _totals_slice(report_dict),
-            "latency": _latency_slice(report_dict),
-            "window": report_dict["window"],
-            "frontend": report_dict.get("frontend"),
+            "totals": _totals_slice(report),
+            "latency": _latency_slice(report),
+            "window": run["window"],
+            "frontend": report.get("frontend"),
         }
-        spike = _window_samples(
-            report,
+        bridge = _bridge_window(
+            pages,
+            run,
             config,
-            flash_at_hours,
-            flash_at_hours + flash_duration_hours,
+            max_samples=bridge_max_samples,
+            with_loads=bridge_with_loads,
+            cache=active_cache,
         )
-        if spike:
-            row["bridge_window"] = evaluate_samples(
-                pages,
-                spike,
-                max_samples=bridge_max_samples,
-                with_loads=bridge_with_loads,
-                cache=active_cache,
-            )["aggregate"]
+        if bridge is not None:
+            row["bridge_window"] = bridge
         rows.append(row)
     return {
         "flash_at_hours": flash_at_hours,
@@ -351,9 +467,9 @@ def reshard_experiment(
     Two runs see the *identical* workload: a control at ``shards`` and a
     reshard run that begins adding shard ``shards`` at
     ``reshard_at_hours``, migrating a few ring segments per batch tick.
-    Both runs chain a sha1 fingerprint over every served (status,
-    payload) pair — migration moves entries without touching payloads or
-    ages, so the streams must match bit-for-bit.  With ``audited`` the
+    Both runs chain the served-hint record of every lookup (its status
+    and served URLs) — migration moves entries without touching payloads
+    or ages, so the two chains must match bit-for-bit.  With ``audited`` the
     reshard run also verifies placement residency on every lookup
     (``REPRO_AUDIT`` machinery), so a wrong-shard routing mid-migration
     raises instead of skewing results.
@@ -373,11 +489,10 @@ def reshard_experiment(
             crawl_budget_per_hour=crawl_budget_per_hour,
             prewarm=True,
             seed=seed,
-            fingerprint=True,
             reshard_add_at_hours=reshard_at_hours if reshard else None,
             reshard_points_per_tick=reshard_points_per_tick,
         )
-        return HintService(pages, config).run().as_dict()
+        return observed_run(pages, config, chain=True)
 
     control = run(reshard=False)
     was_enabled = audit.ENABLED
@@ -388,25 +503,25 @@ def reshard_experiment(
     finally:
         if audited and not was_enabled:
             audit.disable()
-    migration = resharded["placement"]["migration"]
+    control_report = control["report"]
+    reshard_report = resharded["report"]
+    migration = reshard_report["placement"]["migration"]
     total_keys = 2 * len(pages)  # (page, device-class) keys
     return {
-        "control_fingerprint": control["fingerprint"],
-        "reshard_fingerprint": resharded["fingerprint"],
-        "payloads_match": (
-            control["fingerprint"] == resharded["fingerprint"]
-        ),
+        "control_fingerprint": control["chain"],
+        "reshard_fingerprint": resharded["chain"],
+        "payloads_match": control["chain"] == resharded["chain"],
         "audited": audited,
         "migration": migration,
         "keys_moved_fraction": round(
             migration["keys_moved"] / total_keys, 6
         ),
         "shards_before": shards,
-        "shards_after": len(resharded["placement"]["shards"]),
-        "control_latency": _latency_slice(control),
-        "reshard_latency": _latency_slice(resharded),
-        "control_evictions": control["totals"]["evictions"],
-        "reshard_evictions": resharded["totals"]["evictions"],
+        "shards_after": len(reshard_report["placement"]["shards"]),
+        "control_latency": _latency_slice(control_report),
+        "reshard_latency": _latency_slice(reshard_report),
+        "control_evictions": control_report["totals"]["evictions"],
+        "reshard_evictions": reshard_report["totals"]["evictions"],
     }
 
 
@@ -451,14 +566,13 @@ def service_benchmark(
         batch_period_hours=batch_period_hours,
         crawl_budget_per_hour=crawl_budget_per_hour,
         seed=seed,
-        bridge_sample_every=bridge_sample_every,
     )
-    report = HintService(pages, config).run()
-    payload = {"benchmark": "service", "report": report.as_dict()}
-    if report.samples:
+    run = observed_run(pages, config, sample_every=bridge_sample_every)
+    payload = {"benchmark": "service", "report": run["report"]}
+    if run.get("samples"):
         payload["bridge"] = evaluate_samples(
             pages,
-            report.samples,
+            run["samples"],
             max_samples=6,
             cache=active_cache,
         )
@@ -494,7 +608,6 @@ SMOKE_CONFIG = ServiceConfig(
     ttl_hours=6.0,
     crawl_budget_per_hour=24.0,
     seed=1701,
-    bridge_sample_every=0,
 )
 
 #: Golden counters for :data:`SMOKE_CONFIG` (asserted by ``--smoke``).
@@ -525,8 +638,7 @@ def smoke_run(cache: Optional[SnapshotCache] = None) -> dict:
     """Run the pinned smoke configuration; return its report dict."""
     del cache  # the smoke run records no engine loads
     pages = news_sports_corpus(SMOKE_CONFIG.pages)
-    report = HintService(pages, SMOKE_CONFIG).run()
-    return report.as_dict()
+    return HintService(pages, SMOKE_CONFIG).run()
 
 
 def smoke_scenarios(cache: Optional[SnapshotCache] = None) -> dict:

@@ -29,10 +29,10 @@ to the horizon is bit-identical to the uninterrupted run: the final
 report fingerprint matches exactly, and :func:`checkpoint_roundtrip`
 asserts it under ``REPRO_AUDIT=1``.
 
-The served-hint stream is fingerprinted as a *hex-string* sha1 chain —
-``chain = sha1(chain + record)`` per lookup — rather than a live hash
-object, because hashlib objects do not pickle and the chain must ride
-through checkpoints.
+The served-hint stream is fingerprinted as a hex sha1 chain over the
+service's :func:`~repro.service.backend.served_record` of each lookup
+(:func:`~repro.service.backend.chain_step`), so the chain pickles with
+the runner.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import audit
 from repro.core.cache_digest import CacheDigest, filter_pushes
 from repro.scenario.spec import ScenarioSpec
-from repro.service.backend import HintService
+from repro.service.backend import HintService, chain_step, served_record
 from repro.service.placement import FleetLookup
 from repro.service.store import LatencyHistogram, LookupStatus
 from repro.service.workload import Lookup
@@ -246,13 +246,9 @@ class LongRunner:
                 self._digests[key] = CacheDigest(
                     urls, bits_per_entry=spec.digest_filter_bits
                 )
-        record = (
-            f"{lookup.seq}|{status.value if served else 'cold'}|"
-            f"{','.join(filtered)}"
+        self.chain = chain_step(
+            self.chain, served_record(lookup, status, filtered)
         )
-        self.chain = hashlib.sha1(
-            (self.chain + "\n" + record).encode()
-        ).hexdigest()
         self.agg.record(
             status,
             latency_ms,
@@ -322,7 +318,7 @@ class LongRunner:
                 f"report requested at {self.clock}h before the "
                 f"{self.spec.horizon_hours}h horizon"
             )
-        service_report = self.service.report().as_dict()
+        service_report = self.service.report()
         out = {
             "spec": self.spec.as_dict(),
             "spec_fingerprint": self.spec.fingerprint(),

@@ -324,13 +324,13 @@ class HttpClient:
                 self.sim.call_soon(lambda: on_headers(fetch))
             else:
                 previous = fetch.on_headers
-                fetch.on_headers = _chain(previous, on_headers)
+                fetch.on_headers = chain_callbacks(previous, on_headers)
         if on_complete is not None:
             if fetch.completed_at is not None:
                 self.sim.call_soon(lambda: on_complete(fetch))
             else:
                 previous_done = fetch.on_complete
-                fetch.on_complete = _chain(previous_done, on_complete)
+                fetch.on_complete = chain_callbacks(previous_done, on_complete)
 
     # -- DNS -----------------------------------------------------------------
 
@@ -649,10 +649,11 @@ class HttpClient:
         self.sim.schedule_drop(delay, lambda: self._dispatch(fetch))
 
 
-def _chain(
+def chain_callbacks(
     first: Optional[Callable[[Fetch], None]],
     second: Callable[[Fetch], None],
 ) -> Callable[[Fetch], None]:
+    """One fetch callback that runs ``first`` (when set), then ``second``."""
     def combined(fetch: Fetch) -> None:
         if first is not None:
             first(fetch)

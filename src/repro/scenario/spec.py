@@ -216,37 +216,19 @@ class ScenarioSpec:
         return FaultPlan(seed=self.fault_seed, rules=rules)
 
     def service_config(self) -> ServiceConfig:
-        """The backend configuration this spec compiles down to.
-
-        ``fingerprint`` stays off (the runner chains its own hex digest,
-        which — unlike a live sha1 object — survives pickling) and the
-        bridge stays off (per-lookup samples would break the constant-
-        memory contract).
-        """
+        """The backend configuration this spec compiles down to: every
+        knob the two share by name, the workload seed, and the cycle's
+        fault rules followed by the extra ones."""
+        own = {spec_field.name for spec_field in fields(self)}
+        shared = {
+            knob.name: getattr(self, knob.name)
+            for knob in fields(ServiceConfig)
+            if knob.name in own
+        }
         return ServiceConfig(
-            pages=self.pages,
-            horizon_hours=self.horizon_hours,
-            rate_per_hour=self.rate_per_hour,
-            zipf_exponent=self.zipf_exponent,
-            phone_fraction=self.phone_fraction,
-            user_pool=self.user_pool,
-            shards=self.shards,
-            vnodes=self.vnodes,
-            shard_memory_bytes=self.shard_memory_bytes,
-            ttl_hours=self.ttl_hours,
-            freshness_hours=self.freshness_hours,
-            replication=self.replication,
-            frontend_cache_entries=self.frontend_cache_entries,
-            frontend_cache_ttl_hours=self.frontend_cache_ttl_hours,
-            shard_fault_rules=self.cycle_rules() + self.extra_fault_rules,
-            fault_seed=self.fault_seed,
-            batch_period_hours=self.batch_period_hours,
-            crawl_budget_per_hour=self.crawl_budget_per_hour,
-            prewarm=self.prewarm,
-            start_hour=self.start_hour,
+            **shared,
             seed=self.workload_seed,
-            fingerprint=False,
-            bridge_sample_every=0,
+            shard_fault_rules=self.cycle_rules() + self.extra_fault_rules,
         )
 
     # -- identity --------------------------------------------------------

@@ -29,7 +29,7 @@ Every run is a pure function of its :class:`ServiceConfig` (seed
 included): two runs produce bit-identical reports.
 """
 
-from repro.service.backend import HintService, ServiceConfig, ServiceReport
+from repro.service.backend import HintService, ServiceConfig
 from repro.service.bridge import BridgeSample, evaluate_samples
 from repro.service.placement import (
     FleetLookup,
@@ -45,7 +45,6 @@ from repro.service.workload import Workload, ZipfPopularity
 __all__ = [
     "HintService",
     "ServiceConfig",
-    "ServiceReport",
     "BridgeSample",
     "evaluate_samples",
     "BatchScheduler",

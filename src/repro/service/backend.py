@@ -28,14 +28,18 @@ exactly as ``pages.dynamics`` rotates URLs underneath them, which is
 what makes staleness *mean* something downstream.
 
 A run is a pure function of its :class:`ServiceConfig`: repeated runs
-produce bit-identical :class:`ServiceReport` dictionaries.
+produce bit-identical report dictionaries.  Per-lookup instruments (the
+long-run rollups, bridge sampling, an incident window's tally, the
+served-hint chain of :func:`served_record` and :func:`chain_step`) ride
+on the ``on_lookup`` hook of :meth:`HintService.run_to`, so the service
+itself keeps no per-lookup state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import audit
@@ -43,7 +47,6 @@ from repro.calibration import DEFAULT_EVAL_HOUR, OFFLINE_WINDOW_LOADS
 from repro.core.offline import OfflineResolver
 from repro.net.faults import FaultPlan, FaultRule, fault_rule_to_dict
 from repro.pages.page import PageBlueprint
-from repro.service.bridge import BridgeSample
 from repro.service.placement import FleetLookup, FleetStore
 from repro.service.scheduler import BatchScheduler, ResolutionJob
 from repro.service.store import (
@@ -109,13 +112,6 @@ class ServiceConfig:
     flash_multiplier: float = 10.0
     flash_focus: float = 0.8
     flash_page_rank: int = 0
-    # -- extra instrumentation -------------------------------------------
-    #: Run-relative (start, end) hours whose lookups are tallied
-    #: separately — how did serving hold up *during* the incident?
-    track_window: Optional[Tuple[float, float]] = None
-    #: Chain a sha1 over every served (seq, status, payload URLs); the
-    #: reshard experiment compares runs by this digest.
-    fingerprint: bool = False
     # -- offline-resolution scheduler -----------------------------------
     batch_period_hours: float = 0.25
     crawl_budget_per_hour: float = 60.0
@@ -128,24 +124,11 @@ class ServiceConfig:
     # -- time & determinism ---------------------------------------------
     start_hour: float = DEFAULT_EVAL_HOUR
     seed: int = 0
-    # -- accuracy bridge -------------------------------------------------
-    #: Sample every Nth lookup for end-to-end evaluation (0 disables).
-    bridge_sample_every: int = 0
 
     def workload(self) -> WorkloadConfig:
-        return WorkloadConfig(
-            pages=self.pages,
-            rate_per_hour=self.rate_per_hour,
-            zipf_exponent=self.zipf_exponent,
-            phone_fraction=self.phone_fraction,
-            user_pool=self.user_pool,
-            seed=self.seed,
-            flash_at_hours=self.flash_at_hours,
-            flash_duration_hours=self.flash_duration_hours,
-            flash_multiplier=self.flash_multiplier,
-            flash_focus=self.flash_focus,
-            flash_page_rank=self.flash_page_rank,
-        )
+        """The traffic knobs: every ``WorkloadConfig`` field, by name."""
+        knobs = fields(WorkloadConfig)
+        return WorkloadConfig(**{k.name: getattr(self, k.name) for k in knobs})
 
     def store(self) -> StoreConfig:
         return StoreConfig(
@@ -165,43 +148,18 @@ class ServiceConfig:
         return FaultPlan(seed=self.fault_seed, rules=self.shard_fault_rules)
 
     def as_dict(self) -> dict:
-        return {
-            "pages": self.pages,
-            "horizon_hours": self.horizon_hours,
-            "rate_per_hour": self.rate_per_hour,
-            "zipf_exponent": self.zipf_exponent,
-            "phone_fraction": self.phone_fraction,
-            "user_pool": self.user_pool,
-            "shards": self.shards,
-            "vnodes": self.vnodes,
-            "shard_memory_bytes": self.shard_memory_bytes,
-            "ttl_hours": self.ttl_hours,
-            "freshness_hours": self.freshness_hours,
-            "batch_period_hours": self.batch_period_hours,
-            "crawl_budget_per_hour": self.crawl_budget_per_hour,
-            "prewarm": self.prewarm,
-            "start_hour": self.start_hour,
-            "seed": self.seed,
-            "bridge_sample_every": self.bridge_sample_every,
-            "replication": self.replication,
-            "frontend_cache_entries": self.frontend_cache_entries,
-            "frontend_cache_ttl_hours": self.frontend_cache_ttl_hours,
-            "shard_fault_rules": [
-                fault_rule_to_dict(rule) for rule in self.shard_fault_rules
-            ],
-            "fault_seed": self.fault_seed,
-            "reshard_add_at_hours": self.reshard_add_at_hours,
-            "reshard_points_per_tick": self.reshard_points_per_tick,
-            "flash_at_hours": self.flash_at_hours,
-            "flash_duration_hours": self.flash_duration_hours,
-            "flash_multiplier": self.flash_multiplier,
-            "flash_focus": self.flash_focus,
-            "flash_page_rank": self.flash_page_rank,
-            "track_window": (
-                list(self.track_window) if self.track_window else None
-            ),
-            "fingerprint": self.fingerprint,
-        }
+        out = {}
+        for config_field in fields(self):
+            value = getattr(self, config_field.name)
+            if config_field.name == "shard_fault_rules":
+                value = [fault_rule_to_dict(rule) for rule in value]
+            out[config_field.name] = value
+        return out
+
+
+def _rate(count: int, lookups: int) -> float:
+    """A report's share: ``count / lookups`` to 6 places, 0 when idle."""
+    return round(count / lookups, 6) if lookups else 0.0
 
 
 def tenant_of(page_name: str) -> str:
@@ -209,62 +167,26 @@ def tenant_of(page_name: str) -> str:
     return page_name.rstrip("0123456789") or page_name
 
 
-@dataclass
-class ServiceReport:
-    """Counters and distributions from one service run."""
+def served_record(
+    lookup: Lookup, status: LookupStatus, urls: List[str]
+) -> str:
+    """One lookup's line in a served-hint chain: ``seq|status|urls``.
 
-    config: dict
-    duration_hours: float
-    totals: dict
-    latency: dict
-    shards: List[dict]
-    tenants: Dict[str, dict]
-    scheduler: dict
-    #: Hit rate per tenth of the expected lookup stream — the warm-up
-    #: curve.
-    warmup_hit_rate: List[float]
-    #: Placement-map state: version, replication, health events,
-    #: migration counters.
-    placement: dict = field(default_factory=dict)
-    #: Per-frontend hot-key cache counters (None when disabled).
-    frontend: Optional[dict] = None
-    #: Serving stats inside ``config.track_window`` (None when unset).
-    window: Optional[dict] = None
-    #: sha1 chain over the served hint stream (None when disabled).
-    fingerprint: Optional[str] = None
-    samples: List[BridgeSample] = field(default_factory=list)
+    ``status`` reads ``cold`` for a lookup served no hints, and ``urls``
+    are the hint URLs it was served, comma-joined.
+    """
+    served = status is LookupStatus.HIT or status is LookupStatus.STALE_HIT
+    label = status.value if served else "cold"
+    return f"{lookup.seq}|{label}|{','.join(urls)}"
 
-    @property
-    def hit_rate(self) -> float:
-        return self.totals["hit_rate"]
 
-    @property
-    def stale_hit_rate(self) -> float:
-        return self.totals["stale_hit_rate"]
+def chain_step(chain: str, record: str) -> str:
+    """Extend a hex sha1 chain by one record.
 
-    def as_dict(self) -> dict:
-        """JSON-ready form; deterministic modulo nothing (no wall clock)."""
-        out = {
-            "config": self.config,
-            "duration_hours": round(self.duration_hours, 6),
-            "totals": self.totals,
-            "latency": self.latency,
-            "shards": self.shards,
-            "tenants": {
-                tenant: self.tenants[tenant]
-                for tenant in sorted(self.tenants)
-            },
-            "scheduler": self.scheduler,
-            "warmup_hit_rate": self.warmup_hit_rate,
-            "placement": self.placement,
-        }
-        if self.frontend is not None:
-            out["frontend"] = self.frontend
-        if self.window is not None:
-            out["window"] = self.window
-        if self.fingerprint is not None:
-            out["fingerprint"] = self.fingerprint
-        return out
+    A hex string rather than a live hash object, because hashlib
+    objects do not pickle and a chain rides through checkpoints.
+    """
+    return hashlib.sha1((chain + "\n" + record).encode()).hexdigest()
 
 
 class HintService:
@@ -279,6 +201,10 @@ class HintService:
             )
         if config.horizon_hours <= 0:
             raise ValueError("horizon must be positive")
+        if config.reshard_add_at_hours is not None and (
+            config.reshard_points_per_tick < 1
+        ):
+            raise ValueError("a reshard needs reshard_points_per_tick >= 1")
         self.pages = pages
         self.config = config
         self.store = FleetStore(
@@ -291,7 +217,6 @@ class HintService:
         )
         self._page_by_name = {page.name: page for page in pages}
         self._resolvers: Dict[str, OfflineResolver] = {}
-        self._samples: List[BridgeSample] = []
         self._tenants: Dict[str, dict] = {}
         #: page index -> tenant key, precomputed: ``tenant_of`` strips
         #: digits per call, and the lookup handler runs per arrival.
@@ -316,9 +241,6 @@ class HintService:
         #: Latency samples with no shard behind them: frontend-cache
         #: hits and fully unavailable keys.
         self._front_latency = LatencyHistogram()
-        self._window_lookups = 0
-        self._window_served = 0
-        self._fingerprint = hashlib.sha1() if config.fingerprint else None
         self._reshard_started = False
 
     # -- helpers ----------------------------------------------------------
@@ -375,31 +297,12 @@ class HintService:
         result = self.store.lookup(
             self.page_url(page), page.name, lookup.device_class, now_hours
         )
-        entry, status = result.entry, result.status
+        status = result.status
         latency_ms = self._lookup_latency_ms(result, lookup.seq)
         if result.shard is not None:
             result.shard.latency.record(latency_ms)
         else:
             self._front_latency.record(latency_ms)
-
-        served = status in (LookupStatus.HIT, LookupStatus.STALE_HIT)
-        if self._fingerprint is not None:
-            # Stored URL lists are sorted and duplicate-free already.
-            urls = (
-                ",".join(entry.payload.get("urls", []))
-                if entry is not None
-                else ""
-            )
-            self._fingerprint.update(
-                f"{lookup.seq}|{status.value if served else 'cold'}|{urls}\n"
-                .encode()
-            )
-        if self.config.track_window is not None:
-            begin, end = self.config.track_window
-            relative = now_hours - self.config.start_hour
-            if begin <= relative < end:
-                self._window_lookups += 1
-                self._window_served += 1 if served else 0
 
         tenant_key = self._tenant_keys[lookup.page_index]
         tenant = self._tenants.get(tenant_key)
@@ -418,51 +321,23 @@ class HintService:
         if status is LookupStatus.HIT:
             tenant["hits"] += 1
             self._decile_served[decile] += 1
-        elif status is LookupStatus.STALE_HIT:
+            return result, latency_ms
+        if status is LookupStatus.STALE_HIT:
             tenant["stale_hits"] += 1
             self._decile_served[decile] += 1
-            self.scheduler.enqueue(
-                ResolutionJob(
-                    page=page.name,
-                    device_class=lookup.device_class,
-                    page_index=lookup.page_index,
-                    enqueued_at_hours=now_hours,
-                    reason="stale",
-                )
-            )
+            reason = "stale"
         else:  # MISS or EXPIRED: cold start — serve no hints, resolve.
             tenant["misses"] += 1
-            self.scheduler.enqueue(
-                ResolutionJob(
-                    page=page.name,
-                    device_class=lookup.device_class,
-                    page_index=lookup.page_index,
-                    enqueued_at_hours=now_hours,
-                    reason=(
-                        "expired"
-                        if status is LookupStatus.EXPIRED
-                        else "miss"
-                    ),
-                )
+            reason = status.value
+        self.scheduler.enqueue(
+            ResolutionJob(
+                page=page.name,
+                device_class=lookup.device_class,
+                page_index=lookup.page_index,
+                enqueued_at_hours=now_hours,
+                reason=reason,
             )
-
-        every = self.config.bridge_sample_every
-        if every > 0 and lookup.seq % every == 0:
-            self._samples.append(
-                BridgeSample(
-                    seq=lookup.seq,
-                    when_hours=now_hours,
-                    page_index=lookup.page_index,
-                    page=page.name,
-                    device_class=lookup.device_class,
-                    user=lookup.user,
-                    status=status.value,
-                    computed_at_hours=(
-                        entry.computed_at_hours if entry is not None else None
-                    ),
-                    payload=(entry.payload if entry is not None else None),
-                )
-            )
+        )
         return result, latency_ms
 
     def _staleness_of(
@@ -586,7 +461,7 @@ class HintService:
         self.clock = until
         return self
 
-    def run(self) -> ServiceReport:
+    def run(self) -> dict:
         """Drive a fresh service to its horizon; return the report."""
         if self._begun:
             raise RuntimeError(
@@ -595,30 +470,26 @@ class HintService:
             )
         return self.run_to(self.config.horizon_hours).report()
 
-    def report(self) -> ServiceReport:
-        """The report of everything served up to the current clock."""
+    def report(self) -> dict:
+        """The JSON-ready report of everything served up to the clock;
+        bit-identical per config (no wall clock)."""
         totals = self.store.totals()
-        lookups = totals["lookups"]
-        served = totals["hits"] + totals["stale_hits"]
-        totals["hit_rate"] = round(served / lookups, 6) if lookups else 0.0
-        totals["fresh_hit_rate"] = (
-            round(totals["hits"] / lookups, 6) if lookups else 0.0
-        )
-        totals["stale_hit_rate"] = (
-            round(totals["stale_hits"] / lookups, 6) if lookups else 0.0
-        )
-        totals["miss_rate"] = (
-            round((totals["misses"] + totals["expired"]) / lookups, 6)
-            if lookups
-            else 0.0
-        )
+        hits, stale_hits = totals["hits"], totals["stale_hits"]
+        cold = totals["misses"] + totals["expired"]
+        for key, count in (
+            ("hit_rate", hits + stale_hits),
+            ("fresh_hit_rate", hits),
+            ("stale_hit_rate", stale_hits),
+            ("miss_rate", cold),
+        ):
+            totals[key] = _rate(count, totals["lookups"])
 
         shard_rows = []
         for shard in self.store.shard_list():
             row = {"shard": shard.index, "entries": len(shard)}
             row["retired"] = shard.index not in self.store.shards
             row["down"] = shard.index in self.store.down
-            row.update(shard.counters.as_dict())
+            row.update(asdict(shard.counters))
             row.update(shard.latency.summary())
             shard_rows.append(row)
         merged = LatencyHistogram.merged(
@@ -626,48 +497,25 @@ class HintService:
             + [self._front_latency]
         )
 
-        warmup = []
-        for served_d, lookups_d in zip(
-            self._decile_served, self._decile_lookups
-        ):
-            warmup.append(
-                round(served_d / lookups_d, 6) if lookups_d else 0.0
-            )
-
-        window = None
-        if self.config.track_window is not None:
-            window = {
-                "begin_hours": self.config.track_window[0],
-                "end_hours": self.config.track_window[1],
-                "lookups": self._window_lookups,
-                "served": self._window_served,
-                "served_rate": (
-                    round(self._window_served / self._window_lookups, 6)
-                    if self._window_lookups
-                    else 0.0
-                ),
-            }
-
-        return ServiceReport(
-            config=self.config.as_dict(),
-            duration_hours=self.clock,
-            totals=totals,
-            latency=merged.summary(),
-            shards=shard_rows,
-            tenants=self._tenants,
-            scheduler=self.scheduler.counters.as_dict(),
-            warmup_hit_rate=warmup,
-            placement=self.store.placement_summary(),
-            frontend=(
-                self.store.frontend.as_dict()
-                if self.store.frontend is not None
-                else None
-            ),
-            window=window,
-            fingerprint=(
-                self._fingerprint.hexdigest()
-                if self._fingerprint is not None
-                else None
-            ),
-            samples=list(self._samples),
-        )
+        out = {
+            "config": self.config.as_dict(),
+            "duration_hours": round(self.clock, 6),
+            "totals": totals,
+            "latency": merged.summary(),
+            "shards": shard_rows,
+            "tenants": {
+                tenant: dict(self._tenants[tenant])
+                for tenant in sorted(self._tenants)
+            },
+            "scheduler": self.scheduler.counters.as_dict(),
+            "warmup_hit_rate": [
+                _rate(served, lookups)
+                for served, lookups in zip(
+                    self._decile_served, self._decile_lookups
+                )
+            ],
+            "placement": self.store.placement_summary(),
+        }
+        if self.store.frontend is not None:
+            out["frontend"] = self.store.frontend.as_dict()
+        return out

@@ -34,7 +34,7 @@ instead of silently serving stale routing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import audit
@@ -276,23 +276,6 @@ class FleetCounters:
     shard_wipes: int = 0
     entries_lost: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "stale_hits": self.stale_hits,
-            "misses": self.misses,
-            "expired": self.expired,
-            "unavailable": self.unavailable,
-            "failovers": self.failovers,
-            "replica_probes": self.replica_probes,
-            "read_repairs": self.read_repairs,
-            "frontend_hits": self.frontend_hits,
-            "replica_inserts": self.replica_inserts,
-            "shard_wipes": self.shard_wipes,
-            "entries_lost": self.entries_lost,
-        }
-
 
 @dataclass
 class MigrationCounters:
@@ -303,15 +286,6 @@ class MigrationCounters:
     keys_moved: int = 0
     entries_copied: int = 0
     entries_dropped: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "points_moved": self.points_moved,
-            "keys_moved": self.keys_moved,
-            "entries_copied": self.entries_copied,
-            "entries_dropped": self.entries_dropped,
-        }
 
 
 class FrontendCache:
@@ -421,6 +395,12 @@ class FleetStore:
             raise ValueError(
                 "replication cannot exceed the shard count"
             )
+        if self.config.ttl_hours <= 0:
+            raise ValueError("ttl_hours must be positive")
+        if self.config.freshness_hours <= 0:
+            raise ValueError("freshness_hours must be positive")
+        if self.config.frontend_cache_entries < 0:
+            raise ValueError("frontend_cache_entries must be non-negative")
         self.placement = PlacementMap(
             self.config.shard_count,
             self.config.vnodes,
@@ -458,8 +438,8 @@ class FleetStore:
         #: call; the ring only changes when a reshard bumps
         #: ``placement.version``, so the route is computed once per
         #: (page, topology) instead of once per lookup.  The hit/miss
-        #: tallies are diagnostics only — deliberately not part of
-        #: ``FleetCounters.as_dict`` (the smoke goldens pin that dict).
+        #: tallies are diagnostics only — deliberately not
+        #: ``FleetCounters`` fields (the smoke goldens pin their dict).
         self._route_cache: Dict[str, List[int]] = {}
         self._route_version = self.placement.version
         self.route_cache_hits = 0
@@ -754,7 +734,7 @@ class FleetStore:
 
     def totals(self) -> dict:
         """Front-door outcome counters plus fleet-wide occupancy sums."""
-        out = self.counters.as_dict()
+        out = asdict(self.counters)
         inserts = evictions = rejected = resident = 0
         for shard in self.shard_list():
             inserts += shard.counters.inserts
@@ -777,5 +757,5 @@ class FleetStore:
             "pending_points": self.placement.pending_points(),
             "down_shards": sorted(self.down),
             "health_events": list(self.health_events),
-            "migration": self.migration.as_dict(),
+            "migration": asdict(self.migration),
         }

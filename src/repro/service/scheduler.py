@@ -124,9 +124,6 @@ class BatchScheduler:
             float(loads_per_job),
         )
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     # repro: hotpath
     def enqueue(self, job: ResolutionJob) -> bool:
         """Add a job; a duplicate key coalesces (and bumps demand).

@@ -82,19 +82,6 @@ class ShardCounters:
     rejected: int = 0
     resident_bytes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "stale_hits": self.stale_hits,
-            "misses": self.misses,
-            "expired": self.expired,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-            "rejected": self.rejected,
-            "resident_bytes": self.resident_bytes,
-        }
-
 
 class LatencyHistogram:
     """Fixed-bucket latency histogram with deterministic percentiles.

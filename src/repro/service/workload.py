@@ -108,6 +108,8 @@ class Workload:
             raise ValueError("arrival rate must be positive")
         if not 0.0 <= config.phone_fraction <= 1.0:
             raise ValueError("phone fraction must be within [0, 1]")
+        if config.user_pool < 1:
+            raise ValueError("user_pool must be at least 1")
         if config.flash_at_hours is not None:
             if config.flash_at_hours < 0:
                 raise ValueError("flash start must be non-negative")

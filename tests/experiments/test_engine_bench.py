@@ -21,8 +21,13 @@ def smoke_report():
 
 
 def test_smoke_matches_pinned_goldens(smoke_report):
-    """The deterministic counters equal the goldens CI asserts."""
-    assert smoke_check(smoke_report) == []
+    """The deterministic counters equal the goldens CI asserts.
+
+    Only the counters: the wall-clock floors of :func:`smoke_check` move
+    with the host, so they gate the ``engine-bench`` CI step, not this
+    test.
+    """
+    assert smoke_counters(smoke_report) == SMOKE_GOLDENS
 
 
 def test_scenarios_and_goldens_agree():
@@ -34,7 +39,10 @@ def test_smoke_check_flags_drift(smoke_report):
 
     drifted = copy.deepcopy(smoke_report)
     drifted["scenarios"][0]["counters_fast"]["link_pokes"] += 1
-    problems = smoke_check(drifted)
+    # Compared with the undrifted report's own findings, so a wall floor
+    # the host happened to miss does not count as the drift.
+    before = smoke_check(smoke_report)
+    problems = [p for p in smoke_check(drifted) if p not in before]
     assert len(problems) == 1
     assert "link_pokes" in problems[0]
 

@@ -66,8 +66,7 @@ class TestSmoke:
         assert len(problems) == 1
         assert "hits" in problems[0]
 
-    def test_smoke_config_collects_no_samples(self):
-        assert SMOKE_CONFIG.bridge_sample_every == 0
+    def test_smoke_stream_length_is_a_poisson_draw(self):
         # The pinned stream length is a Poisson draw around rate × horizon.
         offered = SMOKE_CONFIG.rate_per_hour * SMOKE_CONFIG.horizon_hours
         assert abs(EXPECTED_SMOKE["lookups"] - offered) < 3 * offered ** 0.5

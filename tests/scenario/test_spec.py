@@ -159,8 +159,6 @@ class TestComposition:
         assert config.pages == spec.pages
         assert config.horizon_hours == spec.horizon_hours
         assert len(config.shard_fault_rules) == len(spec.cycle_rules()) + 2
-        assert config.fingerprint is False
-        assert config.bridge_sample_every == 0
 
     def test_build_pages_honours_count_and_seed(self):
         spec = ScenarioSpec(pages=3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.service import LookupObserver, observed_run
 from repro.net.faults import FaultKind, FaultRule, fault_rule_from_dict
 from repro.service.backend import HintService, ServiceConfig, tenant_of
 from repro.service.placement import shard_outage_rule
@@ -61,6 +62,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="horizon"):
             HintService(fleet, service_config(horizon_hours=0.0))
 
+    @pytest.mark.parametrize(
+        "knobs, field",
+        [
+            (dict(ttl_hours=-1.0), "ttl_hours"),
+            (dict(freshness_hours=-5.0), "freshness_hours"),
+            (dict(user_pool=0), "user_pool"),
+            (
+                dict(reshard_add_at_hours=0.2, reshard_points_per_tick=0),
+                "reshard_points_per_tick",
+            ),
+            (dict(frontend_cache_entries=-1), "frontend_cache_entries"),
+        ],
+        ids=["ttl", "freshness", "user-pool", "reshard-step", "frontend"],
+    )
+    def test_rejects_knobs_nothing_else_validates(self, fleet, knobs, field):
+        with pytest.raises(ValueError, match=field):
+            HintService(fleet, service_config(**knobs))
+
     def test_hints_only_fault_rule_survives_the_config_dict(self):
         # A hints_only shard rule never fires (shard health asks with
         # is_hint=False), so dropping the flag would make two configs
@@ -81,7 +100,6 @@ class TestResumableLoop:
     FLEET = dict(
         replication=2,
         frontend_cache_entries=2,
-        fingerprint=True,
         batch_period_hours=0.1,
         shard_fault_rules=(
             shard_outage_rule(
@@ -98,12 +116,15 @@ class TestResumableLoop:
         ids=["off-grid", "every-tick"],
     )
     def test_sliced_run_equals_one_run(self, fleet, stops):
-        whole = HintService(fleet, service_config(**self.FLEET)).run()
-        sliced = HintService(fleet, service_config(**self.FLEET))
+        config = service_config(**self.FLEET)
+        asked = dict(sample_every=50, window=(0.15, 0.3), chain=True)
+        whole = observed_run(fleet, config, **asked)
+        sliced = HintService(fleet, config)
+        observer = LookupObserver(fleet, config, **asked)
         for stop in stops:
-            sliced.run_to(stop)
-        sliced.run_to(sliced.config.horizon_hours)
-        assert sliced.report().as_dict() == whole.as_dict()
+            sliced.run_to(stop, observer)
+        sliced.run_to(config.horizon_hours, observer)
+        assert {"report": sliced.report(), **observer.results()} == whole
 
     def test_tick_runs_before_an_arrival_at_the_same_hour(self, fleet):
         service = HintService(fleet, service_config())
@@ -133,28 +154,28 @@ class TestResumableLoop:
             ),
         )
         assert [seq for seq, _, _ in seen] == list(range(offered))
-        assert service.report().totals["lookups"] == offered
+        assert service.report()["totals"]["lookups"] == offered
 
 
 class TestDeterminism:
     def test_two_runs_bit_identical(self, fleet):
-        first = HintService(fleet, service_config()).run().as_dict()
-        second = HintService(fleet, service_config()).run().as_dict()
+        first = HintService(fleet, service_config()).run()
+        second = HintService(fleet, service_config()).run()
         assert first == second
 
     def test_seed_changes_the_run(self, fleet):
-        first = HintService(fleet, service_config()).run().as_dict()
-        second = HintService(fleet, service_config(seed=12)).run().as_dict()
+        first = HintService(fleet, service_config()).run()
+        second = HintService(fleet, service_config(seed=12)).run()
         assert first != second
 
 
 class TestColdStartAndWarmup:
     def test_first_lookup_of_every_key_misses(self, fleet):
         report = HintService(fleet, service_config()).run()
-        assert report.totals["misses"] > 0
+        assert report["totals"]["misses"] > 0
         # The store was empty at t=0: the very first decile serves the
         # least traffic from the store.
-        warmup = report.warmup_hit_rate
+        warmup = report["warmup_hit_rate"]
         assert warmup[0] == min(warmup)
         assert warmup[-1] > warmup[0]
 
@@ -162,13 +183,13 @@ class TestColdStartAndWarmup:
         report = HintService(
             fleet, service_config(prewarm=True, ttl_hours=50.0)
         ).run()
-        assert report.totals["misses"] == 0
-        assert report.totals["expired"] == 0
-        assert report.totals["hit_rate"] == 1.0
+        assert report["totals"]["misses"] == 0
+        assert report["totals"]["expired"] == 0
+        assert report["totals"]["hit_rate"] == 1.0
 
     def test_lookups_are_conserved(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
-        totals = report.totals
+        totals = report["totals"]
         assert totals["lookups"] == offered
         assert (
             totals["hits"]
@@ -177,7 +198,7 @@ class TestColdStartAndWarmup:
             + totals["expired"]
             == offered
         )
-        assert report.latency["samples"] == offered
+        assert report["latency"]["samples"] == offered
 
 
 class TestStoredRecords:
@@ -217,43 +238,54 @@ class TestStoredRecords:
 class TestCountersAndReport:
     def test_shard_rows_sum_to_totals(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
-        assert sum(row["lookups"] for row in report.shards) == offered
-        assert sum(row["samples"] for row in report.shards) == offered
+        assert sum(row["lookups"] for row in report["shards"]) == offered
+        assert sum(row["samples"] for row in report["shards"]) == offered
 
     def test_tenants_cover_all_traffic(self, fleet, offered):
         report = HintService(fleet, service_config()).run()
-        assert sum(t["lookups"] for t in report.tenants.values()) == offered
-        for name in report.tenants:
+        tenants = report["tenants"]
+        assert sum(t["lookups"] for t in tenants.values()) == offered
+        assert list(tenants) == sorted(tenants)
+        for name in tenants:
             assert name == tenant_of(name + "123")
 
     def test_scheduler_spends_within_budget(self, fleet):
         report = HintService(fleet, service_config()).run()
-        scheduler = report.scheduler
+        scheduler = report["scheduler"]
         assert scheduler["loads_spent"] > 0
         assert scheduler["budget_utilization"] <= 1.0
+
+    def test_mid_run_report_is_a_snapshot(self, fleet):
+        import json
+
+        service = HintService(fleet, service_config())
+        early = service.run_to(0.25).report()
+        frozen = json.dumps(early, sort_keys=True)
+        service.run_to(0.5)
+        assert json.dumps(early, sort_keys=True) == frozen
+        assert service.report() != early
 
     def test_report_dict_is_json_clean(self, fleet, offered):
         import json
 
         report = HintService(fleet, service_config()).run()
-        payload = json.loads(json.dumps(report.as_dict(), sort_keys=True))
+        payload = json.loads(json.dumps(report, sort_keys=True))
+        assert payload == report
         assert payload["totals"]["lookups"] == offered
 
 
 class TestBridgeSampling:
+    """Bridge samples come from the observer on ``run_to``'s hook."""
+
     def test_sampling_collects_every_nth(self, fleet, offered):
-        report = HintService(
-            fleet, service_config(bridge_sample_every=100)
-        ).run()
-        assert [sample.seq for sample in report.samples] == list(
+        run = observed_run(fleet, service_config(), sample_every=100)
+        assert [sample.seq for sample in run["samples"]] == list(
             range(0, offered, 100)
         )
 
     def test_miss_samples_carry_no_payload(self, fleet):
-        report = HintService(
-            fleet, service_config(bridge_sample_every=100)
-        ).run()
-        for sample in report.samples:
+        run = observed_run(fleet, service_config(), sample_every=100)
+        for sample in run["samples"]:
             if sample.status in ("miss", "expired"):
                 assert sample.payload is None
                 assert sample.computed_at_hours is None
@@ -262,9 +294,22 @@ class TestBridgeSampling:
                 assert sample.computed_at_hours is not None
                 assert sample.computed_at_hours <= sample.when_hours
 
+    def test_sample_hour_is_the_hour_served(self, fleet, monkeypatch):
+        served_at = {}
+        serve = HintService.process_lookup
+
+        def spy(service, lookup, now_hours):
+            served_at[lookup.seq] = now_hours
+            return serve(service, lookup, now_hours)
+
+        monkeypatch.setattr(HintService, "process_lookup", spy)
+        run = observed_run(fleet, service_config(), sample_every=100)
+        assert run["samples"]
+        for sample in run["samples"]:
+            assert sample.when_hours == served_at[sample.seq]
+
     def test_disabled_by_default(self, fleet):
-        report = HintService(fleet, service_config()).run()
-        assert report.samples == []
+        assert set(observed_run(fleet, service_config())) == {"report"}
 
 
 class TestSchedulerStaleness:
@@ -297,31 +342,22 @@ class TestFleetRun:
         rule = shard_outage_rule(
             0, down_at_hours=start + 0.1, up_at_hours=start + 0.3
         )
-        degraded = HintService(
-            fleet,
-            service_config(
+
+        def run(replication):
+            config = service_config(
                 prewarm=True,
                 ttl_hours=50.0,
+                replication=replication,
                 shard_fault_rules=(rule,),
-                track_window=(0.1, 0.3),
-            ),
-        ).run()
-        replicated = HintService(
-            fleet,
-            service_config(
-                prewarm=True,
-                ttl_hours=50.0,
-                replication=2,
-                shard_fault_rules=(rule,),
-                track_window=(0.1, 0.3),
-            ),
-        ).run()
-        assert replicated.as_dict()["window"]["served_rate"] == 1.0
-        assert replicated.totals["unavailable"] == 0
-        if degraded.totals["unavailable"]:
-            window = degraded.as_dict()["window"]
-            assert window["served_rate"] < 1.0
-        events = replicated.as_dict()["placement"]["health_events"]
+            )
+            return observed_run(fleet, config, window=(0.1, 0.3))
+
+        degraded, replicated = run(1), run(2)
+        assert replicated["window"]["served_rate"] == 1.0
+        assert replicated["report"]["totals"]["unavailable"] == 0
+        if degraded["report"]["totals"]["unavailable"]:
+            assert degraded["window"]["served_rate"] < 1.0
+        events = replicated["report"]["placement"]["health_events"]
         assert [e["event"] for e in events if e["shard"] == 0] == [
             "down",
             "up",
@@ -333,54 +369,51 @@ class TestFleetRun:
             rule = shard_outage_rule(
                 1, down_at_hours=start + 0.1, up_at_hours=start + 0.2
             )
-            return (
-                HintService(
-                    fleet,
-                    service_config(
-                        replication=2,
-                        frontend_cache_entries=2,
-                        shard_fault_rules=(rule,),
-                        fingerprint=True,
-                    ),
-                )
-                .run()
-                .as_dict()
+            config = service_config(
+                replication=2,
+                frontend_cache_entries=2,
+                shard_fault_rules=(rule,),
             )
+            return observed_run(fleet, config, chain=True)
 
         assert run() == run()
 
     def test_live_reshard_mid_run_matches_control(self, fleet):
         def run(reshard_at):
-            return (
-                HintService(
-                    fleet,
-                    service_config(
-                        prewarm=True,
-                        ttl_hours=50.0,
-                        replication=2,
-                        fingerprint=True,
-                        reshard_add_at_hours=reshard_at,
-                        reshard_points_per_tick=16,
-                        batch_period_hours=0.05,
-                    ),
-                )
-                .run()
-                .as_dict()
+            config = service_config(
+                prewarm=True,
+                ttl_hours=50.0,
+                replication=2,
+                reshard_add_at_hours=reshard_at,
+                reshard_points_per_tick=16,
+                batch_period_hours=0.05,
             )
+            return observed_run(fleet, config, chain=True)
 
         control = run(None)
         resharded = run(0.1)
-        assert control["fingerprint"] == resharded["fingerprint"]
-        assert resharded["placement"]["pending_points"] == 0
-        assert len(resharded["placement"]["shards"]) == 9
-        assert resharded["placement"]["migration"]["points_moved"] == 64
+        assert control["chain"] == resharded["chain"]
+        placement = resharded["report"]["placement"]
+        assert placement["pending_points"] == 0
+        assert len(placement["shards"]) == 9
+        assert placement["migration"]["points_moved"] == 64
 
     def test_track_window_counts_only_window_lookups(self, fleet):
-        report = HintService(
-            fleet, service_config(track_window=(0.0, 1e9))
-        ).run()
-        window = report.as_dict()["window"]
-        assert window["lookups"] == report.totals["lookups"]
+        config = service_config()
+        start = config.start_hour
+        workload = Workload(config.workload())
+        inside = 0
+        lookup = workload.next()
+        while lookup.when_hours <= config.horizon_hours:
+            inside += 0.1 <= (start + lookup.when_hours) - start < 0.3
+            lookup = workload.next()
+        run = observed_run(fleet, config, window=(0.1, 0.3))
+        window = run["window"]
+        assert 0 < inside < run["report"]["totals"]["lookups"]
+        assert window["lookups"] == inside
+        assert window["begin_hours"] == 0.1 and window["end_hours"] == 0.3
+        assert 0 < window["served"] <= inside
+        assert window["served_rate"] == round(window["served"] / inside, 6)
 
 
 def test_tenant_of_strips_trailing_digits():

@@ -7,8 +7,9 @@ import pytest
 from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.offline import CLASS_EMULATION_DEVICE, OfflineResolver
 from repro.core.resolver import ResolutionStrategy, VroomResolver
+from repro.experiments.service import observed_run
 from repro.pages.dynamics import LoadStamp
-from repro.service.backend import HintService, ServiceConfig
+from repro.service.backend import ServiceConfig
 from repro.service.bridge import (
     BridgeSample,
     _served_resolver,
@@ -27,9 +28,8 @@ def sampled_run(corpus):
         ttl_hours=6.0,
         crawl_budget_per_hour=24.0,
         seed=5,
-        bridge_sample_every=60,
     )
-    return corpus, HintService(corpus, config).run()
+    return corpus, observed_run(corpus, config, sample_every=60)["samples"]
 
 
 def _sample_with(samples, status):
@@ -138,8 +138,8 @@ class TestEvaluateSample:
     def test_miss_scores_zero_recall_and_loads_without_hints(
         self, sampled_run
     ):
-        pages, report = sampled_run
-        sample = _sample_with(report.samples, "miss")
+        pages, samples = sampled_run
+        sample = _sample_with(samples, "miss")
         row = evaluate_sample(pages[sample.page_index], sample)
         assert row["staleness_hours"] is None
         assert row["served"]["returned"] == 0
@@ -150,8 +150,8 @@ class TestEvaluateSample:
         assert row["plt_oracle"] <= row["plt_no_hints"]
 
     def test_served_hits_score_against_predictable_set(self, sampled_run):
-        pages, report = sampled_run
-        sample = _sample_with(report.samples, "stale_hit")
+        pages, samples = sampled_run
+        sample = _sample_with(samples, "stale_hit")
         row = evaluate_sample(pages[sample.page_index], sample)
         assert row["staleness_hours"] > 0.25
         assert row["served"]["returned"] > 0
@@ -160,8 +160,8 @@ class TestEvaluateSample:
         assert row["plt_served"] < row["plt_no_hints"]
 
     def test_without_loads_is_scores_only(self, sampled_run):
-        pages, report = sampled_run
-        sample = report.samples[0]
+        pages, samples = sampled_run
+        sample = samples[0]
         row = evaluate_sample(
             pages[sample.page_index], sample, with_loads=False
         )
@@ -171,9 +171,9 @@ class TestEvaluateSample:
 
 class TestEvaluateSamples:
     def test_aggregate_shape_and_determinism(self, sampled_run):
-        pages, report = sampled_run
-        first = evaluate_samples(pages, report.samples, max_samples=4)
-        second = evaluate_samples(pages, report.samples, max_samples=4)
+        pages, samples = sampled_run
+        first = evaluate_samples(pages, samples, max_samples=4)
+        second = evaluate_samples(pages, samples, max_samples=4)
         assert first == second
         aggregate = first["aggregate"]
         assert aggregate["samples"] == 4
@@ -182,9 +182,9 @@ class TestEvaluateSamples:
         assert aggregate["plt_no_hints_mean"] > 0
 
     def test_max_samples_bounds_the_work(self, sampled_run):
-        pages, report = sampled_run
+        pages, samples = sampled_run
         out = evaluate_samples(
-            pages, report.samples, max_samples=2, with_loads=False
+            pages, samples, max_samples=2, with_loads=False
         )
         assert out["aggregate"]["samples"] == 2
 

@@ -1,5 +1,7 @@
 """Fleet placement: replication, failover, live resharding, hot keys."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import audit
@@ -231,7 +233,7 @@ class TestFleetStoreFailover:
                             got.probes,
                         )
                     )
-            return outcomes, store.counters.as_dict()
+            return outcomes, asdict(store.counters)
 
         assert run() == run()
 
