@@ -10,31 +10,27 @@ about feeding the CPU, whatever its speed.
 
 from benchmarks.conftest import run_once
 from repro.analysis.stats import median
-from repro.baselines.configs import run_config
 from repro.calibration import DEFAULT_EVAL_HOUR
+from repro.experiments.parallel import load_matrix
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp
-from repro.replay.recorder import record_snapshot
 
 DEVICES = ("oneplus3", "nexus6", "nexus10")
 
 
 def device_sweep(count: int = 10):
-    stamp_base = DEFAULT_EVAL_HOUR
-    out = {
-        device: {"http2": [], "vroom": []} for device in DEVICES
-    }
-    for page in news_sports_corpus(count):
-        for device in DEVICES:
-            stamp = LoadStamp(when_hours=stamp_base, device=device)
-            snapshot = page.materialize(stamp)
-            store = record_snapshot(snapshot)
-            for config in ("http2", "vroom"):
-                out[device][config].append(
-                    run_config(
-                        config, page, snapshot, store, device=device
-                    ).plt
-                )
+    pages = news_sports_corpus(count)
+    out = {}
+    for device in DEVICES:
+        run = load_matrix(
+            pages,
+            ["http2", "vroom"],
+            stamp=LoadStamp(when_hours=DEFAULT_EVAL_HOUR, device=device),
+            device=device,
+        )
+        out[device] = {
+            config: run.series(config) for config in ("http2", "vroom")
+        }
     return out
 
 

@@ -58,22 +58,18 @@ def test_ext_atf_first(benchmark):
     A pure hint-ordering change (no protocol or client change) that
     claws back part of the Speed Index cost of staged prefetching
     without touching PLT."""
-    from repro.calibration import DEFAULT_EVAL_HOUR
+    from repro.experiments.parallel import load_matrix
     from repro.pages.corpus import news_sports_corpus
-    from repro.pages.dynamics import LoadStamp
-    from repro.replay.recorder import record_snapshot
-    from repro.baselines.configs import run_config
 
     def sweep(count=10):
-        stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
-        rows = {"vroom": [], "vroom-atf-first": []}
-        for page in news_sports_corpus(count):
-            snapshot = page.materialize(stamp)
-            store = record_snapshot(snapshot)
-            for config in rows:
-                metrics = run_config(config, page, snapshot, store)
-                rows[config].append((metrics.plt, metrics.speed_index))
-        return rows
+        configs = ["vroom", "vroom-atf-first"]
+        run = load_matrix(news_sports_corpus(count), configs)
+        return {
+            config: list(
+                zip(run.series(config), run.series(config, "speed_index"))
+            )
+            for config in configs
+        }
 
     rows = run_once(benchmark, sweep, count=10)
     for config, values in rows.items():

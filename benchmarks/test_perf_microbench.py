@@ -6,10 +6,12 @@ throughput of the DES core, and wall time of a single cold page load
 under the baseline and under Vroom.  They guard against performance
 regressions that would make the figure benches crawl.
 
-The sweep-engine benches at the bottom additionally write a
+The load-matrix benches at the bottom additionally write a
 machine-readable perf report to ``BENCH_sweep.json`` at the repo root
 (jobs/sec serial and parallel, measured speedup, snapshot-cache hit
-rate), so the trajectory is visible across PRs.
+rate).  It records one host's walls, so it is not committed.  Each timed
+matrix uses a private snapshot cache, so it shares no loads and times
+real ones.
 """
 
 import json
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from repro.baselines.configs import run_config
 from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import load_matrix
 from repro.net.simulator import Simulator
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp
@@ -76,7 +78,7 @@ def test_perf_corpus_generation(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Sweep engine: snapshot cache and parallel fan-out
+# Load matrix: snapshot cache and parallel fan-out
 # ---------------------------------------------------------------------------
 
 SWEEP_PAGES = 10
@@ -119,10 +121,10 @@ def test_perf_snapshot_cache_cold_vs_hot(benchmark):
 
 
 def test_perf_parallel_sweep_vs_serial(benchmark):
-    """10 pages x 3 configs: auto-sized parallel engine vs the serial path.
+    """10 pages x 3 configs: auto-sized parallel matrix vs the serial path.
 
     Asserts bit-identical metrics between the two, records jobs/sec and
-    the measured speedup in BENCH_sweep.json.  Workers auto-size to
+    the measured speedup in BENCH_sweep.json.  Workers (0) auto-size to
     ``min(cpu_count, jobs)``: on a 1-CPU box that degenerates to the
     serial path (where a forced 4-worker pool used to *lose* to serial),
     so the >= 2.5x wall-clock assertion only applies when the effective
@@ -131,26 +133,28 @@ def test_perf_parallel_sweep_vs_serial(benchmark):
     pages = news_sports_corpus(count=SWEEP_PAGES, seed=909)
 
     serial_t0 = time.perf_counter()
-    serial_run, serial_perf = run_sweep(
-        pages, SWEEP_CONFIGS, workers=1, cache=SnapshotCache()
+    serial_run = load_matrix(
+        pages, SWEEP_CONFIGS, workers=1, snapshots=SnapshotCache()
     )
+    serial_perf = serial_run.perf
     serial_elapsed = time.perf_counter() - serial_t0
 
     parallel_t0 = time.perf_counter()
-    parallel_run, parallel_perf = benchmark.pedantic(
-        lambda: run_sweep(
+    parallel_run = benchmark.pedantic(
+        lambda: load_matrix(
             pages,
             SWEEP_CONFIGS,
-            workers=None,
-            cache=SnapshotCache(),
+            workers=0,
+            snapshots=SnapshotCache(),
         ),
         rounds=1,
         iterations=1,
     )
+    parallel_perf = parallel_run.perf
     parallel_elapsed = time.perf_counter() - parallel_t0
 
     # Determinism: the parallel grid must be bit-identical to serial.
-    assert parallel_run.values == serial_run.values
+    assert parallel_run.rows == serial_run.rows
 
     speedup = (
         serial_elapsed / parallel_elapsed if parallel_elapsed > 0 else 0.0
@@ -184,16 +188,16 @@ def test_perf_parallel_sweep_vs_serial(benchmark):
 
 
 def test_perf_cached_sweep_reuses_snapshots(benchmark):
-    """Back-to-back sweeps share snapshots: second sweep hits 100%."""
+    """Back-to-back matrices share snapshots: the second hits 100%."""
     pages = news_sports_corpus(count=SWEEP_PAGES, seed=909)
     cache = SnapshotCache()
-    run_sweep(pages, ["http2"], workers=1, cache=cache)
+    load_matrix(pages, ["http2"], workers=1, snapshots=cache)
 
-    _, warm_perf = benchmark.pedantic(
-        lambda: run_sweep(pages, ["vroom"], workers=1, cache=cache),
+    warm_perf = benchmark.pedantic(
+        lambda: load_matrix(pages, ["vroom"], workers=1, snapshots=cache),
         rounds=1,
         iterations=1,
-    )
+    ).perf
     assert warm_perf.cache_hit_rate == 1.0
     _merge_report(
         {

@@ -10,39 +10,31 @@ online analysis holds, and Vroom's PLT gain survives the churn.
 from benchmarks.conftest import run_once
 from repro.analysis.stats import median
 from repro.analysis.accuracy import score_strategy
-from repro.baselines.configs import run_config
 from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.resolver import ResolutionStrategy
+from repro.experiments.parallel import load_matrix
 from repro.pages.corpus import shopping_corpus
 from repro.pages.dynamics import LoadStamp
-from repro.replay.recorder import record_snapshot
 
 
 def shopping_study(count: int = 12):
     stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
     pages = shopping_corpus(count)
-    out = {
-        "offline_fn": [], "vroom_fn": [],
-        "http2_plt": [], "vroom_plt": [],
-    }
-    for page in pages:
-        out["offline_fn"].append(
+    run = load_matrix(pages, ["http2", "vroom"], stamp=stamp)
+    return {
+        "offline_fn": [
             score_strategy(
                 page, stamp, ResolutionStrategy.OFFLINE_ONLY
             ).fn_rate
-        )
-        out["vroom_fn"].append(
+            for page in pages
+        ],
+        "vroom_fn": [
             score_strategy(page, stamp, ResolutionStrategy.VROOM).fn_rate
-        )
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        out["http2_plt"].append(
-            run_config("http2", page, snapshot, store).plt
-        )
-        out["vroom_plt"].append(
-            run_config("vroom", page, snapshot, store).plt
-        )
-    return out
+            for page in pages
+        ],
+        "http2_plt": run.series("http2"),
+        "vroom_plt": run.series("vroom"),
+    }
 
 
 def test_shopping_flux(benchmark):

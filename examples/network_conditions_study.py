@@ -12,14 +12,8 @@ Run:  python examples/network_conditions_study.py
 
 import statistics
 
-from repro import LoadStamp, news_sports_corpus, run_config
-from repro.browser.engine import BrowserConfig, load_page
-from repro.replay.cache import materialize_cached
-from repro.core.scheduler import VroomScheduler
-from repro.core.server import vroom_servers
-from repro.net.link import StreamScheduling
+from repro import LoadStamp, load_matrix, news_sports_corpus
 from repro.net.profiles import PROFILES
-from repro.replay.replayer import build_servers
 
 
 def main() -> None:
@@ -29,26 +23,13 @@ def main() -> None:
     print("== Vroom vs HTTP/2 by network profile (median of 4 pages) ==")
     print(f"{'profile':<12} {'http2':>8} {'vroom':>8} {'gain':>8}")
     for name, profile in PROFILES.items():
-        h2_plts, vroom_plts = [], []
-        for page in pages:
-            # One snapshot per page, shared across all five profiles
-            # through the session-wide snapshot cache.
-            snapshot, store = materialize_cached(page, stamp)
-            browser = BrowserConfig(when_hours=stamp.when_hours)
-            h2 = load_page(
-                snapshot, build_servers(store), profile.config(), browser
-            )
-            h2_plts.append(h2.plt)
-            vroom = load_page(
-                snapshot,
-                vroom_servers(page, snapshot, store),
-                profile.config(h2_scheduling=StreamScheduling.FIFO),
-                browser,
-                policy=VroomScheduler(),
-            )
-            vroom_plts.append(vroom.plt)
-        h2_median = statistics.median(h2_plts)
-        vroom_median = statistics.median(vroom_plts)
+        # One snapshot per page, shared across all the profiles through
+        # the session-wide snapshot cache.
+        run = load_matrix(
+            pages, ["http2", "vroom"], stamp=stamp, network=profile.config()
+        )
+        h2_median = statistics.median(run.series("http2"))
+        vroom_median = statistics.median(run.series("vroom"))
         print(
             f"{name:<12} {h2_median:7.2f}s {vroom_median:7.2f}s "
             f"{h2_median - vroom_median:+7.2f}s"
@@ -61,15 +42,12 @@ def main() -> None:
     )
 
     print("\n== Vroom+Polaris hybrid (paper future work), LTE ==")
-    rows = {"vroom": [], "polaris": [], "hybrid": []}
-    for page in pages:
-        snapshot, store = materialize_cached(page, stamp)
-        for config in rows:
-            rows[config].append(
-                run_config(config, page, snapshot, store).plt
-            )
-    for config, values in rows.items():
-        print(f"{config:<8} median {statistics.median(values):5.2f}s")
+    configs = ["vroom", "polaris", "hybrid"]
+    run = load_matrix(pages, configs, stamp=stamp)
+    for config in configs:
+        print(
+            f"{config:<8} median {statistics.median(run.series(config)):5.2f}s"
+        )
 
 
 if __name__ == "__main__":

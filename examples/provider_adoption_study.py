@@ -16,10 +16,9 @@ Run:  python examples/provider_adoption_study.py [--workers N]
 import argparse
 import statistics
 
-from repro import LoadStamp, news_sports_corpus
+from repro import LoadStamp, load_matrix, news_sports_corpus
 from repro.core.offline import OfflineResolver
 from repro.core.resolver import VroomResolver
-from repro.experiments.parallel import run_sweep
 
 
 def main() -> None:
@@ -34,9 +33,8 @@ def main() -> None:
     stamp = LoadStamp(when_hours=1000.0)
 
     configs = ["http2", "vroom-first-party", "vroom"]
-    run, perf = run_sweep(
-        pages, configs, stamp=stamp, workers=args.workers
-    )
+    run = load_matrix(pages, configs, stamp=stamp, workers=args.workers)
+    perf = run.perf
     plts = {config: run.series(config) for config in configs}
     print(
         f"({perf.jobs} loads, {perf.workers} workers, "
@@ -57,7 +55,7 @@ def main() -> None:
         f"({base - full:+.2f} s)"
     )
 
-    # Server-side costs for one page.  The sweep above already
+    # Server-side costs for one page.  The matrix above already
     # materialised this snapshot; the session cache hands it back.
     from repro.replay.cache import materialize_cached
 

@@ -32,13 +32,13 @@ Packages:
   (sharded dependency store, batched offline-resolution scheduler,
   Zipf/Poisson workload, end-to-end accuracy bridge).
 * :mod:`repro.experiments` — one regeneration function per paper figure,
-  plus the parallel sweep engine (``sweep_configs``/``run_sweep``).
+  all loading their corpora through one load matrix (``load_matrix``).
 """
 
 from repro.baselines import run_config, CONFIG_NAMES
 from repro.browser import BrowserConfig, LoadMetrics, load_page
 from repro.core import VroomResolver, VroomScheduler, vroom_servers
-from repro.experiments import ExperimentRun, run_sweep, sweep_configs
+from repro.experiments import load_matrix
 from repro.net import HttpVersion, NetworkConfig
 from repro.pages import (
     LoadStamp,
@@ -90,8 +90,6 @@ __all__ = [
     "HintService",
     "ServiceConfig",
     "evaluate_samples",
-    "ExperimentRun",
-    "run_sweep",
-    "sweep_configs",
+    "load_matrix",
     "__version__",
 ]

@@ -35,6 +35,9 @@ checked *while a load runs* instead:
 * **document-scan** — a document's stored markup scan, which every load
   of its snapshot reads, always equals a fresh scan of its body (a stale
   or mutated scan would misplace the parser's and scanner's offsets).
+* **shared-load** — a load the load matrix shares between callers
+  always equals a fresh run of the same load (a caller that changed a
+  shared result would hand every later caller its edit).
 
 This module sits at layer 0 of the package DAG (like
 :mod:`repro.calibration`): it imports nothing from ``repro``, so every
@@ -72,6 +75,7 @@ __all__ = [
     "busy_set_matches",
     "waterfill_equivalent",
     "scan_matches",
+    "shared_load_matches",
 ]
 
 
@@ -307,6 +311,17 @@ def scan_matches(url: str, stored: tuple, fresh: tuple) -> None:
             "document-scan",
             f"stored scan of {url!r} ({shown(stored)}) != fresh scan "
             f"({shown(fresh)})",
+        )
+
+
+def shared_load_matches(what: str, shared, fresh) -> None:
+    """A shared load equals a fresh run of it (``LoadMetrics`` equality)."""
+    if shared != fresh:
+        raise AuditError(
+            "shared-load",
+            f"shared load of {what} (plt {shared.plt!r}, aft "
+            f"{shared.aft!r}) != fresh load (plt {fresh.plt!r}, aft "
+            f"{fresh.aft!r})",
         )
 
 

@@ -9,6 +9,8 @@ configuration and returns its metrics.  The names:
 ``push-all-static``       HTTP/2 + every domain pushes all its static content
 ``vroom``                 full Vroom: offline+online hints, selective push,
                           FIFO servers, staged client scheduler
+``vroom-http1``           Vroom's hints over HTTP/1.1: no push, staged
+                          scheduler (the Sec 8 high-loss fallback)
 ``vroom-first-party``     Vroom adopted only by each page's own organisation
 ``deps-prev-load``        hints = everything in the single most recent load
 ``offline-only``          hints from the stable set alone
@@ -20,13 +22,19 @@ configuration and returns its metrics.  The names:
 ``polaris``               client-side dependency-graph prioritisation
 ``cpu-bound``             Sec 2 CPU-bound lower bound
 ``network-bound``         Sec 2 network-bound lower bound
+``hybrid``                Vroom's hints + Polaris's chain-weight priorities
 ``vroom-no-stage``        ablation: Vroom without staged fetching
+``vroom-two-stage``       ablation: two scheduler stages instead of three
+``vroom-atf-first``       Vroom with above-the-fold media first in its
+                          unimportant hints
 ``vroom-fair``            ablation: Vroom without FIFO response ordering
+``vroom-no-js-delay``     ablation: Vroom without the JS single-thread delay
 ========================  ====================================================
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.baselines.lower_bound import cpu_bound_load, network_bound_load
@@ -38,16 +46,11 @@ from repro.core.push_policy import PushPolicy
 from repro.core.resolver import ResolutionStrategy
 from repro.core.scheduler import FetchAsapScheduler, VroomScheduler
 from repro.core.server import first_party_domains, vroom_servers
-from repro.net.faults import FaultPlan, ResiliencePolicy
 from repro.net.http import HttpVersion, NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.pages.page import PageBlueprint, PageSnapshot
 from repro.replay.replayer import build_servers
 from repro.replay.store import ReplayStore
-
-
-def _plain(version: HttpVersion) -> NetworkConfig:
-    return NetworkConfig(version=version)
 
 
 def run_config(
@@ -56,38 +59,38 @@ def run_config(
     snapshot: PageSnapshot,
     store: ReplayStore,
     *,
+    network: Optional[NetworkConfig] = None,
     cache: Optional[BrowserCache] = None,
     device: str = "nexus6",
     user: str = "user0",
-    fault_plan: Optional[FaultPlan] = None,
-    resilience: Optional[ResiliencePolicy] = None,
-    loss_rate: Optional[float] = None,
+    cpu_scale: float = 1.0,
 ) -> LoadMetrics:
     """Load ``snapshot`` under the named configuration.
 
-    ``fault_plan``/``resilience`` apply to the transport configurations
-    (http1/http2/vroom variants and polaris); the CPU- and network-bound
-    lower bounds and the hybrid study build their own transports and run
-    fault-free.  Both default to None, which is bit-identical to the
-    pre-resilience behaviour.  ``loss_rate`` overrides the link's
-    per-packet loss probability (None keeps the default), so sweeps can
-    cover lossy links without rebuilding the transport by hand.
+    ``network`` is the transport the load runs over: link, loss, fault
+    plan, timeouts and engine (default: the calibrated LTE link).  Each
+    configuration sets only the fields it owns, ``version`` and
+    ``h2_scheduling``, on a copy.  The CPU- and network-bound lower
+    bounds keep their own transports, because Sec 2 defines them on the
+    calibrated link, and take only ``device`` from the options.
+    ``cache`` (a warm :class:`BrowserCache`), ``device``, ``user`` and
+    ``cpu_scale`` (a multiplier on every CPU cost) describe the client.
     """
     when = snapshot.stamp.when_hours
+    network = network or NetworkConfig()
     browser = BrowserConfig(
-        device=device, user=user, when_hours=when, cache=cache
+        device=device,
+        user=user,
+        when_hours=when,
+        cache=cache,
+        cpu_scale=cpu_scale,
     )
 
-    def _tune(config: NetworkConfig) -> NetworkConfig:
-        if fault_plan is not None:
-            config.fault_plan = fault_plan
-        if resilience is not None:
-            config.request_timeout = resilience.request_timeout
-            config.max_retries = resilience.max_retries
-            config.retry_backoff = resilience.retry_backoff
-        if loss_rate is not None:
-            config.loss_rate = loss_rate
-        return config
+    def transport(
+        scheduling: StreamScheduling = StreamScheduling.FAIR,
+        version: HttpVersion = HttpVersion.HTTP2,
+    ) -> NetworkConfig:
+        return replace(network, version=version, h2_scheduling=scheduling)
 
     def vroom_cfg(
         strategy=ResolutionStrategy.VROOM,
@@ -97,6 +100,7 @@ def run_config(
         scheduling=StreamScheduling.FIFO,
         policy_factory: Callable[[], FetchPolicy] = VroomScheduler,
         atf_first=False,
+        version=HttpVersion.HTTP2,
     ) -> LoadMetrics:
         servers = vroom_servers(
             page,
@@ -111,7 +115,7 @@ def run_config(
         return load_page(
             snapshot,
             servers,
-            _tune(NetworkConfig(h2_scheduling=scheduling)),
+            transport(scheduling, version),
             browser,
             policy=policy_factory(),
         )
@@ -120,16 +124,11 @@ def run_config(
         return load_page(
             snapshot,
             build_servers(store),
-            _tune(_plain(HttpVersion.HTTP1)),
+            transport(version=HttpVersion.HTTP1),
             browser,
         )
     if name in ("http2", "no-push-no-hints"):
-        return load_page(
-            snapshot,
-            build_servers(store),
-            _tune(_plain(HttpVersion.HTTP2)),
-            browser,
-        )
+        return load_page(snapshot, build_servers(store), transport(), browser)
     if name == "push-all-static":
         return vroom_cfg(
             push=PushPolicy.ALL_LOCAL,
@@ -139,6 +138,10 @@ def run_config(
         )
     if name == "vroom":
         return vroom_cfg()
+    if name == "vroom-http1":
+        # HTTP/1.1 has no push: hints alone, fetched by the staged
+        # scheduler (the Sec 8 fallback under high loss).
+        return vroom_cfg(push=PushPolicy.NONE, version=HttpVersion.HTTP1)
     if name == "vroom-first-party":
         return vroom_cfg(adopting=first_party_domains(page))
     if name == "deps-prev-load":
@@ -183,15 +186,16 @@ def run_config(
     if name == "hybrid":
         from repro.baselines.hybrid import hybrid_load
 
-        return hybrid_load(page, snapshot, store)
+        return hybrid_load(
+            page, snapshot, store, transport(StreamScheduling.FIFO), browser
+        )
     if name == "polaris":
         return polaris_load(
             page,
             snapshot,
             build_servers(store),
-            net_config=_tune(
-                NetworkConfig(h2_scheduling=StreamScheduling.WEIGHTED)
-            ),
+            transport(StreamScheduling.WEIGHTED),
+            browser,
         )
     if name == "cpu-bound":
         return cpu_bound_load(
@@ -209,6 +213,7 @@ CONFIG_NAMES = (
     "http2",
     "push-all-static",
     "vroom",
+    "vroom-http1",
     "vroom-first-party",
     "deps-prev-load",
     "offline-only",

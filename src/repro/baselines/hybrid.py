@@ -17,7 +17,7 @@ longest-chain-first order while hints cover everything predictable.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.baselines.polaris import prior_load_weights
 from repro.browser.engine import BrowserConfig, load_page, network_priority
@@ -64,6 +64,8 @@ def hybrid_load(
     page: PageBlueprint,
     snapshot: PageSnapshot,
     store: ReplayStore,
+    net_config: Optional[NetworkConfig] = None,
+    browser_config: Optional[BrowserConfig] = None,
     js_single_thread: bool = True,
 ) -> LoadMetrics:
     """One page load under the hybrid configuration."""
@@ -72,7 +74,7 @@ def hybrid_load(
     return load_page(
         snapshot,
         servers,
-        NetworkConfig(h2_scheduling=StreamScheduling.FIFO),
-        BrowserConfig(when_hours=snapshot.stamp.when_hours),
+        net_config or NetworkConfig(h2_scheduling=StreamScheduling.FIFO),
+        browser_config or BrowserConfig(when_hours=snapshot.stamp.when_hours),
         policy=HybridScheduler(weights, js_single_thread=js_single_thread),
     )

@@ -16,6 +16,7 @@ not contain fall back to type-based priorities.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.browser.engine import (
@@ -101,13 +102,17 @@ def polaris_load(
     net_config: Optional[NetworkConfig] = None,
     browser_config: Optional[BrowserConfig] = None,
 ) -> LoadMetrics:
-    """One page load under the Polaris baseline."""
+    """One page load under the Polaris baseline.
+
+    ``browser_config`` describes the client (device, user, cache); Polaris
+    always adds non-blocking scripts to it.
+    """
     weights = prior_load_weights(page, snapshot.stamp)
     config = net_config or NetworkConfig(
         h2_scheduling=StreamScheduling.WEIGHTED
     )
-    browser = browser_config or BrowserConfig(
-        when_hours=snapshot.stamp.when_hours,
+    browser = replace(
+        browser_config or BrowserConfig(when_hours=snapshot.stamp.when_hours),
         # Scout's fine-grained read/write sets let Polaris evaluate safe
         # scripts without stalling the HTML parser.
         nonblocking_scripts=True,

@@ -19,7 +19,10 @@ class ResourceTimeline:
     """Per-resource event times within one page load (seconds from start)."""
 
     url: str
-    resource: Optional[Resource] = None
+    #: The snapshot's resource, compared by ``url`` alone: comparing the
+    #: tree would walk its parent and child links, and two copies of one
+    #: snapshot (a worker's and the parent's) hold equal loads.
+    resource: Optional[Resource] = field(default=None, compare=False)
     size: int = 0
     priority: Optional[Priority] = None
     discovered_at: Optional[float] = None

@@ -33,6 +33,7 @@ the run; ``REPRO_AUDIT=1`` in the environment does the same.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -58,6 +59,49 @@ CORPORA = {
 }
 
 
+def _error(message: str) -> int:
+    """Print ``error: message`` to stderr; the exit code for bad input."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _bad_count(count: int) -> bool:
+    """True (after an error line) if a page count is below one."""
+    if count < 1:
+        _error(f"page count must be >= 1 (got {count})")
+        return True
+    return False
+
+
+def _bad_workers(workers: Optional[int]) -> bool:
+    """True (after an error line) if ``--workers`` is not a usable count."""
+    from repro.experiments.parallel import resolve_workers
+
+    try:
+        resolve_workers(workers)
+    except ValueError as error:
+        _error(str(error))
+        return True
+    return False
+
+
+def _write_report(path: Optional[str], payload, label: str) -> None:
+    """Write ``payload`` as the command's JSON report, if given a path."""
+    if not path:
+        return
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"{label} report written to {path}")
+
+
+def _smoke_exit(problems: List[str]) -> int:
+    """Print each smoke mismatch to stderr; exit 1 if there was any."""
+    for problem in problems:
+        print(f"smoke mismatch — {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def _corpus_or_exit(corpus: str, count: int):
     """Build a corpus for a command, or explain why it can't.
 
@@ -65,26 +109,18 @@ def _corpus_or_exit(corpus: str, count: int):
     stderr — the caller exits non-zero instead of crashing deep inside
     an experiment with a bare IndexError.
     """
-    if count < 1:
-        print(
-            f"error: page count must be >= 1 (got {count})",
-            file=sys.stderr,
-        )
+    if _bad_count(count):
         return None
     builder = CORPORA.get(corpus)
     if builder is None:
-        print(
-            f"error: unknown corpus {corpus!r} "
-            f"(available: {', '.join(sorted(CORPORA))})",
-            file=sys.stderr,
+        _error(
+            f"unknown corpus {corpus!r} "
+            f"(available: {', '.join(sorted(CORPORA))})"
         )
         return None
     pages = builder(count=count)
     if not pages:
-        print(
-            f"error: corpus {corpus!r} produced no pages for count={count}",
-            file=sys.stderr,
-        )
+        _error(f"corpus {corpus!r} produced no pages for count={count}")
         return None
     return pages
 
@@ -207,9 +243,13 @@ def cmd_figure(args) -> int:
     from repro.experiments import extensions, figures
     from repro.experiments.parallel import set_default_workers
 
+    if _bad_workers(args.workers) or (
+        args.count is not None and _bad_count(args.count)
+    ):
+        return 2
     if args.workers is not None:
-        # Figures call sweep_configs internally; raising the session
-        # default parallelises those sweeps without touching each figure.
+        # Figures load through load_matrix; raising the session default
+        # parallelises those matrices without touching each figure.
         set_default_workers(args.workers)
     name = args.name.replace("-", "_")
     func = getattr(figures, name, None) or getattr(extensions, name, None)
@@ -296,20 +336,19 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Corpus × configs sweep on the parallel engine, with a perf line."""
-    import json
-
     from repro.analysis.stats import median
-    from repro.experiments.parallel import run_sweep
+    from repro.experiments.parallel import load_matrix
 
+    if _bad_workers(args.workers):
+        return 2
     pages = _corpus_or_exit(args.corpus, args.count)
     if pages is None:
         return 2
     stamp = LoadStamp(
         when_hours=DEFAULT_EVAL_HOUR, device=args.device, user=args.user
     )
-    run, perf = run_sweep(
-        pages, args.configs, stamp=stamp, workers=args.workers
-    )
+    run = load_matrix(pages, args.configs, stamp=stamp, workers=args.workers)
+    perf = run.perf
     print(
         f"swept {args.count} pages x {len(args.configs)} configs "
         f"({perf.jobs} jobs) with {perf.workers} workers "
@@ -319,23 +358,17 @@ def cmd_sweep(args) -> int:
     print(f"{'config':<24} {'median PLT':>11}")
     for config in args.configs:
         print(f"{config:<24} {median(run.series(config)):10.2f}s")
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(perf.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"perf report written to {args.report}")
+    _write_report(args.report, perf.as_dict(), "perf")
     return 0
 
 
 def cmd_resilience(args) -> int:
     """Fault-injection sweep: intensity × configs, PLT plus counters."""
-    import json
-
     from repro.analysis.stats import median
     from repro.experiments.resilience import resilience_sweep
     from repro.net.faults import ResiliencePolicy
 
-    if _corpus_or_exit("news", args.count) is None:
+    if _bad_workers(args.workers) or _bad_count(args.count):
         return 2
     result = resilience_sweep(
         count=args.count,
@@ -364,11 +397,7 @@ def cmd_resilience(args) -> int:
                 f"{row['failed_fetches']:7d} "
                 f"{row['fault_wasted_bytes'] / 1e3:6.0f}KB"
             )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"resilience report written to {args.report}")
+    _write_report(args.report, result, "resilience")
     return 0
 
 
@@ -418,8 +447,6 @@ def _print_service_scenarios(scenarios: dict) -> None:
 
 def cmd_service(args) -> int:
     """Simulated hint-serving backend: workload, staleness sweep, bench."""
-    import json
-
     from repro.experiments.service import (
         service_benchmark,
         smoke_check,
@@ -428,14 +455,6 @@ def cmd_service(args) -> int:
     )
 
     _maybe_enable_audit(args)
-
-    def write_report(payload) -> None:
-        if not args.report:
-            return
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"service report written to {args.report}")
 
     if args.smoke:
         report = smoke_run()
@@ -448,24 +467,19 @@ def cmd_service(args) -> int:
         )
         scenarios = smoke_scenarios()
         _print_service_scenarios(scenarios)
-        write_report(
+        _write_report(
+            args.report,
             {
                 "benchmark": "service-smoke",
                 "report": report,
                 "scenarios": scenarios,
-            }
+            },
+            "service",
         )
-        problems = smoke_check(report, scenarios)
-        for problem in problems:
-            print(f"smoke mismatch — {problem}", file=sys.stderr)
-        return 1 if problems else 0
+        return _smoke_exit(smoke_check(report, scenarios))
 
     if args.hours <= 0:
-        print(
-            f"error: --hours must be > 0 (got {args.hours})",
-            file=sys.stderr,
-        )
-        return 2
+        return _error(f"--hours must be > 0 (got {args.hours})")
     pages = _corpus_or_exit(args.corpus, args.pages)
     if pages is None:
         return 2
@@ -486,8 +500,7 @@ def cmd_service(args) -> int:
             budgets=tuple(args.budgets),
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(str(error))
     report = payload["report"]
     totals = report["totals"]
     latency = report["latency"]
@@ -534,7 +547,7 @@ def cmd_service(args) -> int:
     )
     if "scenarios" in payload:
         _print_service_scenarios(payload["scenarios"])
-    write_report(payload)
+    _write_report(args.report, payload, "service")
     return 0
 
 
@@ -585,7 +598,6 @@ def _print_longrun(payload) -> None:
 
 def cmd_longrun(args) -> int:
     """Continuous operation: ScenarioSpec through the streaming runner."""
-    import json
     from dataclasses import replace
 
     from repro.experiments.longrun_bench import (
@@ -601,31 +613,19 @@ def cmd_longrun(args) -> int:
         # The ``perf`` block (walls, lookups/s, peak RSS) describes one
         # run on one host, so it is printed but not written: the report
         # holds only what the code and the spec determine.
-        if not args.report:
-            return
         written = {
             key: value for key, value in payload.items() if key != "perf"
         }
-        with open(args.report, "w") as handle:
-            json.dump(written, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"longrun report written to {args.report}")
+        _write_report(args.report, written, "longrun")
 
     if args.smoke:
         payload = smoke_run()
         _print_longrun(payload)
         write_report(payload)
-        problems = smoke_check(payload)
-        for problem in problems:
-            print(f"smoke mismatch — {problem}", file=sys.stderr)
-        return 1 if problems else 0
+        return _smoke_exit(smoke_check(payload))
 
     if args.hours <= 0:
-        print(
-            f"error: --hours must be > 0 (got {args.hours})",
-            file=sys.stderr,
-        )
-        return 2
+        return _error(f"--hours must be > 0 (got {args.hours})")
     overrides = {"horizon_hours": args.hours, "corpus": args.corpus}
     for dest, field in (
         ("pages", "pages"),
@@ -643,17 +643,14 @@ def cmd_longrun(args) -> int:
     try:
         spec = replace(DEFAULT_SPEC, **overrides)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     if args.checkpoint_at is not None and not (
         0 < args.checkpoint_at < spec.horizon_hours
     ):
-        print(
-            f"error: --checkpoint-at must fall inside the horizon "
-            f"(0, {spec.horizon_hours}) (got {args.checkpoint_at})",
-            file=sys.stderr,
+        return _error(
+            f"--checkpoint-at must fall inside the horizon "
+            f"(0, {spec.horizon_hours}) (got {args.checkpoint_at})"
         )
-        return 2
     payload = longrun_benchmark(
         spec, checkpoint_at_hours=args.checkpoint_at
     )
@@ -672,8 +669,6 @@ def cmd_longrun(args) -> int:
 
 def cmd_bench(args) -> int:
     """Engine micro-benchmark: the reference and fast engines, head to head."""
-    import json
-
     from repro.experiments.engine_bench import (
         engine_benchmark,
         profile_scenario,
@@ -682,14 +677,6 @@ def cmd_bench(args) -> int:
     )
 
     _maybe_enable_audit(args)
-
-    def write_report(payload) -> None:
-        if not args.report:
-            return
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"engine report written to {args.report}")
 
     def print_rows(report) -> None:
         print(
@@ -714,15 +701,12 @@ def cmd_bench(args) -> int:
     if args.smoke:
         report = smoke_run()
         print_rows(report)
-        write_report(report)
-        problems = smoke_check(report)
-        for problem in problems:
-            print(f"smoke mismatch — {problem}", file=sys.stderr)
-        return 1 if problems else 0
+        _write_report(args.report, report, "engine")
+        return _smoke_exit(smoke_check(report))
 
     report = engine_benchmark(repeats=args.repeats)
     print_rows(report)
-    write_report(report)
+    _write_report(args.report, report, "engine")
     return 0
 
 
@@ -773,20 +757,17 @@ def cmd_lint(args) -> int:
             families=args.only_family or None,
         )
     except ValueError as error:  # unknown --select / --only-family
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(str(error))
     if args.update_baseline:
         # Every new baseline entry must carry a real explanation: an
         # unexplained suppression is just a hidden finding.
         reason = (args.reason or "").strip()
         if not reason or reason.upper().startswith("TODO"):
-            print(
-                "error: --update-baseline requires --reason with a real "
+            return _error(
+                "--update-baseline requires --reason with a real "
                 "explanation for the newly baselined findings "
-                "(not a TODO placeholder)",
-                file=sys.stderr,
+                "(not a TODO placeholder)"
             )
-            return 2
         # Keep the reasons of entries that still match; new findings get
         # the reason given on the command line.
         keep = {entry.key: entry for entry in baseline.entries}
@@ -905,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=0,
         help="worker processes (0 or omitted = one per CPU)",
     )
     sweep.add_argument(
@@ -951,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=0,
         help="worker processes (0 or omitted = one per CPU)",
     )
     resilience.add_argument(

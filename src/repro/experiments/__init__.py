@@ -1,25 +1,19 @@
 """Experiment harness and per-figure regeneration functions."""
 
-from repro.experiments.harness import (
-    ExperimentRun,
-    load_once,
-    sweep_configs,
-)
 from repro.experiments.parallel import (
+    LoadMatrix,
     SweepPerf,
-    run_sweep,
+    load_matrix,
     set_default_workers,
 )
 from repro.experiments.resilience import resilience_sweep
 from repro.experiments import figures
 
 __all__ = [
-    "ExperimentRun",
+    "LoadMatrix",
     "SweepPerf",
-    "load_once",
+    "load_matrix",
     "resilience_sweep",
-    "run_sweep",
     "set_default_workers",
-    "sweep_configs",
     "figures",
 ]

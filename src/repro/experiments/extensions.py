@@ -17,6 +17,8 @@ from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.clustering import evaluate_clustering
 from repro.core.scheduler import VroomScheduler
 from repro.core.server import vroom_servers
+from repro.experiments.parallel import load_matrix
+from repro.net.http import NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.net.profiles import PROFILES
 from repro.pages.corpus import accuracy_corpus, news_sports_corpus
@@ -64,7 +66,7 @@ def adoption_sweep(
                 metrics = load_page(
                     snapshot,
                     servers,
-                    _fifo_config(),
+                    NetworkConfig(h2_scheduling=StreamScheduling.FIFO),
                     BrowserConfig(when_hours=stamp.when_hours),
                     policy=VroomScheduler(),
                 )
@@ -72,26 +74,11 @@ def adoption_sweep(
     return out
 
 
-def _fifo_config():
-    from repro.net.http import NetworkConfig
-
-    return NetworkConfig(h2_scheduling=StreamScheduling.FIFO)
-
-
 def hybrid_comparison(count: int = 16) -> Dict[str, List[float]]:
     """Vroom vs Polaris vs the hybrid, PLT per page."""
-    stamp = _stamp()
-    out: Dict[str, List[float]] = {
-        "vroom": [], "polaris": [], "hybrid": [],
-    }
-    for page in news_sports_corpus(count):
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        for config in out:
-            out[config].append(
-                run_config(config, page, snapshot, store).plt
-            )
-    return out
+    configs = ["vroom", "polaris", "hybrid"]
+    run = load_matrix(news_sports_corpus(count), configs)
+    return {config: run.series(config) for config in configs}
 
 
 def network_regimes(count: int = 10) -> Dict[str, Dict[str, List[float]]]:
@@ -102,34 +89,15 @@ def network_regimes(count: int = 10) -> Dict[str, Dict[str, List[float]]]:
     hint round trips matter more.  The gain should shrink (possibly
     invert) away from the LTE design point.
     """
-    stamp = _stamp()
+    pages = news_sports_corpus(count)
     out: Dict[str, Dict[str, List[float]]] = {}
     for name, net_profile in PROFILES.items():
-        rows: Dict[str, List[float]] = {"http2": [], "vroom": []}
-        for page in news_sports_corpus(count):
-            snapshot = page.materialize(stamp)
-            store = record_snapshot(snapshot)
-            from repro.replay.replayer import build_servers
-
-            baseline = load_page(
-                snapshot,
-                build_servers(store),
-                net_profile.config(),
-                BrowserConfig(when_hours=stamp.when_hours),
-            )
-            rows["http2"].append(baseline.plt)
-            servers = vroom_servers(page, snapshot, store)
-            vroom = load_page(
-                snapshot,
-                servers,
-                net_profile.config(
-                    h2_scheduling=StreamScheduling.FIFO
-                ),
-                BrowserConfig(when_hours=stamp.when_hours),
-                policy=VroomScheduler(),
-            )
-            rows["vroom"].append(vroom.plt)
-        out[name] = rows
+        run = load_matrix(
+            pages, ["http2", "vroom"], network=net_profile.config()
+        )
+        out[name] = {
+            config: run.series(config) for config in ("http2", "vroom")
+        }
     return out
 
 

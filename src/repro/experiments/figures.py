@@ -19,7 +19,7 @@ from repro.baselines.configs import run_config
 from repro.browser.cache import BrowserCache
 from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.resolver import ResolutionStrategy
-from repro.experiments.harness import sweep_configs
+from repro.experiments.parallel import load_matrix
 from repro.pages.corpus import (
     accuracy_corpus,
     alexa_top100_corpus,
@@ -44,8 +44,8 @@ def fig1_plt_today(count: int = 20) -> Dict[str, List[float]]:
     The paper's live-web loads closely match its HTTP/1.1 replay (Fig 3
     caption), so the replay stands in for the web here.
     """
-    top100 = sweep_configs(alexa_top100_corpus(count), ["http1"])
-    news = sweep_configs(news_sports_corpus(count), ["http1"])
+    top100 = load_matrix(alexa_top100_corpus(count), ["http1"])
+    news = load_matrix(news_sports_corpus(count), ["http1"])
     return {
         "top100_http1_plt": top100.series("http1"),
         "news_sports_http1_plt": news.series("http1"),
@@ -54,7 +54,7 @@ def fig1_plt_today(count: int = 20) -> Dict[str, List[float]]:
 
 def fig2_lower_bounds(count: int = 20) -> Dict[str, List[float]]:
     """Network-bottleneck, CPU-bottleneck, max(CPU, network), web loads."""
-    run = sweep_configs(
+    run = load_matrix(
         news_sports_corpus(count), ["network-bound", "cpu-bound", "http1"]
     )
     cpu = run.series("cpu-bound")
@@ -69,7 +69,7 @@ def fig2_lower_bounds(count: int = 20) -> Dict[str, List[float]]:
 
 def fig3_http2_estimate(count: int = 20) -> Dict[str, List[float]]:
     """HTTP/2 baseline vs push-all-static vs HTTP/1.1."""
-    run = sweep_configs(
+    run = load_matrix(
         news_sports_corpus(count), ["http2", "push-all-static", "http1"]
     )
     return {
@@ -83,15 +83,14 @@ def fig3_http2_estimate(count: int = 20) -> Dict[str, List[float]]:
 def fig4_critical_path(count: int = 20) -> Dict[str, List[float]]:
     """Fraction of the critical path waiting on the network, HTTP/2 and
     (Sec 6.1's 24%-reduction claim) Vroom."""
-    run = sweep_configs(
-        news_sports_corpus(count),
-        ["http2", "vroom"],
-        metric=lambda metrics: metrics.network_wait_fraction,
-        metric_name="network_wait_fraction",
-    )
+    run = load_matrix(news_sports_corpus(count), ["http2", "vroom"])
     return {
-        "http2_network_fraction": run.series("http2"),
-        "vroom_network_fraction": run.series("vroom"),
+        "http2_network_fraction": run.series(
+            "http2", "network_wait_fraction"
+        ),
+        "vroom_network_fraction": run.series(
+            "vroom", "network_wait_fraction"
+        ),
     }
 
 
@@ -113,16 +112,13 @@ def fig11_scheduling_example(page_index: int = 0) -> Dict[str, List[float]]:
     """Receipt-time change (vs HTTP/2) of the first 10 processable
     resources, for Push-All-Fetch-ASAP and Vroom (the eurosport example).
     """
-    page = news_sports_corpus(4)[page_index]
-    stamp = _stamp()
-    snapshot = page.materialize(stamp)
-    store = record_snapshot(snapshot)
+    configs = ["http2", "push-all-fetch-asap", "vroom"]
+    (row,) = load_matrix([news_sports_corpus(4)[page_index]], configs).rows
 
     def receipt_times(config: str) -> List[float]:
-        metrics = run_config(config, page, snapshot, store)
         processable = [
             timeline
-            for timeline in metrics.referenced_timelines()
+            for timeline in row[config].referenced_timelines()
             if timeline.resource is not None
             and timeline.resource.processable
             and timeline.fetched_at is not None
@@ -149,18 +145,11 @@ def fig11_scheduling_example(page_index: int = 0) -> Dict[str, List[float]]:
 def fig13_headline(count: int = 20) -> Dict[str, Dict[str, List[float]]]:
     """PLT / AFT / Speed Index CDFs: lower bound, Vroom, HTTP/2, HTTP/1.1."""
     configs = ["http1", "http2", "vroom", "cpu-bound", "network-bound"]
-    collected: Dict[str, Dict[str, List[float]]] = {
-        "plt": {}, "aft": {}, "speed_index": {},
+    run = load_matrix(news_sports_corpus(count), configs)
+    collected = {
+        metric: {config: run.series(config, metric) for config in configs}
+        for metric in ("plt", "aft", "speed_index")
     }
-
-    def hook(page, config, metrics):
-        collected["plt"].setdefault(config, []).append(metrics.plt)
-        collected["aft"].setdefault(config, []).append(metrics.aft)
-        collected["speed_index"].setdefault(config, []).append(
-            metrics.speed_index
-        )
-
-    sweep_configs(news_sports_corpus(count), configs, per_page_hook=hook)
     for metric_map in collected.values():
         cpu = metric_map.pop("cpu-bound")
         net = metric_map.pop("network-bound")
@@ -170,12 +159,8 @@ def fig13_headline(count: int = 20) -> Dict[str, Dict[str, List[float]]]:
 
 def alexa400_and_partial_adoption(count: int = 20) -> Dict[str, List[float]]:
     """Sec 6.1 text: the lighter corpus, and first-party-only adoption."""
-    light = sweep_configs(
-        alexa_top400_sample_corpus(count), ["http2", "vroom"]
-    )
-    partial = sweep_configs(
-        news_sports_corpus(count), ["vroom-first-party"]
-    )
+    light = load_matrix(alexa_top400_sample_corpus(count), ["http2", "vroom"])
+    partial = load_matrix(news_sports_corpus(count), ["vroom-first-party"])
     return {
         "alexa400_http2": light.series("http2"),
         "alexa400_vroom": light.series("vroom"),
@@ -185,7 +170,7 @@ def alexa400_and_partial_adoption(count: int = 20) -> Dict[str, List[float]]:
 
 def fig14_polaris(count: int = 20) -> Dict[str, List[float]]:
     """Vroom vs Polaris PLT CDFs."""
-    run = sweep_configs(news_sports_corpus(count), ["vroom", "polaris"])
+    run = load_matrix(news_sports_corpus(count), ["vroom", "polaris"])
     return {
         "vroom": run.series("vroom"),
         "polaris": run.series("polaris"),
@@ -194,12 +179,10 @@ def fig14_polaris(count: int = 20) -> Dict[str, List[float]]:
 
 def fig15_aft_example(page_index: int = 2) -> Dict[str, float]:
     """One heavy page's above-the-fold time, Vroom vs HTTP/2 (Fox News)."""
-    page = news_sports_corpus(6)[page_index]
-    stamp = _stamp()
-    snapshot = page.materialize(stamp)
-    store = record_snapshot(snapshot)
-    vroom = run_config("vroom", page, snapshot, store)
-    http2 = run_config("http2", page, snapshot, store)
+    (row,) = load_matrix(
+        [news_sports_corpus(6)[page_index]], ["vroom", "http2"]
+    ).rows
+    vroom, http2 = row["vroom"], row["http2"]
     return {
         "vroom_aft": vroom.aft,
         "http2_aft": http2.aft,
@@ -214,12 +197,9 @@ def fig16_discovery_fetch(count: int = 20) -> Dict[str, List[float]]:
         "discovery_all": [], "discovery_high": [],
         "fetch_all": [], "fetch_high": [],
     }
-    stamp = _stamp()
-    for page in news_sports_corpus(count):
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        base = run_config("http2", page, snapshot, store)
-        vroom = run_config("vroom", page, snapshot, store)
+    run = load_matrix(news_sports_corpus(count), ["http2", "vroom"])
+    for row in run.rows:
+        base, vroom = row["http2"], row["vroom"]
         for key, func in (
             ("discovery_all", lambda m: m.discovery_complete_at(False)),
             ("discovery_high", lambda m: m.discovery_complete_at(True)),
@@ -234,7 +214,7 @@ def fig16_discovery_fetch(count: int = 20) -> Dict[str, List[float]]:
 
 def fig17_prev_load(count: int = 20) -> Dict[str, tuple]:
     """Quartiles: lower bound, Vroom, deps-from-previous-load, HTTP/2."""
-    run = sweep_configs(
+    run = load_matrix(
         news_sports_corpus(count),
         ["http2", "vroom", "deps-prev-load", "cpu-bound", "network-bound"],
     )
@@ -252,7 +232,7 @@ def fig17_prev_load(count: int = 20) -> Dict[str, tuple]:
 
 def fig18_push_only(count: int = 20) -> Dict[str, tuple]:
     """Quartiles: Vroom vs push-without-hints strawmen."""
-    run = sweep_configs(
+    run = load_matrix(
         news_sports_corpus(count),
         [
             "vroom",
@@ -279,7 +259,7 @@ def fig18_push_only(count: int = 20) -> Dict[str, tuple]:
 def fig19_scheduling(count: int = 20) -> Dict[str, tuple]:
     """Quartiles: Vroom vs Push-All-Fetch-ASAP vs no-push-no-hints,
     plus the scheduling ablations DESIGN.md calls out."""
-    run = sweep_configs(
+    run = load_matrix(
         news_sports_corpus(count),
         [
             "vroom",

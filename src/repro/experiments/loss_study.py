@@ -10,26 +10,27 @@ of high packet loss".  This experiment sweeps loss rates and compares:
   aggregate window),
 * HTTP/2 (one connection per domain — every loss halves the only pipe),
 * Vroom over HTTP/2, and Vroom's hint mechanism over HTTP/1.1 (no push,
-  hints only, immediate fetching) — the fallback the paper describes.
+  hints only, fetched by the staged scheduler: ``vroom-http1``) — the
+  fallback the paper describes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.browser.engine import BrowserConfig, load_page
-from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.core.push_policy import PushPolicy
-from repro.core.scheduler import VroomScheduler
-from repro.core.server import vroom_servers
-from repro.net.http import HttpVersion, NetworkConfig
-from repro.net.link import StreamScheduling
+from repro.experiments.parallel import load_matrix
+from repro.net.http import NetworkConfig
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
-from repro.replay.cache import materialize_cached
-from repro.replay.replayer import build_servers
 
 LOSS_RATES: Sequence[float] = (0.0, 0.01, 0.02)
+
+#: Row name -> the configuration behind it.
+ROWS = {
+    "http1": "http1",
+    "http2": "http2",
+    "vroom_h2": "vroom",
+    "vroom_h1": "vroom-http1",
+}
 
 
 def loss_sweep(
@@ -37,61 +38,11 @@ def loss_sweep(
     loss_rates: Sequence[float] = LOSS_RATES,
 ) -> Dict[float, Dict[str, List[float]]]:
     """PLT distributions per loss rate per configuration."""
-    stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
+    pages = news_sports_corpus(count)
     out: Dict[float, Dict[str, List[float]]] = {}
     for loss in loss_rates:
-        rows: Dict[str, List[float]] = {
-            "http1": [], "http2": [], "vroom_h2": [], "vroom_h1": [],
-        }
-        for page in news_sports_corpus(count):
-            # The snapshot is loss-independent: the session cache shares
-            # one (snapshot, store) pair across all loss rates.
-            snapshot, store = materialize_cached(page, stamp)
-            browser = BrowserConfig(when_hours=stamp.when_hours)
-            rows["http1"].append(
-                load_page(
-                    snapshot,
-                    build_servers(store),
-                    NetworkConfig(
-                        version=HttpVersion.HTTP1, loss_rate=loss
-                    ),
-                    browser,
-                ).plt
-            )
-            rows["http2"].append(
-                load_page(
-                    snapshot,
-                    build_servers(store),
-                    NetworkConfig(loss_rate=loss),
-                    browser,
-                ).plt
-            )
-            rows["vroom_h2"].append(
-                load_page(
-                    snapshot,
-                    vroom_servers(page, snapshot, store),
-                    NetworkConfig(
-                        h2_scheduling=StreamScheduling.FIFO,
-                        loss_rate=loss,
-                    ),
-                    browser,
-                    policy=VroomScheduler(),
-                ).plt
-            )
-            # Vroom's HTTP/1.1 fallback: hints only (no push exists in
-            # HTTP/1.1), fetched by the staged scheduler.
-            rows["vroom_h1"].append(
-                load_page(
-                    snapshot,
-                    vroom_servers(
-                        page, snapshot, store, push_policy=PushPolicy.NONE
-                    ),
-                    NetworkConfig(
-                        version=HttpVersion.HTTP1, loss_rate=loss
-                    ),
-                    browser,
-                    policy=VroomScheduler(),
-                ).plt
-            )
-        out[loss] = rows
+        run = load_matrix(
+            pages, ROWS.values(), network=NetworkConfig(loss_rate=loss)
+        )
+        out[loss] = {row: run.series(config) for row, config in ROWS.items()}
     return out

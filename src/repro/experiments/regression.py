@@ -17,11 +17,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.baselines.configs import run_config
-from repro.calibration import DEFAULT_EVAL_HOUR
+from repro.experiments.parallel import load_matrix
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
-from repro.replay.recorder import record_snapshot
 
 
 @dataclass(frozen=True)
@@ -67,20 +64,10 @@ _CONFIG_BY_METRIC = {
 
 def measure_medians(count: int = 12) -> Dict[str, float]:
     """Fresh medians for every pinned metric."""
-    stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
-    values: Dict[str, List[float]] = {
-        metric: [] for metric in _CONFIG_BY_METRIC
-    }
-    for page in news_sports_corpus(count):
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        for metric, config in _CONFIG_BY_METRIC.items():
-            values[metric].append(
-                run_config(config, page, snapshot, store).plt
-            )
+    run = load_matrix(news_sports_corpus(count), _CONFIG_BY_METRIC.values())
     return {
-        metric: statistics.median(series)
-        for metric, series in values.items()
+        metric: statistics.median(run.series(config))
+        for metric, config in _CONFIG_BY_METRIC.items()
     }
 
 

@@ -15,13 +15,13 @@ performs no rolls, so its loads are bit-identical to an unfaulted sweep.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Dict, Optional, Sequence
 
-from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import load_matrix
 from repro.net.faults import ResiliencePolicy, hint_fault_plan
+from repro.net.http import NetworkConfig
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
 from repro.replay.cache import SnapshotCache
 
 #: Hint-fetch failure probabilities swept by default (0 = control).
@@ -53,42 +53,37 @@ def resilience_sweep(
     resilience: ResiliencePolicy = DEFAULT_RESILIENCE,
     seed: int = 0,
     workers: Optional[int] = None,
-    cache: Optional[SnapshotCache] = None,
+    snapshots: Optional[SnapshotCache] = None,
 ) -> Dict[float, Dict[str, dict]]:
     """Sweep fault intensity × configuration.
 
     Returns ``{rate: {config: row}}`` where each row carries the per-page
     ``"plt"`` list plus the summed resilience counters.  Snapshots are
-    fault-independent, so every rate shares one cached (snapshot, store)
-    pair per page via the PR-1 snapshot cache.
+    fault-independent, so every rate shares one (snapshot, store) pair
+    per page through ``snapshots`` (default: a private cache).
     """
     pages = news_sports_corpus(count)
-    stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
-    active_cache = cache if cache is not None else SnapshotCache()
-    configs = list(configs)
+    snapshots = snapshots if snapshots is not None else SnapshotCache()
     out: Dict[float, Dict[str, dict]] = {}
     for rate in rates:
-        plan = hint_fault_plan(rate, seed=seed)
-        counters = {
-            config: dict.fromkeys(COUNTER_FIELDS, 0) for config in configs
-        }
-
-        def accumulate(page, config, metrics, rows=counters):
-            row = rows[config]
-            for field in COUNTER_FIELDS:
-                row[field] += getattr(metrics, field)
-
-        run, _ = run_sweep(
+        run = load_matrix(
             pages,
             configs,
-            stamp=stamp,
             workers=workers,
-            cache=active_cache,
-            per_page_hook=accumulate,
-            config_kwargs={"fault_plan": plan, "resilience": resilience},
+            snapshots=snapshots,
+            network=NetworkConfig(
+                fault_plan=hint_fault_plan(rate, seed=seed),
+                **asdict(resilience),
+            ),
         )
         out[rate] = {
-            config: {"plt": list(run.series(config)), **counters[config]}
+            config: {
+                "plt": run.series(config),
+                **{
+                    field: sum(run.series(config, field))
+                    for field in COUNTER_FIELDS
+                },
+            }
             for config in configs
         }
     return out

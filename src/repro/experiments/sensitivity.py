@@ -14,58 +14,38 @@ exempts (severely bandwidth-starved links; see `net.profiles`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.stats import median
-from repro.browser.engine import BrowserConfig, load_page
-from repro.calibration import DEFAULT_EVAL_HOUR, LTE_DOWNLINK_BPS, LTE_RTT
-from repro.core.scheduler import VroomScheduler
-from repro.core.server import vroom_servers
+from repro.calibration import LTE_DOWNLINK_BPS, LTE_RTT
+from repro.experiments.parallel import load_matrix
 from repro.net.http import NetworkConfig
-from repro.net.link import StreamScheduling
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
-from repro.replay.recorder import record_snapshot
-from repro.replay.replayer import build_servers
 
 
 def _ratio_at(
     pages,
-    stamp: LoadStamp,
     *,
     bandwidth_mult: float = 1.0,
     rtt_mult: float = 1.0,
     cpu_mult: float = 1.0,
 ) -> float:
     """Median Vroom/HTTP2 PLT ratio at one calibration point."""
-    ratios: List[float] = []
-    for page in pages:
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        browser = BrowserConfig(
-            when_hours=stamp.when_hours, cpu_scale=cpu_mult
-        )
-        base_net = dict(
+    run = load_matrix(
+        pages,
+        ["http2", "vroom"],
+        network=NetworkConfig(
             downlink_bps=LTE_DOWNLINK_BPS * bandwidth_mult,
             base_rtt=LTE_RTT * rtt_mult,
-        )
-        http2 = load_page(
-            snapshot,
-            build_servers(store),
-            NetworkConfig(**base_net),
-            browser,
-        )
-        vroom = load_page(
-            snapshot,
-            vroom_servers(page, snapshot, store),
-            NetworkConfig(
-                h2_scheduling=StreamScheduling.FIFO, **base_net
-            ),
-            browser,
-            policy=VroomScheduler(),
-        )
-        ratios.append(vroom.plt / http2.plt)
-    return median(ratios)
+        ),
+        cpu_scale=cpu_mult,
+    )
+    return median(
+        [
+            vroom / http2
+            for vroom, http2 in zip(run.series("vroom"), run.series("http2"))
+        ]
+    )
 
 
 def sensitivity_sweep(
@@ -73,21 +53,20 @@ def sensitivity_sweep(
     multipliers: Sequence[float] = (0.5, 1.0, 2.0),
 ) -> Dict[str, Dict[float, float]]:
     """Vroom/HTTP2 ratio as each knob varies (others at calibration)."""
-    stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
     pages = news_sports_corpus(count)
     out: Dict[str, Dict[float, float]] = {
         "bandwidth": {}, "rtt": {}, "cpu_speed": {},
     }
     for multiplier in multipliers:
         out["bandwidth"][multiplier] = _ratio_at(
-            pages, stamp, bandwidth_mult=multiplier
+            pages, bandwidth_mult=multiplier
         )
         out["rtt"][multiplier] = _ratio_at(
-            pages, stamp, rtt_mult=multiplier
+            pages, rtt_mult=multiplier
         )
         # cpu_speed multiplier speeds the CPU up; cpu_scale is a cost
         # multiplier, so invert.
         out["cpu_speed"][multiplier] = _ratio_at(
-            pages, stamp, cpu_mult=1.0 / multiplier
+            pages, cpu_mult=1.0 / multiplier
         )
     return out

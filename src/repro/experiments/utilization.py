@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.configs import run_config
-from repro.calibration import DEFAULT_EVAL_HOUR
+from repro.experiments.parallel import load_matrix
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
-from repro.replay.recorder import record_snapshot
 
 DEFAULT_CONFIGS = ("http1", "http2", "vroom")
 
@@ -27,15 +24,11 @@ def utilization_comparison(
     configs=DEFAULT_CONFIGS,
 ) -> Dict[str, Dict[str, List[float]]]:
     """Per-config CPU and link utilization distributions."""
-    stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
-    out: Dict[str, Dict[str, List[float]]] = {
-        config: {"cpu": [], "link": []} for config in configs
+    run = load_matrix(news_sports_corpus(count), configs)
+    return {
+        config: {
+            "cpu": run.series(config, "cpu_utilization"),
+            "link": run.series(config, "link_utilization"),
+        }
+        for config in configs
     }
-    for page in news_sports_corpus(count):
-        snapshot = page.materialize(stamp)
-        store = record_snapshot(snapshot)
-        for config in configs:
-            metrics = run_config(config, page, snapshot, store)
-            out[config]["cpu"].append(metrics.cpu_utilization)
-            out[config]["link"].append(metrics.link_utilization)
-    return out

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.net.http import HttpVersion, NetworkConfig
-from repro.net.link import StreamScheduling
+from repro.net.http import NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,13 @@ class NetworkProfile:
     #: Per-segment random-loss probability (bursty cells, 0 = clean).
     loss_rate: float = 0.0
 
-    def config(
-        self,
-        version: HttpVersion = HttpVersion.HTTP2,
-        h2_scheduling: StreamScheduling = StreamScheduling.FAIR,
-    ) -> NetworkConfig:
+    def config(self) -> NetworkConfig:
+        """This profile's link as a transport (configurations set the
+        protocol version and scheduling on a copy)."""
         return NetworkConfig(
-            version=version,
             downlink_bps=self.downlink_bps,
             uplink_bps=self.uplink_bps,
             base_rtt=self.rtt,
-            h2_scheduling=h2_scheduling,
             loss_rate=self.loss_rate,
         )
 

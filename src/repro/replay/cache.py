@@ -13,6 +13,12 @@ spec field changes the fingerprint.  Cached ``(PageSnapshot, ReplayStore)``
 pairs are plain dataclass trees, so they pickle cleanly to worker
 processes (the parallel sweep engine ships prebuilt stores instead of
 having each worker re-record them).
+
+A cache also keeps the loads run on its snapshots, for the load matrix
+(:func:`repro.experiments.parallel.load_matrix`) to share: one load per
+(content key, configuration, load options), at most
+:data:`SHARED_LOADS` of them.  A private cache shares neither snapshots
+nor loads with the session's.
 """
 
 from __future__ import annotations
@@ -20,12 +26,17 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.pages.dynamics import LoadStamp
 from repro.pages.page import PageBlueprint, PageSnapshot
 from repro.replay.recorder import record_snapshot
 from repro.replay.store import ReplayStore
+
+
+#: Most loads one cache keeps for sharing, least recently used out first.
+#: The paper-figure session makes 750 distinct loads.
+SHARED_LOADS = 1024
 
 
 def blueprint_fingerprint(page: PageBlueprint) -> str:
@@ -103,6 +114,7 @@ class SnapshotCache:
         self._fingerprints: "OrderedDict[int, Tuple[PageBlueprint, str]]" = (
             OrderedDict()
         )
+        self._loads: "OrderedDict[tuple, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -115,6 +127,7 @@ class SnapshotCache:
     def clear(self) -> None:
         self._entries.clear()
         self._fingerprints.clear()
+        self._loads.clear()
         self.stats = CacheStats()
 
     def _fingerprint(self, page: PageBlueprint) -> str:
@@ -153,6 +166,19 @@ class SnapshotCache:
         if self.max_entries is not None and len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         return snapshot, store
+
+    def shared_load(self, key: tuple) -> Any:
+        """The load kept under ``key``, or None.  Callers must not change it."""
+        load = self._loads.get(key)
+        if load is not None:
+            self._loads.move_to_end(key)
+        return load
+
+    def share_load(self, key: tuple, load: Any) -> None:
+        """Keep ``load`` under ``key`` for later matrices to share."""
+        self._loads[key] = load
+        if len(self._loads) > SHARED_LOADS:
+            self._loads.popitem(last=False)
 
 
 #: Session-wide default cache: every sweep and benchmark in a process

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.configs import CONFIG_NAMES, run_config
+from repro.browser.cache import BrowserCache
 
 
 class TestRunConfig:
@@ -60,3 +61,24 @@ class TestRunConfig:
             "cpu-bound", page, snapshot, store, device="oneplus3"
         )
         assert fast.plt < slow.plt
+
+
+def _warm_cache(snapshot):
+    cache = BrowserCache()
+    cache.seed_from_snapshot(
+        snapshot.all_resources(), when_hours=snapshot.stamp.when_hours
+    )
+    return cache
+
+
+@pytest.mark.parametrize("config", ["polaris", "hybrid"])
+def test_client_options_reach_every_config(config, page, snapshot, store):
+    """Polaris and the hybrid load with the client ``run_config`` builds:
+    a slower device slows them, and a warm cache speeds them up."""
+    base = run_config(config, page, snapshot, store).plt
+    tablet = run_config(config, page, snapshot, store, device="nexus10").plt
+    warm = run_config(
+        config, page, snapshot, store, cache=_warm_cache(snapshot)
+    ).plt
+    assert tablet > base
+    assert warm < base

@@ -2,70 +2,56 @@
 
 HTTP/1.1 has no server push, so Vroom degrades to dependency hints plus
 the staged scheduler — Sec 8 notes this combination still works.  These
-tests pin the semantics of that degraded mode.
+tests pin the semantics of that degraded mode: ``vroom-http1``.
 """
 
-from repro.browser.engine import BrowserConfig, PageLoadEngine
-from repro.core.push_policy import PushPolicy
-from repro.core.scheduler import VroomScheduler
-from repro.core.server import vroom_servers
-from repro.net.http import HttpVersion, NetworkConfig
-from repro.replay.replayer import build_servers
+from unittest import mock
+
+from repro.baselines.configs import run_config
+from repro.browser.engine import PageLoadEngine
+from repro.net.http import HttpVersion
 
 
 def h1_vroom_engine(page, snapshot, store):
-    servers = vroom_servers(
-        page, snapshot, store, push_policy=PushPolicy.NONE
-    )
-    return PageLoadEngine(
-        snapshot,
-        servers,
-        NetworkConfig(version=HttpVersion.HTTP1),
-        BrowserConfig(when_hours=snapshot.stamp.when_hours),
-        policy=VroomScheduler(),
-    )
+    """The engine ``run_config("vroom-http1")`` ran, after its load."""
+    engines = []
+    run = PageLoadEngine.run
+
+    def keep(engine):
+        engines.append(engine)
+        return run(engine)
+
+    with mock.patch.object(PageLoadEngine, "run", keep):
+        run_config("vroom-http1", page, snapshot, store)
+    (engine,) = engines
+    return engine
 
 
 class TestVroomOverHttp1:
     def test_load_completes(self, page, snapshot, store):
-        metrics = h1_vroom_engine(page, snapshot, store).run()
+        metrics = run_config("vroom-http1", page, snapshot, store)
         assert metrics.plt > 0
 
     def test_no_pushes_happen(self, page, snapshot, store):
         engine = h1_vroom_engine(page, snapshot, store)
-        engine.run()
+        assert engine.client.config.version is HttpVersion.HTTP1
         assert all(
             server.pushes_sent == 0
             for server in engine.client.servers.values()
         )
 
     def test_hints_still_drive_early_discovery(self, page, snapshot, store):
-        from repro.browser.engine import load_page
-
-        vroom = h1_vroom_engine(page, snapshot, store).run()
-        plain = load_page(
-            snapshot,
-            build_servers(store),
-            NetworkConfig(version=HttpVersion.HTTP1),
-            BrowserConfig(when_hours=snapshot.stamp.when_hours),
-        )
+        vroom = run_config("vroom-http1", page, snapshot, store)
+        plain = run_config("http1", page, snapshot, store)
         assert vroom.discovery_complete_at() < plain.discovery_complete_at()
 
     def test_beats_plain_http1(self, page, snapshot, store):
-        from repro.browser.engine import load_page
-
-        vroom = h1_vroom_engine(page, snapshot, store).run()
-        plain = load_page(
-            snapshot,
-            build_servers(store),
-            NetworkConfig(version=HttpVersion.HTTP1),
-            BrowserConfig(when_hours=snapshot.stamp.when_hours),
-        )
+        vroom = run_config("vroom-http1", page, snapshot, store)
+        plain = run_config("http1", page, snapshot, store)
         assert vroom.plt < plain.plt
 
     def test_connection_limit_respected(self, page, snapshot, store):
         """Prefetch storms must still obey six connections per domain."""
         engine = h1_vroom_engine(page, snapshot, store)
-        engine.run()
         for domain, state in engine.client._domains.items():
             assert len(state.connections) <= 6, domain

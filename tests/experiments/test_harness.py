@@ -1,51 +1,45 @@
-"""Tests for the experiment harness."""
+"""Tests for the load matrix as experiments read it, and the report helpers."""
 
-from repro.experiments.harness import ExperimentRun, load_once, sweep_configs
+from repro.experiments.parallel import load_matrix
 from repro.experiments.report import describe_series, median_table, print_figure
+from repro.replay.cache import SnapshotCache
 
 
-class TestExperimentRun:
-    def test_add_and_series(self):
-        run = ExperimentRun(metric="plt")
-        run.add("http2", 1.0)
-        run.add("http2", 2.0)
-        run.add("vroom", 0.5)
-        assert run.series("http2") == [1.0, 2.0]
-        assert run.series("vroom") == [0.5]
+class TestLoadMatrix:
+    def test_series_reads_rows(self, corpus):
+        run = load_matrix(
+            corpus[:2], ["http2", "vroom"], snapshots=SnapshotCache()
+        )
+        assert run.series("http2") == [row["http2"].plt for row in run.rows]
+        assert run.series("vroom", "aft") == [
+            row["vroom"].aft for row in run.rows
+        ]
 
-
-class TestLoadOnce:
-    def test_returns_metrics(self, page):
-        metrics = load_once(page, "http2")
-        assert metrics.plt > 0
+    def test_one_page_one_config_returns_metrics(self, page):
+        (row,) = load_matrix([page], ["http2"]).rows
+        assert row["http2"].plt > 0
 
 
 class TestSweep:
     def test_sweep_collects_all(self, corpus):
-        run = sweep_configs(corpus[:2], ["http2", "vroom"])
+        run = load_matrix(corpus[:2], ["http2", "vroom"])
         assert len(run.series("http2")) == 2
         assert len(run.series("vroom")) == 2
 
     def test_custom_metric(self, corpus):
-        run = sweep_configs(
-            corpus[:2],
-            ["http2"],
-            metric=lambda metrics: metrics.aft,
-            metric_name="aft",
-        )
-        assert run.metric == "aft"
-        assert all(value > 0 for value in run.series("http2"))
+        run = load_matrix(corpus[:2], ["http2"])
+        assert all(value > 0 for value in run.series("http2", "aft"))
 
-    def test_per_page_hook(self, corpus):
-        seen = []
-        sweep_configs(
-            corpus[:2],
-            ["http2"],
-            per_page_hook=lambda page, config, metrics: seen.append(
-                (page.name, config)
-            ),
+    def test_rows_per_page(self, corpus):
+        run = load_matrix(corpus[:2], ["http2"])
+        assert [list(row) for row in run.rows] == [["http2"], ["http2"]]
+
+    def test_repeated_config_loads_once(self, corpus):
+        run = load_matrix(
+            corpus[:1], ["http2", "http2"], snapshots=SnapshotCache()
         )
-        assert len(seen) == 2
+        assert run.configs == ["http2"]
+        assert run.perf.jobs == 1
 
 
 class TestReport:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.calibration import DEFAULT_EVAL_HOUR
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import load_matrix
 from repro.experiments.resilience import (
     COUNTER_FIELDS,
     DEFAULT_RESILIENCE,
@@ -11,7 +10,6 @@ from repro.experiments.resilience import (
 )
 from repro.net.faults import ResiliencePolicy
 from repro.pages.corpus import news_sports_corpus
-from repro.pages.dynamics import LoadStamp
 from repro.replay.cache import SnapshotCache
 
 COUNT = 2
@@ -23,7 +21,7 @@ RATES = (0.0, 0.3)
 def sweep():
     return resilience_sweep(
         count=COUNT, rates=RATES, configs=CONFIGS, workers=1,
-        cache=SnapshotCache(),
+        snapshots=SnapshotCache(),
     )
 
 
@@ -31,11 +29,9 @@ class TestZeroRateControl:
     """An empty fault plan must not perturb the simulation at all."""
 
     def test_bit_identical_to_unfaulted_sweep(self, sweep):
-        pages = news_sports_corpus(COUNT)
-        stamp = LoadStamp(when_hours=DEFAULT_EVAL_HOUR)
-        plain, _ = run_sweep(
-            pages, list(CONFIGS), stamp=stamp, workers=1,
-            cache=SnapshotCache(),
+        plain = load_matrix(
+            news_sports_corpus(COUNT), CONFIGS, workers=1,
+            snapshots=SnapshotCache(),
         )
         for config in CONFIGS:
             assert sweep[0.0][config]["plt"] == list(plain.series(config))
@@ -69,14 +65,14 @@ class TestDeterminism:
     def test_repeat_sweep_identical(self, sweep):
         again = resilience_sweep(
             count=COUNT, rates=RATES, configs=CONFIGS, workers=1,
-            cache=SnapshotCache(),
+            snapshots=SnapshotCache(),
         )
         assert again == sweep
 
     def test_workers_do_not_change_results(self, sweep):
         parallel = resilience_sweep(
             count=COUNT, rates=RATES, configs=CONFIGS, workers=2,
-            cache=SnapshotCache(),
+            snapshots=SnapshotCache(),
         )
         assert parallel == sweep
 
@@ -92,7 +88,7 @@ class TestDefaults:
             resilience=ResiliencePolicy(
                 request_timeout=9.0, max_retries=1, retry_backoff=0.5
             ),
-            cache=SnapshotCache(),
+            snapshots=SnapshotCache(),
         )
         assert list(out) == [0.0]
         assert len(out[0.0]["vroom"]["plt"]) == 1

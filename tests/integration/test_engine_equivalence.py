@@ -18,14 +18,12 @@ fault rate, configuration, page) triples, a FAIR push-all load on a clean
 and a lossy link, and audited runs of both engines.
 """
 
-import functools
 import random
-from unittest import mock
+from dataclasses import asdict
 
 import pytest
 
 from repro import audit
-from repro.baselines import configs
 from repro.baselines.configs import run_config
 from repro.browser.engine import BrowserConfig, load_page
 from repro.calibration import DEFAULT_EVAL_HOUR
@@ -46,11 +44,15 @@ CONFIGS = ["http2", "vroom", "push-all-fetch-asap"]
 #: stay put.
 GRID_CONFIGS = CONFIGS + ["polaris"]
 
-#: fault plan × resilience pairs: faulted runs need retries/timeouts or
-#: the load legitimately wedges (that guard is its own test elsewhere).
+#: Transport fields per fault setting: faulted runs need retries and
+#: timeouts or the load legitimately wedges (that guard is its own test
+#: elsewhere).
 FAULT_PLANS = {
-    "no-faults": (None, None),
-    "hint-faults": (hint_fault_plan(0.3, seed=7), ResiliencePolicy()),
+    "no-faults": {},
+    "hint-faults": {
+        "fault_plan": hint_fault_plan(0.3, seed=7),
+        **asdict(ResiliencePolicy()),
+    },
 }
 
 LOSS_RATES = [0.0, 0.01, 0.03]
@@ -79,26 +81,24 @@ def _sample(seed, fault_seed):
 TRIPLES = _sample(0xBA7C4, fault_seed=11) + _sample(0xE7D12, fault_seed=23)
 
 
-def _run(engine, *args, **kwargs):
-    """``run_config`` with every :class:`NetworkConfig` on ``engine``."""
-    with mock.patch.object(
-        configs, "NetworkConfig", functools.partial(NetworkConfig, engine=engine)
-    ):
-        return run_config(*args, **kwargs)
+def _run(engine, config, page, snapshot, store, **transport):
+    """``run_config`` over a transport on ``engine``."""
+    return run_config(
+        config, page, snapshot, store,
+        network=NetworkConfig(engine=engine, **transport),
+    )
 
 
 def _run_faulted(engine, page, snapshot, store, config, loss, fault_rate,
                  fault_seed):
-    plan = hint_fault_plan(fault_rate, seed=fault_seed) if fault_rate else None
+    faults = {}
+    if fault_rate:
+        faults = {
+            "fault_plan": hint_fault_plan(fault_rate, seed=fault_seed),
+            **asdict(ResiliencePolicy()),
+        }
     return _run(
-        engine,
-        config,
-        page,
-        snapshot,
-        store,
-        loss_rate=loss,
-        fault_plan=plan,
-        resilience=ResiliencePolicy() if plan else None,
+        engine, config, page, snapshot, store, loss_rate=loss, **faults
     )
 
 
@@ -114,20 +114,11 @@ def _audited(run):
 @pytest.mark.parametrize("faults", sorted(FAULT_PLANS))
 def test_metrics_bit_identical(corpus, stamp, config, faults):
     """reference == fast for every config × fault plan, across two pages."""
-    fault_plan, resilience = FAULT_PLANS[faults]
     for page in corpus[:2]:
         snapshot = page.materialize(stamp)
         store = record_snapshot(snapshot)
         reference, fast = (
-            _run(
-                engine,
-                config,
-                page,
-                snapshot,
-                store,
-                fault_plan=fault_plan,
-                resilience=resilience,
-            )
+            _run(engine, config, page, snapshot, store, **FAULT_PLANS[faults])
             for engine in ("reference", "fast")
         )
         assert fast == reference, (

@@ -1,5 +1,7 @@
 """Deterministic fault injection: plans, timeouts, retries, degradation."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.browser.engine import BrowserConfig, load_page
@@ -579,7 +581,7 @@ class TestFailedDocuments:
         store = record_snapshot(snapshot)
         metrics = run_config(
             config, page, snapshot, store,
-            fault_plan=plan, resilience=resilience,
+            network=NetworkConfig(fault_plan=plan, **asdict(resilience)),
         )
         return snapshot, metrics
 

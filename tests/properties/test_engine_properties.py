@@ -10,6 +10,8 @@ stalls.  This is the broadest net for scheduling/bookkeeping bugs in the
 stack.
 """
 
+from dataclasses import asdict
+
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.configs import run_config
@@ -158,7 +160,10 @@ def test_random_pages_fire_onload_under_hint_faults(page, plan, retries):
     obligations with it."""
     snapshot = page.materialize(STAMP)
     store = record_snapshot(snapshot)
-    resilience = ResiliencePolicy(request_timeout=2.0, max_retries=retries)
+    network = NetworkConfig(
+        fault_plan=plan,
+        **asdict(ResiliencePolicy(request_timeout=2.0, max_retries=retries)),
+    )
     for config in (
         "http2",
         "vroom",
@@ -166,9 +171,6 @@ def test_random_pages_fire_onload_under_hint_faults(page, plan, retries):
         "vroom-fair",
         "push-all-fetch-asap",
     ):
-        metrics = run_config(
-            config, page, snapshot, store,
-            fault_plan=plan, resilience=resilience,
-        )
+        metrics = run_config(config, page, snapshot, store, network=network)
         assert metrics.plt > 0, config
         assert metrics.aft <= metrics.plt + 1e-9, config

@@ -154,6 +154,25 @@ class TestCorpusGuards:
         assert main(["resilience", "--count", "-2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_figure_rejects_nonpositive_count(self, capsys):
+        assert main(["figure", "fig13_headline", "--count", "0"]) == 2
+        assert "error: page count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "flux_calibration", "--count", "2"],
+            ["sweep", "--count", "2"],
+            ["resilience", "--count", "2"],
+        ],
+        ids=["figure", "sweep", "resilience"],
+    )
+    def test_negative_workers_rejected(self, argv, capsys):
+        assert main(argv + ["--workers", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: worker count must be >= 0" in err
+        assert "got -1" in err
+
 
 class TestLongrunCommand:
     def test_smoke_passes_and_writes_report(self, tmp_path, capsys):
