@@ -9,7 +9,7 @@ policies supplied by other packages).  Its output is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro import audit
@@ -71,6 +71,10 @@ class FetchPolicy:
 
     def attach(self, engine: "PageLoadEngine") -> None:
         self.engine = engine
+
+    def detach(self) -> None:
+        """Drop the back-reference :meth:`attach` set (the load is over)."""
+        del self.engine
 
     def on_discovered(self, url: str, via: str) -> None:
         resource = self.engine.snapshot_urls.get(url)
@@ -144,8 +148,10 @@ class _ResourceState:
     locally_referenced: bool = False
     _css_queued: bool = False
     _decode_queued: bool = False
-    fetch_waiters: List[Callable[[], None]] = field(default_factory=list)
-    process_waiters: List[Callable[[], None]] = field(default_factory=list)
+    #: Callbacks waiting for the bytes, and for the processed mark; most
+    #: resources never get one, so each list is made on first use.
+    fetch_waiters: Optional[List[Callable[[], None]]] = None
+    process_waiters: Optional[List[Callable[[], None]]] = None
 
 
 class PageLoadEngine:
@@ -307,11 +313,20 @@ class PageLoadEngine:
             priority=priority,
             is_hint=is_hint,
             on_headers=self._headers_arrived,
-            on_complete=lambda fetch: self._fetched(url, fetch=fetch),
-            on_error=lambda fetch: self._fetch_failed(url, fetch),
+            on_complete=self._fetch_completed,
+            on_error=self._fetch_errored,
         )
         if state.resource is not None and state.resource.is_document:
             self._arm_scanner(state.resource, fetch)
+
+    # The client coalesces fetches by URL, so ``fetch.url`` names the
+    # resource every callback of a fetch is about.
+
+    def _fetch_completed(self, fetch: Fetch) -> None:
+        self._fetched(fetch.url, fetch=fetch)
+
+    def _fetch_errored(self, fetch: Fetch) -> None:
+        self._fetch_failed(fetch.url, fetch)
 
     def _headers_arrived(self, fetch: Fetch) -> None:
         if fetch.response is not None and fetch.response.error:
@@ -344,11 +359,11 @@ class PageLoadEngine:
         if locally_needed:
             state.failed = True
             self._any_failed = True
-            waiters, state.fetch_waiters = state.fetch_waiters, []
-            for callback in waiters:
+            waiters, state.fetch_waiters = state.fetch_waiters, None
+            for callback in waiters or ():
                 callback()
-            pwaiters, state.process_waiters = state.process_waiters, []
-            for callback in pwaiters:
+            pwaiters, state.process_waiters = state.process_waiters, None
+            for callback in pwaiters or ():
                 callback()
         else:
             state.fetch_requested = False
@@ -369,7 +384,7 @@ class PageLoadEngine:
         if timeline.fetch_started_at is None:
             timeline.fetch_started_at = push.requested_at
         push.on_complete = chain_callbacks(
-            push.on_complete, lambda fetch: self._fetched(push.url, fetch=fetch)
+            push.on_complete, self._fetch_completed
         )
         resource = state.resource
         if not requested and resource is not None and resource.is_document:
@@ -406,8 +421,8 @@ class PageLoadEngine:
             self._check_done()
             return
         self.policy.on_fetched(url)
-        waiters, state.fetch_waiters = state.fetch_waiters, []
-        for callback in waiters:
+        waiters, state.fetch_waiters = state.fetch_waiters, None
+        for callback in waiters or ():
             callback()
         if from_cache and resource.is_document:
             self._arm_scanner(resource, None)
@@ -504,8 +519,8 @@ class PageLoadEngine:
             return
         state.processed = True
         state.timeline.processed_at = self.sim.now
-        waiters, state.process_waiters = state.process_waiters, []
-        for callback in waiters:
+        waiters, state.process_waiters = state.process_waiters, None
+        for callback in waiters or ():
             callback()
         self._check_done()
 
@@ -547,7 +562,10 @@ class PageLoadEngine:
                 self.sim.call_soon(callback)
                 return
             self.policy.ensure_fetch(child.url)
-            state.fetch_waiters.append(callback)
+            if state.fetch_waiters is None:
+                state.fetch_waiters = [callback]
+            else:
+                state.fetch_waiters.append(callback)
 
         def wait_for_css(
             sheets: List[Resource], callback: Callable[[], None]
@@ -570,7 +588,11 @@ class PageLoadEngine:
 
             for sheet in pending:
                 self.policy.ensure_fetch(sheet.url)
-                self.state_of(sheet.url).process_waiters.append(one_done)
+                state = self.state_of(sheet.url)
+                if state.process_waiters is None:
+                    state.process_waiters = [one_done]
+                else:
+                    state.process_waiters.append(one_done)
 
         from repro.browser.cpu import BAND_PARSER
 
@@ -749,7 +771,8 @@ class PageLoadEngine:
         root = self.snapshot.root
         self._doc_parses[root.url] = self._build_parse(root)
         if self.browser_config.sample_interval > 0:
-            self._arm_sampler(self.browser_config.sample_interval)
+            self._samples: List = []
+            self._sample()
         self.discover(root.url, via="navigation")
         if self.browser_config.preknown_urls:
             for resource in self.snapshot.all_resources():
@@ -771,22 +794,38 @@ class PageLoadEngine:
             )
         return self._collect_metrics()
 
-    def _arm_sampler(self, interval: float) -> None:
-        """Record (time, cpu_busy, active_streams) until onload."""
-        self._samples: List = []
-
-        def sample() -> None:
-            self._samples.append(
-                (
-                    self.sim.now,
-                    self.cpu.busy,
-                    self.client.link.active_stream_count(),
-                )
+    def _sample(self) -> None:
+        """Record (time, cpu_busy, active_streams), then again every
+        ``sample_interval`` until onload."""
+        self._samples.append(
+            (
+                self.sim.now,
+                self.cpu.busy,
+                self.client.link.active_stream_count(),
             )
-            if self.onload_at is None:
-                self.sim.schedule_drop(interval, sample)
+        )
+        if self.onload_at is None:
+            self.sim.schedule_drop(
+                self.browser_config.sample_interval, self._sample
+            )
 
-        sample()
+    def close(self) -> None:
+        """Release what this load holds, once its metrics are collected.
+
+        A finished load is otherwise one reference cycle (the policy, the
+        client's callbacks, the parses and the link all point back), which
+        only the cyclic collector frees.  ``close`` drops the per-URL
+        states and the parses, detaches the policy, and closes the client
+        and the simulator, each of which cuts its own back-references;
+        the engine can then be freed by reference counting alone.  What
+        the caller owns stays as it is: the servers, a warm
+        :attr:`BrowserConfig.cache` and the policy object.
+        """
+        self._states = {}
+        self._doc_parses = {}
+        self.policy.detach()
+        self.client.close()
+        self.sim.close()
 
     def _collect_metrics(self) -> LoadMetrics:
         onload = self.onload_at or self.sim.now
@@ -855,8 +894,12 @@ def load_page(
     browser_config: Optional[BrowserConfig] = None,
     policy: Optional[FetchPolicy] = None,
 ) -> LoadMetrics:
-    """One-shot convenience wrapper around :class:`PageLoadEngine`."""
+    """One-shot convenience wrapper around :class:`PageLoadEngine`: run
+    the load, then close the engine so it frees itself."""
     engine = PageLoadEngine(
         snapshot, servers, net_config, browser_config, policy
     )
-    return engine.run()
+    try:
+        return engine.run()
+    finally:
+        engine.close()

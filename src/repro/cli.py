@@ -33,6 +33,7 @@ the run; ``REPRO_AUDIT=1`` in the environment does the same.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import List, Optional
@@ -142,6 +143,12 @@ def _stamp(args) -> LoadStamp:
     )
 
 
+def _client_options(args) -> dict:
+    """``run_config``'s client options from ``--device`` and ``--user``
+    (the snapshot takes the same two through :func:`_stamp`)."""
+    return {"device": args.device, "user": args.user}
+
+
 def _maybe_enable_audit(args) -> None:
     if getattr(args, "audit", False):
         from repro import audit
@@ -186,7 +193,9 @@ def cmd_load(args) -> int:
     )
     print(f"{'config':<24} {'PLT':>7} {'AFT':>7} {'SI':>7} {'waste':>8}")
     for config in args.configs:
-        metrics = run_config(config, page, snapshot, store)
+        metrics = run_config(
+            config, page, snapshot, store, **_client_options(args)
+        )
         print(
             f"{config:<24} {metrics.plt:6.2f}s {metrics.aft:6.2f}s "
             f"{metrics.speed_index:6.0f} {metrics.wasted_bytes / 1e3:6.0f}KB"
@@ -199,7 +208,9 @@ def cmd_waterfall(args) -> int:
     page = _page(args)
     snapshot = page.materialize(_stamp(args))
     store = record_snapshot(snapshot)
-    metrics = run_config(args.config, page, snapshot, store)
+    metrics = run_config(
+        args.config, page, snapshot, store, **_client_options(args)
+    )
     print(render_waterfall(metrics, max_rows=args.rows))
     print()
     for key, value in summarize_phases(metrics).items():
@@ -266,6 +277,8 @@ def cmd_figure(args) -> int:
         return 2
     kwargs = {}
     if args.count is not None:
+        if "count" not in inspect.signature(func).parameters:
+            return _error(f"figure {args.name!r} takes no --count")
         kwargs["count"] = args.count
     result = func(**kwargs)
     _print_result(args.name, result)
@@ -309,7 +322,9 @@ def cmd_report(args) -> int:
     print(header)
     results = {}
     for config in args.configs:
-        metrics = run_config(config, page, snapshot, store)
+        metrics = run_config(
+            config, page, snapshot, store, **_client_options(args)
+        )
         results[config] = metrics
         print(
             f"{config:<18} {metrics.plt:6.2f}s {metrics.aft:6.2f}s "
@@ -347,7 +362,13 @@ def cmd_sweep(args) -> int:
     stamp = LoadStamp(
         when_hours=DEFAULT_EVAL_HOUR, device=args.device, user=args.user
     )
-    run = load_matrix(pages, args.configs, stamp=stamp, workers=args.workers)
+    run = load_matrix(
+        pages,
+        args.configs,
+        stamp=stamp,
+        workers=args.workers,
+        **_client_options(args),
+    )
     perf = run.perf
     print(
         f"swept {args.count} pages x {len(args.configs)} configs "

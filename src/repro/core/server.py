@@ -18,8 +18,9 @@ from repro.core.push_policy import PushPolicy, select_pushes
 from repro.core.resolver import ResolutionStrategy, VroomResolver
 from repro.net.origin import OriginServer, Response
 from repro.pages.page import PageBlueprint, PageSnapshot
+from repro.pages.resources import Resource
 from repro.replay.replayer import ResponseDecorator, build_servers
-from repro.replay.store import RecordedResponse, ReplayStore
+from repro.replay.store import ReplayStore
 
 
 def first_party_domains(page: PageBlueprint) -> Set[str]:
@@ -66,16 +67,16 @@ def make_vroom_decorator(
     )
 
     def decorate(
-        recorded: RecordedResponse, response: Response, is_push: bool
+        resource: Resource, response: Response, is_push: bool
     ) -> Response:
-        if not recorded.is_html or is_push:
+        if not resource.is_document or is_push:
             return response
-        bundle = bundles.get(recorded.url)
+        bundle = bundles.get(resource.url)
         if bundle is None:
             return response
         if send_hints:
             response.hints = list(bundle)
-        response.pushes = select_pushes(push_policy, bundle, recorded.domain)
+        response.pushes = select_pushes(push_policy, bundle, resource.domain)
         if uses_online:
             response.think_time += VROOM_ONLINE_PARSE_OVERHEAD
         return response
@@ -85,26 +86,23 @@ def make_vroom_decorator(
 
 def hinted_extra_content(
     snapshot: PageSnapshot, bundles: Dict[str, HintBundle]
-) -> Dict[str, RecordedResponse]:
-    """Servable bodies for hinted URLs absent from this load.
+) -> Dict[str, int]:
+    """Body sizes for hinted URLs absent from this load.
 
     Server false positives (stale offline entries, the online-only
     strawman's own nonce URLs) are fetched by the client even though the
     page never references them; origin servers must have *something* to
-    return.  Sizes come from the hints' own size estimates.
+    return.  Sizes come from the hints' own size estimates, floored at
+    600 bytes; :func:`~repro.replay.replayer.build_servers` serves them
+    as plain responses.
     """
     known = set(snapshot.urls())
-    extra: Dict[str, RecordedResponse] = {}
+    extra: Dict[str, int] = {}
     for bundle in bundles.values():
         for hint in bundle:
             if hint.url in known or hint.url in extra:
                 continue
-            extra[hint.url] = RecordedResponse(
-                url=hint.url,
-                domain=hint.url.partition("/")[0],
-                size=max(hint.size_estimate, 600),
-                is_html=hint.url.endswith(".html"),
-            )
+            extra[hint.url] = max(hint.size_estimate, 600)
     return extra
 
 

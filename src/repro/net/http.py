@@ -189,7 +189,6 @@ class _Connection:
     """One transport connection to a domain."""
 
     def __init__(self, client: "HttpClient", domain: str):
-        self.client = client
         self.domain = domain
         self.ready_at: Optional[float] = None
         scheduling = (
@@ -232,7 +231,7 @@ class HttpClient:
         #: Callback invoked when a push's headers arrive.
         self.on_push: Optional[Callable[[PushedResponse], None]] = None
         #: Tell servers whether a URL is already cached (skip pushing it).
-        self.is_cached: Callable[[str], bool] = lambda url: False
+        self.is_cached: Callable[[str], bool] = _nothing_cached
         #: Resilience counters, folded into LoadMetrics by the engine.
         self.retries = 0
         self.timeouts = 0
@@ -288,6 +287,24 @@ class HttpClient:
         self.fetches[url] = fetch
         self._after_dns(domain, lambda: self._dispatch(fetch))
         return fetch
+
+    def close(self) -> None:
+        """Drop this client's callbacks and exchanges (the load is over).
+
+        Every fetch loses its callbacks, its stream and its timeout
+        handle, so no exchange keeps its owner or its stream alive; the
+        fetch map and the domain map go, and the link closes too.  The
+        counters stay readable.
+        """
+        self.on_push = None
+        self.is_cached = _nothing_cached
+        for fetch in self.fetches.values():
+            fetch.on_headers = fetch.on_complete = fetch.on_error = None
+            fetch._stream = None
+            fetch._timeout_event = None
+        self.fetches = {}
+        self._domains = {}
+        self.link.close()
 
     def forget(self, url: str) -> None:
         """Drop a terminally-failed exchange so the URL can be re-fetched."""
@@ -647,6 +664,11 @@ class HttpClient:
         self.retries += 1
         delay = self.config.retry_backoff * (2.0 ** (fetch.attempt - 2))
         self.sim.schedule_drop(delay, lambda: self._dispatch(fetch))
+
+
+def _nothing_cached(url: str) -> bool:
+    """The default :attr:`HttpClient.is_cached`: no cache to consult."""
+    return False
 
 
 def chain_callbacks(

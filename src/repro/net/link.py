@@ -477,6 +477,23 @@ class AccessLink:
         self.channels.append(channel)
         return channel
 
+    def close(self) -> None:
+        """Let go of every channel and stream (the load is over).
+
+        A channel points back at the link and a stream at its channel, so
+        the link empties each channel's stream list and stream memos, and
+        then its own channel list.  The byte and time totals and the
+        counters stay readable.
+        """
+        for channel in self.channels:
+            channel.streams = []
+            channel._holder = None
+            channel.invalidate_active()
+        self.channels = []
+        # The simulator drops a pending refresh tick when it closes.
+        self._tick_event = None
+        self._tick_slot = -1
+
     # -- internals -----------------------------------------------------------
 
     def _advance(self) -> None:

@@ -233,6 +233,16 @@ class Simulator:
         """Number of live (non-cancelled) events, in O(1)."""
         return len(self._queue) - self._cancelled
 
+    def close(self) -> None:
+        """Drop every pending event (the run is over).
+
+        A pending event points back at the simulator, so a run stopped
+        with events left would otherwise keep its callbacks, and all
+        they hold, in a cycle.  The clock and the counters stay readable.
+        """
+        self._queue = []
+        self._cancelled = 0
+
 
 class EventHandle:
     """API-boundary handle to an :class:`ArraySimulator` event.
@@ -531,6 +541,15 @@ class ArraySimulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events, in O(1)."""
         return len(self._queue) - self._cancelled
+
+    def close(self) -> None:
+        """Drop every pending event and its callback slot (the run is
+        over), as :meth:`Simulator.close` does."""
+        self._queue.clear()
+        self._cb.clear()
+        self._slot_seq.clear()
+        self._free.clear()
+        self._cancelled = 0
 
 
 #: Either executor; they implement one contract (see module docstring), so

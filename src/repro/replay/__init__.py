@@ -8,12 +8,11 @@ optionally decorated by a policy layer (Vroom, push strawmen) that adds
 hints and pushes to responses.
 """
 
-from repro.replay.store import RecordedResponse, ReplayStore
+from repro.replay.store import ReplayStore
 from repro.replay.recorder import record_snapshot
 from repro.replay.replayer import build_servers
 
 __all__ = [
-    "RecordedResponse",
     "ReplayStore",
     "record_snapshot",
     "build_servers",

@@ -12,7 +12,7 @@ import hashlib
 
 from repro.calibration import SERVER_RTT_RANGE
 from repro.pages.page import PageSnapshot
-from repro.replay.store import RecordedResponse, ReplayStore
+from repro.replay.store import ReplayStore
 
 
 def domain_rtt(domain: str) -> float:
@@ -26,19 +26,11 @@ def domain_rtt(domain: str) -> float:
 def record_snapshot(snapshot: PageSnapshot) -> ReplayStore:
     """Capture every exchange a load of ``snapshot`` performs.
 
-    The store keeps no body text: a recorded body is its resource's
-    ``body``, rendered when a reader first needs it.
+    The store holds the snapshot's resources themselves and keeps no
+    body text: a recorded body is its resource's ``body``, rendered when
+    a reader first needs it.
     """
     store = ReplayStore(page=snapshot.page)
     for resource in snapshot.all_resources():
-        store.add(
-            RecordedResponse(
-                url=resource.url,
-                domain=resource.domain,
-                size=resource.size,
-                is_html=resource.is_document,
-                resource=resource,
-            ),
-            rtt=domain_rtt(resource.domain),
-        )
+        store.add(resource, rtt=domain_rtt(resource.domain))
     return store

@@ -9,30 +9,22 @@ from repro.pages.resources import Resource
 
 
 @dataclass
-class RecordedResponse:
-    """One recorded request/response exchange."""
-
-    url: str
-    domain: str
-    size: int
-    is_html: bool
-    #: The resource behind the exchange (carried for policy layers); its
-    #: ``body`` is the recorded body.
-    resource: Optional[Resource] = None
-
-
-@dataclass
 class ReplayStore:
-    """All exchanges captured while recording one page load."""
+    """All exchanges captured while recording one page load.
+
+    A recorded exchange is the snapshot's own :class:`Resource`: its
+    ``url``, ``domain``, ``size``, ``is_document`` and ``spec`` say what
+    the server returns, and its ``body`` is the recorded body.
+    """
 
     page: str
-    responses: Dict[str, RecordedResponse] = field(default_factory=dict)
+    responses: Dict[str, Resource] = field(default_factory=dict)
     #: Per-domain RTT (beyond the cellular link) observed at record time.
     domain_rtts: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, response: RecordedResponse, rtt: float) -> None:
-        self.responses[response.url] = response
-        self.domain_rtts.setdefault(response.domain, rtt)
+    def add(self, resource: Resource, rtt: float) -> None:
+        self.responses[resource.url] = resource
+        self.domain_rtts.setdefault(resource.domain, rtt)
 
     def domains(self) -> List[str]:
         return list(self.domain_rtts)
@@ -40,8 +32,9 @@ class ReplayStore:
     def urls(self) -> List[str]:
         return list(self.responses)
 
-    def lookup(self, url: str) -> Optional[RecordedResponse]:
+    def lookup(self, url: str) -> Optional[Resource]:
+        """The resource recorded under ``url``, or None."""
         return self.responses.get(url)
 
     def total_bytes(self) -> int:
-        return sum(response.size for response in self.responses.values())
+        return sum(resource.size for resource in self.responses.values())

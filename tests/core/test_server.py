@@ -3,7 +3,11 @@
 import pytest
 
 from repro.baselines.configs import run_config
-from repro.calibration import VROOM_ONLINE_PARSE_OVERHEAD
+from repro.calibration import (
+    SERVER_HTML_THINK_TIME,
+    SERVER_THINK_TIME,
+    VROOM_ONLINE_PARSE_OVERHEAD,
+)
 from repro.core.push_policy import PushPolicy
 from repro.core.resolver import ResolutionStrategy
 from repro.core.server import (
@@ -106,9 +110,35 @@ class TestExtraContent:
         extra = hinted_extra_content(snapshot, bundles)
         known = set(snapshot.urls())
         assert not (set(extra) & known)
-        for url, recorded in extra.items():
-            assert recorded.size >= 600
-            assert recorded.domain == url.partition("/")[0]
+        for url, size in extra.items():
+            assert size >= 600
+
+    def test_extra_urls_get_plain_responses(self, page, snapshot, store):
+        # The online-only strawman hints nonce URLs this load lacks, some
+        # of them documents and some below the size floor.
+        strategy = ResolutionStrategy.ONLINE_ONLY
+        bundles = hint_bundles(
+            snapshot,
+            VroomResolver(page, strategy=strategy),
+            as_of_hours=snapshot.stamp.when_hours,
+        )
+        extra = hinted_extra_content(snapshot, bundles)
+        assert any(url.endswith(".html") for url in extra)
+        assert 600 in extra.values()
+        servers = vroom_servers(page, snapshot, store, strategy=strategy)
+        for url, size in extra.items():
+            response = servers[url.partition("/")[0]].respond(url)
+            assert response.size == size >= 600
+            assert response.think_time == (
+                SERVER_HTML_THINK_TIME
+                if url.endswith(".html")
+                else SERVER_THINK_TIME
+            )
+            assert response.cacheable
+            assert response.meta is None
+            # No bundle is keyed by a URL outside the snapshot, so the
+            # Vroom decorator would have left these responses as they are.
+            assert response.hints == [] and response.pushes == []
 
     def test_servers_can_serve_extraneous_hints(self, page, snapshot, store):
         servers = vroom_servers(page, snapshot, store)

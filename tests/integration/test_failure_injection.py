@@ -135,8 +135,8 @@ class TestBadHints:
         snapshot = page.materialize(STAMP)
         store = record_snapshot(snapshot)
 
-        def decorate(recorded, response, is_push):
-            if recorded.is_html:
+        def decorate(resource, response, is_push):
+            if resource.is_document:
                 response.hints = [
                     DependencyHint(
                         url="ghost.com/missing.js",
@@ -168,8 +168,8 @@ class TestBadHints:
         snapshot = page.materialize(STAMP)
         store = record_snapshot(snapshot)
 
-        def decorate(recorded, response, is_push):
-            if recorded.is_html:
+        def decorate(resource, response, is_push):
+            if resource.is_document:
                 response.hints = [
                     DependencyHint(
                         url="a.com/not-recorded.js",

@@ -467,8 +467,8 @@ class TestHintDegradation:
 
         hinted_url = snapshot.find("scriptB").url
 
-        def decorate(recorded, response, is_push):
-            if recorded.is_html:
+        def decorate(resource, response, is_push):
+            if resource.is_document:
                 response.hints = [
                     DependencyHint(url=hinted_url, priority=Priority.PRELOAD)
                 ]

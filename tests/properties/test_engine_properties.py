@@ -26,6 +26,7 @@ from repro.pages.page import PageBlueprint
 from repro.pages.resources import Discovery, ResourceSpec, ResourceType
 from repro.replay.recorder import record_snapshot
 from repro.replay.replayer import build_servers
+from tests.browser.test_load_frees_itself import assert_frees_itself
 
 STAMP = LoadStamp(when_hours=77.0)
 
@@ -157,7 +158,7 @@ _hint_faults = st.builds(
 def test_random_pages_fire_onload_under_hint_faults(page, plan, retries):
     """Dead hint prefetches never wedge a load: the page falls back to
     its own fetches, and a document that dies takes its subresources'
-    obligations with it."""
+    obligations with it, and the load still frees itself."""
     snapshot = page.materialize(STAMP)
     store = record_snapshot(snapshot)
     network = NetworkConfig(
@@ -171,6 +172,11 @@ def test_random_pages_fire_onload_under_hint_faults(page, plan, retries):
         "vroom-fair",
         "push-all-fetch-asap",
     ):
-        metrics = run_config(config, page, snapshot, store, network=network)
-        assert metrics.plt > 0, config
-        assert metrics.aft <= metrics.plt + 1e-9, config
+
+        def load():
+            metrics = run_config(config, page, snapshot, store, network=network)
+            assert metrics.plt > 0, config
+            assert metrics.aft <= metrics.plt + 1e-9, config
+
+        # However its fetches died, the load leaves no cyclic garbage.
+        assert_frees_itself(load)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.calibration import SERVER_HTML_THINK_TIME, SERVER_THINK_TIME
 from repro.pages import markup
 from repro.replay.recorder import domain_rtt, record_snapshot
 from repro.replay.replayer import build_servers
-from repro.replay.store import RecordedResponse
 
 
 class TestRecorder:
@@ -17,9 +17,8 @@ class TestRecorder:
         store = record_snapshot(snapshot)
         for doc in snapshot.documents():
             recorded = store.lookup(doc.url)
-            assert recorded.is_html
-            assert recorded.resource is doc
-            assert recorded.resource.body == markup.render_body(doc)
+            assert recorded is doc
+            assert recorded.body == markup.render_body(doc)
 
     def test_records_no_body(self, small_page, stamp, monkeypatch):
         snapshot = small_page.materialize(stamp)
@@ -72,8 +71,8 @@ class TestReplayer:
         assert servers[domains[0]].respond(other.url) is None
 
     def test_decorator_applied_to_html_only(self, snapshot, store):
-        def decorate(recorded, response, is_push):
-            if recorded.is_html:
+        def decorate(resource, response, is_push):
+            if resource.is_document:
                 response.pushes = ["marker"]
             return response
 
@@ -86,18 +85,18 @@ class TestReplayer:
         assert servers[media.domain].respond(media.url).pushes == []
 
     def test_extra_content_served(self, store):
-        extra = {
-            "extra.com/stale.js": RecordedResponse(
-                url="extra.com/stale.js",
-                domain="extra.com",
-                size=777,
-                is_html=False,
-            )
-        }
+        extra = {"extra.com/stale.js": 777, "extra.com/old.html": 900}
         servers = build_servers(store, extra_content=extra)
         assert "extra.com" in servers
         response = servers["extra.com"].respond("extra.com/stale.js")
         assert response.size == 777
+        assert response.think_time == SERVER_THINK_TIME
+        assert response.cacheable
+        assert response.meta is None
+        page = servers["extra.com"].respond("extra.com/old.html")
+        assert page.think_time == SERVER_HTML_THINK_TIME
+        # An extra URL is served only by its own domain's server.
+        assert servers[store.domains()[0]].respond("extra.com/stale.js") is None
 
     def test_uncacheable_resources_flagged(self, snapshot, store):
         servers = build_servers(store)

@@ -1,49 +1,31 @@
-"""ReplayStore / RecordedResponse round-trip behaviour."""
+"""ReplayStore round-trip behaviour: the store holds the recorded resources."""
 
 import pickle
 
-from repro.pages.resources import ResourceType
+from repro.pages.resources import Resource, ResourceSpec, ResourceType
 from repro.replay.recorder import record_snapshot
-from repro.replay.store import RecordedResponse, ReplayStore
+from repro.replay.store import ReplayStore
 
 
-class TestRecordedResponse:
-    def test_carries_resource_back_pointer(self, snapshot):
+def _resource(url: str, rtype: ResourceType, size: int) -> Resource:
+    domain = url.partition("/")[0]
+    spec = ResourceSpec(name=url, rtype=rtype, domain=domain, size=size)
+    return Resource(spec=spec, url=url, size=size)
+
+
+class TestRecordedResource:
+    def test_lookup_returns_the_snapshot_resource(self, snapshot):
         store = record_snapshot(snapshot)
         for resource in snapshot.all_resources():
-            recorded = store.lookup(resource.url)
-            assert recorded is not None
-            assert recorded.resource is resource
-            assert recorded.url == resource.url
-            assert recorded.size == resource.size
-
-    def test_html_flag_matches_resource_type(self, snapshot):
-        store = record_snapshot(snapshot)
-        for resource in snapshot.all_resources():
-            recorded = store.lookup(resource.url)
-            assert recorded.is_html == (
-                resource.spec.rtype is ResourceType.HTML
-            )
-
-    def test_defaults(self):
-        response = RecordedResponse(
-            url="x.com/a.js", domain="x.com", size=10, is_html=False
-        )
-        assert response.resource is None
+            assert store.lookup(resource.url) is resource
 
 
 class TestReplayStoreRoundTrip:
     def _store(self):
         store = ReplayStore(page="p")
-        first = RecordedResponse(
-            url="a.com/", domain="a.com", size=100, is_html=True
-        )
-        second = RecordedResponse(
-            url="a.com/x.js", domain="a.com", size=50, is_html=False
-        )
-        third = RecordedResponse(
-            url="b.com/y.css", domain="b.com", size=25, is_html=False
-        )
+        first = _resource("a.com/", ResourceType.HTML, 100)
+        second = _resource("a.com/x.js", ResourceType.JS, 50)
+        third = _resource("b.com/y.css", ResourceType.CSS, 25)
         store.add(first, rtt=0.03)
         store.add(second, rtt=0.99)  # same domain: must not overwrite
         store.add(third, rtt=0.05)
@@ -52,7 +34,7 @@ class TestReplayStoreRoundTrip:
     def test_add_lookup_round_trip(self):
         store = self._store()
         assert store.urls() == ["a.com/", "a.com/x.js", "b.com/y.css"]
-        assert store.lookup("a.com/").is_html
+        assert store.lookup("a.com/").is_document
         assert store.lookup("a.com/x.js").size == 50
         assert store.lookup("missing") is None
         assert store.total_bytes() == 175
@@ -67,11 +49,9 @@ class TestReplayStoreRoundTrip:
 
     def test_re_adding_a_url_replaces_the_response(self):
         store = self._store()
-        replacement = RecordedResponse(
-            url="a.com/x.js", domain="a.com", size=75, is_html=False
-        )
+        replacement = _resource("a.com/x.js", ResourceType.JS, 75)
         store.add(replacement, rtt=0.01)
-        assert store.lookup("a.com/x.js").size == 75
+        assert store.lookup("a.com/x.js") is replacement
         assert store.total_bytes() == 200
         assert store.domain_rtts["a.com"] == 0.03
 
@@ -84,9 +64,12 @@ class TestReplayStoreRoundTrip:
         for url in store.urls():
             original = store.lookup(url)
             copied = clone.lookup(url)
+            assert copied.url == url
             assert copied.size == original.size
-            assert copied.is_html == original.is_html
-            # The back-pointer survives and still matches its exchange.
-            assert copied.resource is not None
-            assert copied.resource.url == url
-            assert copied.resource.body == original.resource.body
+            assert copied.is_document == original.is_document
+            assert copied.body == original.body
+        # Parent and child pointers survive between the stored resources.
+        root = clone.lookup(snapshot.root.url)
+        for child in root.children:
+            assert child.parent is root
+            assert clone.lookup(child.url) is child

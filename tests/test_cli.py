@@ -88,6 +88,80 @@ class TestCommands:
         assert page.name in out
 
 
+class TestClientOptions:
+    """``--device`` and ``--user`` describe the client, not just the
+    snapshot: the loads run on that device as that user."""
+
+    @staticmethod
+    def _expected_plt(config, device, user):
+        from repro.baselines.configs import run_config
+        from repro.calibration import DEFAULT_EVAL_HOUR
+        from repro.pages.corpus import news_sports_corpus
+        from repro.pages.dynamics import LoadStamp
+        from repro.replay.recorder import record_snapshot
+
+        page = news_sports_corpus(count=1)[0]
+        snapshot = page.materialize(
+            LoadStamp(when_hours=DEFAULT_EVAL_HOUR, device=device, user=user)
+        )
+        store = record_snapshot(snapshot)
+        metrics = run_config(
+            config, page, snapshot, store, device=device, user=user
+        )
+        return metrics.plt
+
+    @staticmethod
+    def _row(out, config):
+        return next(
+            line for line in out.splitlines() if line.startswith(config + " ")
+        )
+
+    def test_load_runs_on_the_named_device(self, capsys):
+        args = ["--configs", "http2", "--device", "nexus10", "--user", "u7"]
+        assert main(["load", *args]) == 0
+        row = self._row(capsys.readouterr().out, "http2")
+        expected = self._expected_plt("http2", "nexus10", "u7")
+        assert row.split()[1] == f"{expected:.2f}s"
+
+    def test_report_runs_on_the_named_device(self, capsys):
+        assert main(
+            ["report", "--configs", "http2", "--device", "nexus10"]
+        ) == 0
+        row = self._row(capsys.readouterr().out, "http2")
+        expected = self._expected_plt("http2", "nexus10", "user0")
+        assert row.split()[1] == f"{expected:.2f}s"
+
+    def test_waterfall_runs_on_the_named_device(self, capsys):
+        assert main(
+            ["waterfall", "--config", "http2", "--device", "nexus10"]
+        ) == 0
+        row = self._row(capsys.readouterr().out, "plt")
+        expected = self._expected_plt("http2", "nexus10", "user0")
+        assert row.split()[1] == f"{expected:,.3f}"
+
+    def test_sweep_runs_on_the_named_device(self, capsys):
+        assert main(
+            [
+                "sweep", "--count", "1", "--configs", "http2", "--workers",
+                "1", "--device", "nexus10", "--user", "u7",
+            ]
+        ) == 0
+        row = self._row(capsys.readouterr().out, "http2")
+        expected = self._expected_plt("http2", "nexus10", "u7")
+        assert row.split()[-1] == f"{expected:.2f}s"
+
+
+class TestFigureCount:
+    @pytest.mark.parametrize(
+        "name", ["fig11_scheduling_example", "fig15_aft_example"]
+    )
+    def test_count_rejected_where_the_figure_takes_none(self, name, capsys):
+        assert main(["figure", name, "--count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--count" in err
+
+
 class TestServiceCommand:
     def test_smoke_passes_and_writes_report(self, tmp_path, capsys):
         import json
