@@ -97,21 +97,10 @@ class CpuQueue:
         self._busy_until: Optional[float] = None
         #: Accumulated busy seconds (CPU utilisation accounting).
         self.busy_time = 0.0
-        #: Callbacks run whenever the CPU goes idle (Vroom's JS scheduler
-        #: can only react when the main thread is free).
-        self.idle_waiters: List[Callable[[], None]] = []
 
     @property
     def busy(self) -> bool:
         return self._busy_until is not None and self._busy_until > self.sim.now
-
-    @property
-    def _high(self):  # compatibility for introspection in tests
-        return self._bands[BAND_PARSER] + self._bands[BAND_EXEC]
-
-    @property
-    def _low(self):
-        return self._bands[BAND_DEFER]
 
     def submit(
         self,
@@ -128,13 +117,6 @@ class CpuQueue:
             band = BAND_DEFER if low_priority else BAND_EXEC
         self._bands[band].append((duration, on_done))
         self._kick()
-
-    def when_idle(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` the next time the CPU has nothing queued."""
-        if not self.busy and not self._high and not self._low:
-            self.sim.call_soon(callback)
-        else:
-            self.idle_waiters.append(callback)
 
     def between_tasks(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the next task boundary.
@@ -156,9 +138,6 @@ class CpuQueue:
                 duration, on_done = band.pop(0)
                 break
         else:
-            waiters, self.idle_waiters = self.idle_waiters, []
-            for callback in waiters:
-                self.sim.call_soon(callback)
             return
         self._busy_until = self.sim.now + duration
         self.busy_time += duration

@@ -72,9 +72,6 @@ class DocumentParse:
             and ref.child.rtype is ResourceType.CSS
         ]
 
-    def all_blocking_css(self) -> List[Resource]:
-        return self.blocking_css_before(self.doc.size + 1)
-
     # -- state machine -----------------------------------------------------
 
     def start(self) -> None:

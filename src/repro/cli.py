@@ -6,7 +6,8 @@ Commands
 ``load``      simulate one page under one or more configurations
 ``waterfall`` render a page load as a text waterfall
 ``audit``     show what a Vroom server would return for a page
-``lint``      run the determinism & layering analyzer over ``src/repro``
+``lint``      run the determinism, layering and config-drift analyzer
+              over ``src/repro``
 ``figure``    regenerate one of the paper's figures (``--workers`` fans
               its sweeps out over processes)
 ``sweep``     run a corpus × configs sweep on the parallel engine and
@@ -732,11 +733,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Static analyzer (determinism, layering, hot-path, config drift)."""
+    """Static analyzer (determinism, layering, config drift)."""
     from pathlib import Path
 
     from repro.devtools import Baseline, lint_package
-    from repro.devtools.baseline import BaselineEntry
     from repro.devtools.findings import RULES, family_of
 
     if args.rules:
@@ -789,21 +789,15 @@ def cmd_lint(args) -> int:
                 "explanation for the newly baselined findings "
                 "(not a TODO placeholder)"
             )
-        # Keep the reasons of entries that still match; new findings get
-        # the reason given on the command line.
-        keep = {entry.key: entry for entry in baseline.entries}
-        entries = []
-        for finding in report.suppressed + report.findings:
-            entry = keep.get(finding.key)
-            if entry is None:
-                entry = BaselineEntry(
-                    path=finding.path,
-                    code=finding.code,
-                    message=finding.message,
-                    occurrence=finding.occurrence,
-                    reason=reason,
-                )
-            entries.append(entry)
+        # Drop the entries this run found stale (a retired code's are
+        # stale on every run) and baseline its new findings under the
+        # given reason.  Every other entry keeps its reason, including
+        # those whose codes the run did not select.
+        stale = {entry.key for entry in report.stale}
+        entries = [
+            entry for entry in baseline.entries if entry.key not in stale
+        ]
+        entries += Baseline.from_findings(report.findings, reason).entries
         entries.sort(key=lambda entry: entry.key)
         Baseline(entries=entries).save(baseline_path)
         print(
@@ -1168,8 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="static analyzer: determinism, layering, hot-path perf, "
-        "config drift",
+        help="static analyzer: determinism, layering, config drift",
     )
     lint.add_argument(
         "--root",
@@ -1190,20 +1183,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CODE",
         help="only run rules matching this code or prefix (repeatable, "
-        "e.g. --select PERF401 --select CFG)",
+        "e.g. --select DET103 --select CFG)",
     )
     lint.add_argument(
         "--only-family",
         action="append",
         default=None,
         metavar="FAMILY",
-        help="only run one rule family: det, layering, perf, config "
+        help="only run one rule family: det, layering, config "
         "(repeatable)",
     )
     lint.add_argument(
         "--stats",
         action="store_true",
-        help="append a stats line (files / rules / hot functions / "
+        help="append a stats line (files / rules / raw findings / "
         "duration) to human output",
     )
     lint.add_argument(
@@ -1216,7 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline to match the current findings "
-        "(requires --reason)",
+        "(requires --reason); entries outside --select / "
+        "--only-family are kept",
     )
     lint.add_argument(
         "--reason",

@@ -83,18 +83,6 @@ class HintBundle:
                 rendered[header] = urls
         return rendered
 
-    @staticmethod
-    def merge(bundles: Iterable["HintBundle"]) -> "HintBundle":
-        """Union of several bundles, first occurrence of each URL wins."""
-        merged = HintBundle(source_url="<merged>")
-        seen = set()
-        for bundle in bundles:
-            for hint in bundle:
-                if hint.url not in seen:
-                    seen.add(hint.url)
-                    merged.add(hint)
-        return merged
-
 
 def bundle_from_hints(
     source_url: str, hints: Iterable[DependencyHint]
@@ -107,23 +95,4 @@ def bundle_from_hints(
             continue
         seen.add(hint.url)
         bundle.add(hint)
-    return bundle
-
-
-def parse_headers(
-    source_url: str, headers: Dict[str, List[str]]
-) -> HintBundle:
-    """Inverse of :meth:`HintBundle.headers` (order restored per class)."""
-    priority_by_header = {
-        header: priority for priority, header in HEADER_BY_PRIORITY.items()
-    }
-    bundle = HintBundle(source_url=source_url)
-    order = 0
-    for header, urls in headers.items():
-        priority = priority_by_header.get(header)
-        if priority is None:
-            raise ValueError(f"unknown hint header {header!r}")
-        for url in urls:
-            bundle.add(DependencyHint(url=url, priority=priority, order=order))
-            order += 1
     return bundle

@@ -11,17 +11,13 @@ package machine-checks both properties:
   package DAG (``audit``/``calibration`` → ``net``/``pages`` →
   ``browser``/``replay`` → ``core`` → ``baselines`` → ``analysis`` →
   ``experiments`` → ``cli``).
-* :mod:`repro.devtools.callgraph` — import-resolved project call graph;
-  ``# repro: hotpath`` pragma seeds and transitive hot-region
-  propagation, cached per tree state.
-* :mod:`repro.devtools.perfrules` — PERF4xx hot-path allocation rules
-  (per-tick allocation, per-call construction, hoistable attribute
-  chains, try/except in hot loops, missing ``__slots__``).
 * :mod:`repro.devtools.driftrules` — CFG6xx config/contract drift rules
   (dataclass fields vs docs/API.md knob tables vs the CLI flag surface).
 * :mod:`repro.devtools.baseline` — suppression file for fully-explained
   pre-existing debt, so new violations gate CI without blocking on old
   ones.
+* :mod:`repro.devtools.modules` — the one parse of the package that
+  every rule family reads.
 * :mod:`repro.devtools.runner` — file walking, pragma handling, family
   and ``--select`` filters, and the human/JSON reports behind
   ``repro lint``.
@@ -33,13 +29,8 @@ DAG entirely and may never be imported by a simulation layer.
 
 from repro.devtools.findings import FAMILIES, Finding, RULES, family_of
 from repro.devtools.baseline import Baseline
-from repro.devtools.callgraph import (
-    CallGraph,
-    build_call_graph,
-    cached_project,
-    parse_package,
-)
 from repro.devtools.layering import LAYER_DEPS, check_layering, import_edges
+from repro.devtools.modules import parse_package
 from repro.devtools.runner import (
     LintReport,
     LintStats,
@@ -53,13 +44,10 @@ __all__ = [
     "RULES",
     "family_of",
     "Baseline",
-    "CallGraph",
-    "build_call_graph",
-    "cached_project",
-    "parse_package",
     "LAYER_DEPS",
     "check_layering",
     "import_edges",
+    "parse_package",
     "LintReport",
     "LintStats",
     "lint_package",

@@ -39,8 +39,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.devtools.callgraph import ModuleInfo
 from repro.devtools.findings import Finding
+from repro.devtools.modules import ModuleInfo
 
 #: The registered contract surface: every dataclass here must have a
 #: marker-bound knob table in docs/API.md.  BatchScheduler is absent on

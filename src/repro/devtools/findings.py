@@ -48,30 +48,6 @@ RULES: Dict[str, str] = {
         "package-level import cycle — two or more packages import each "
         "other, so no layering order exists for them"
     ),
-    "PERF401": (
-        "per-iteration container allocation in a hot region — a "
-        "comprehension/constructor inside a loop, or a constant display "
-        "rebuilt per call; hoist it out of the hot path"
-    ),
-    "PERF402": (
-        "per-call construction in a hot region — random.Random or "
-        "reseeding an RNG (.seed(x)), re.compile (or implicit re.* "
-        "compilation), datetime objects; build once, reuse per call"
-    ),
-    "PERF403": (
-        "repeated attribute-chain loads inside one hot loop — CPython "
-        "re-resolves the chain every trip; hoist an invariant chain to "
-        "a local before the loop"
-    ),
-    "PERF404": (
-        "try/except inside a hot loop — handler trips build a traceback "
-        "per iteration; prefer an explicit check"
-    ),
-    "PERF405": (
-        "hot region instantiates a project class without __slots__ — "
-        "every instance carries a dict; add __slots__ (or "
-        "dataclass(slots=True)) to classes churned per tick"
-    ),
     "CFG601": (
         "undocumented knob — a registered config dataclass field has no "
         "row in its docs/API.md knob table"
@@ -90,7 +66,6 @@ RULES: Dict[str, str] = {
 FAMILIES: Dict[str, Tuple[str, ...]] = {
     "det": ("DET", "PUR"),
     "layering": ("LAY",),
-    "perf": ("PERF",),
     "config": ("CFG",),
 }
 

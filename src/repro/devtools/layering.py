@@ -139,7 +139,7 @@ def import_edges(
     """(from_layer, to_layer) -> [(path, line), ...] over the package.
 
     Pass ``modules`` (anything with ``.path`` and ``.tree``, e.g. the
-    runner's shared :class:`~repro.devtools.callgraph.ModuleInfo` list)
+    runner's shared :class:`~repro.devtools.modules.ModuleInfo` list)
     to reuse already-parsed trees instead of re-reading every file.
     """
     edges: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}

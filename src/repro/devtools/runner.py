@@ -4,15 +4,15 @@
 inline pragmas and the baseline, and returns a :class:`LintReport` that
 renders as human text or JSON (for CI).
 
-Every module is read and parsed exactly **once** per run (and, via the
-call-graph cache in :mod:`repro.devtools.callgraph`, once per tree
-state across runs in the same process): the det/purity rules, the
-layering checker, the PERF4xx hot-path pass and the CFG6xx drift pass
-all share the same :class:`~repro.devtools.callgraph.ModuleInfo` list.
+Every module is read and parsed exactly **once** per run: the
+det/purity rules, the layering checker and the CFG6xx drift pass all
+share the same :class:`~repro.devtools.modules.ModuleInfo` list.
 
 Rule families (``--only-family``) and individual codes (``--select``)
 narrow a run; the baseline is narrowed with them, so selecting only
-``PERF401`` never reports unrelated baseline entries as stale.
+``CFG601`` never reports unrelated baseline entries as stale.  An entry
+whose code is not a known rule can never match and is stale on every
+run, filtered or not.
 
 Inline suppression::
 
@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.devtools import callgraph
 from repro.devtools.astrules import scan_tree
 from repro.devtools.baseline import Baseline, BaselineEntry
 from repro.devtools.driftrules import scan_config
 from repro.devtools.findings import FAMILIES, RULES, Finding
 from repro.devtools.layering import PURE_LAYERS, check_layering, layer_of
-from repro.devtools.perfrules import scan_perf
+from repro.devtools.modules import parse_package
 
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9_,\s]+)\]")
 
@@ -81,14 +80,10 @@ class LintStats:
     rules: int = 0
     findings_total: int = 0
     duration_s: float = 0.0
-    callgraph_cached: bool = False
-    hot_functions: int = 0
 
     def render(self) -> str:
-        cache = "cached" if self.callgraph_cached else "built"
         return (
             f"stats: {self.files} file(s), {self.rules} rule(s), "
-            f"{self.hot_functions} hot function(s) (call graph {cache}), "
             f"{self.findings_total} raw finding(s), "
             f"{self.duration_s * 1000.0:.0f} ms"
         )
@@ -152,8 +147,6 @@ class LintReport:
             "stats": {
                 "files": self.stats.files,
                 "rules": self.stats.rules,
-                "hot_functions": self.stats.hot_functions,
-                "callgraph_cached": self.stats.callgraph_cached,
                 "duration_s": round(self.stats.duration_s, 6),
             },
         }
@@ -186,8 +179,8 @@ def resolve_selection(
 ) -> Set[str]:
     """The set of rule codes a run covers.
 
-    ``select`` names codes or code prefixes (``PERF``, ``PERF401``);
-    ``families`` names rule families (``det``, ``layering``, ``perf``,
+    ``select`` names codes or code prefixes (``CFG``, ``CFG601``);
+    ``families`` names rule families (``det``, ``layering``,
     ``config``).  Both given: the intersection.  Neither: every rule.
     Unknown names raise ``ValueError`` so typos fail loudly instead of
     silently linting nothing.
@@ -249,7 +242,7 @@ def lint_package(
     codes = resolve_selection(select, families)
     report = LintReport()
 
-    modules, graph = callgraph.cached_project(package_root, package)
+    modules = parse_package(package_root, package)
     report.files_scanned = len(modules)
 
     raw: List[Finding] = []
@@ -262,8 +255,6 @@ def lint_package(
                     pure=layer_of(Path(info.path)) in PURE_LAYERS,
                 )
             )
-    if any(code.startswith("PERF") for code in codes):
-        raw.extend(scan_perf(modules, graph))
     if any(code.startswith("CFG") for code in codes):
         if docs_text is None:
             docs_text = _default_docs_text(package_root)
@@ -289,11 +280,16 @@ def lint_package(
             kept.append(finding)
 
     numbered = _assign_occurrences(kept)
-    # Narrow the baseline to the selected codes: a PERF-only run must
-    # not report DET/PUR baseline entries as stale.
+    # Narrow the baseline to the selected codes: a CFG-only run must
+    # not report DET/PUR baseline entries as stale.  Entries for codes
+    # no rule emits stay in, so they show up as stale on every run.
     full = baseline or Baseline()
     narrowed = Baseline(
-        entries=[entry for entry in full.entries if entry.code in codes]
+        entries=[
+            entry
+            for entry in full.entries
+            if entry.code in codes or entry.code not in RULES
+        ]
     )
     new, suppressed, stale = narrowed.partition(numbered)
     report.findings = new
@@ -304,7 +300,5 @@ def lint_package(
         rules=len(codes),
         findings_total=len(raw),
         duration_s=time.perf_counter() - started,
-        callgraph_cached=callgraph.LAST_CACHE_HIT,
-        hot_functions=len(graph.hot),
     )
     return report

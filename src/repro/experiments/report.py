@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis.stats import Cdf, median
+from repro.analysis.stats import Cdf
 
 
 def describe_series(
@@ -39,10 +39,3 @@ def print_figure(
     block = "\n".join(lines)
     print(block)
     return block
-
-
-def median_table(series: Dict[str, Sequence[float]]) -> Dict[str, float]:
-    """Medians per series (used by EXPERIMENTS.md generation)."""
-    return {
-        name: median(values) for name, values in series.items() if values
-    }

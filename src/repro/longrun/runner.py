@@ -215,7 +215,6 @@ class LongRunner:
 
     # -- the per-lookup callback ------------------------------------------
 
-    # repro: hotpath
     def _process_arrival(
         self, lookup: Lookup, result: FleetLookup, latency_ms: float
     ) -> None:
@@ -241,8 +240,6 @@ class LongRunner:
                 # digest: the warm-client repeat-visit model.  A held
                 # digest that summarises them stays, since a rebuild
                 # would be identical.
-                # repro: allow[PERF405] CacheDigest cannot take __slots__
-                # while its pickled fields are pinned as an instance dict.
                 self._digests[key] = CacheDigest(
                     urls, bits_per_entry=spec.digest_filter_bits
                 )

@@ -43,8 +43,6 @@ def waterfill(caps: List[float], budget: float) -> List[float]:
         if not remaining:
             break
         share = budget / len(remaining)
-        # repro: allow[PERF401] water-filling rebuilds the capped set each
-        # round by construction; rounds are O(n) and n is tiny.
         capped = [i for i in remaining if caps[i] < share - _EPS_BYTES]
         if not capped:
             for i in remaining:

@@ -209,8 +209,6 @@ def _loss_log_draw(seed: int) -> float:
     connections restart the ordinal scheme.  Being outside the channels,
     the table holds no per-load state and is never pickled.
     """
-    # repro: allow[PERF402] a miss runs once per distinct seed per
-    # process; every later draw of that seed is a table hit.
     return math.log(max(1e-12, random.Random(seed).random()))
 
 
@@ -808,8 +806,6 @@ class AccessLink:
                 if stream.done:
                     retired = True
             if retired:
-                # repro: allow[PERF401] compaction list is built only on
-                # the ticks where a stream actually retired.
                 channel.streams = [
                     stream for stream in channel.streams if not stream.done
                 ]
@@ -892,8 +888,8 @@ class AccessLink:
                     if stream.done:
                         retired = True
             if retired:
-                # repro: allow[PERF401] compaction list is built only on
-                # the ticks where a stream actually retired.
+                # Rebuild the stream list only on the ticks where a stream
+                # actually retired.
                 channel.streams = [
                     stream for stream in channel.streams if not stream.done
                 ]
@@ -913,7 +909,6 @@ class AccessLink:
         finally:
             self._in_poke = False
 
-    # repro: hotpath
     def _tick(self) -> None:
         """Refresh-tick callback: one poke, then fast-forward while silent.
 
@@ -946,8 +941,6 @@ class AccessLink:
                     or raw is None
                     or not raw.advance_inline(raw.now + max(0.0, horizon))
                 ):
-                    # repro: allow[PERF403] at most one _reschedule call
-                    # runs per poke — the loop returns right after it.
                     self._reschedule(horizon)
                     return
                 self.ff_steps += 1

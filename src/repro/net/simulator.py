@@ -138,7 +138,6 @@ class Simulator:
         self.events_scheduled += 1
         return event
 
-    # repro: hotpath
     def call_soon(self, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at the current time, after pending same-time events."""
         return self.schedule(0.0, callback)
@@ -167,7 +166,6 @@ class Simulator:
         self._cancelled = 0
         self.compactions += 1
 
-    # repro: hotpath
     def run(
         self,
         until: Optional[float] = None,
@@ -185,9 +183,9 @@ class Simulator:
         heappush = heapq.heappush
         try:
             # Callbacks may cancel events and trigger a compaction that
-            # replaces ``self._queue``, so re-read the attribute each loop.
-            # repro: allow[PERF403] hoisting would pin the
-            # pre-compaction queue object and silently drop events.
+            # replaces ``self._queue``, so re-read the attribute each loop:
+            # hoisting it would pin the pre-compaction queue object and
+            # silently drop events.
             while self._queue:
                 event = heappop(self._queue)
                 if event.cancelled:
@@ -397,7 +395,6 @@ class ArraySimulator:
         self.events_scheduled += 1
         return EventHandle(self, seq, slot, when)
 
-    # repro: hotpath
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the current time, after pending same-time events.
 
@@ -442,7 +439,6 @@ class ArraySimulator:
         self._cancelled = 0
         self.compactions += 1
 
-    # repro: hotpath
     def run(
         self,
         until: Optional[float] = None,

@@ -155,7 +155,7 @@ def url_parts(spec: ResourceSpec) -> UrlParts:
     )
 
 
-def fill_urls(  # repro: hotpath
+def fill_urls(
     urls: List[Optional[str]], rows: Iterable[UrlRow], stamp: LoadStamp
 ) -> None:
     """Set ``urls[row]`` to the URL of each of ``rows`` under ``stamp``.

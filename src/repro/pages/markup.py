@@ -185,8 +185,6 @@ def scan_document(doc: Resource) -> DocumentScan:
         offsets.setdefault(url, end)
     span = max(1, doc.size)
     refs = [
-        # repro: allow[PERF405] a NamedTuple carries no dict, and this
-        # runs once per document of a snapshot.
         ParsedRef(
             child, offsets.get(child.url, int(child.spec.position * span))
         )
@@ -194,5 +192,4 @@ def scan_document(doc: Resource) -> DocumentScan:
         if child.spec.discovery is Discovery.STATIC_MARKUP
     ]
     refs.sort(key=lambda ref: ref.byte_offset)
-    # repro: allow[PERF405] a NamedTuple carries no dict.
     return DocumentScan(tuple(refs), tuple(offsets))

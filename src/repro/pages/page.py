@@ -115,7 +115,7 @@ class PageBlueprint:
                 seen.add(node)
                 node = self.specs[node].parent
 
-    def resolve_urls(self, stamp: LoadStamp) -> List[str]:  # repro: hotpath
+    def resolve_urls(self, stamp: LoadStamp) -> List[str]:
         """The URL of every resource the root reaches, in processing order.
 
         Equal to ``materialize(stamp).urls()`` without building the tree:
@@ -155,7 +155,7 @@ class PageBlueprint:
             for spec, _, _, _, size in skeleton.rows
         ]
 
-    def materialize(self, stamp: LoadStamp) -> "PageSnapshot":  # repro: hotpath
+    def materialize(self, stamp: LoadStamp) -> "PageSnapshot":
         """Resolve every spec under ``stamp`` into a concrete snapshot.
 
         One pass over the memoised :class:`_Skeleton` builds the tree in
@@ -191,7 +191,6 @@ class PageBlueprint:
         nodes = walk
         if skeleton.strays:
             nodes = walk + self._materialize_strays(skeleton.strays, stamp)
-        # repro: allow[PERF405] one snapshot per call, not per resource.
         snapshot = PageSnapshot(
             page=self.name,
             stamp=stamp,
@@ -261,8 +260,6 @@ class PageBlueprint:
         ]
         for offset, spec in enumerate(strays):
             row_of[spec.name] = len(rows) + offset
-        # repro: allow[PERF405] a NamedTuple carries no dict, and this
-        # runs once per blueprint.
         skeleton = self._skeleton_cache = _Skeleton(
             rows=rows,
             urls=urls,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro import audit
 
@@ -178,7 +178,7 @@ class Resource:
         return hash((id(self.spec), self.url))
 
     @property
-    def body(self) -> str:  # repro: hotpath
+    def body(self) -> str:
         body = self._body
         if body is None:
             body = self._body = markup.render_body(self)
@@ -190,7 +190,7 @@ class Resource:
         self._scan = None
 
     @property
-    def scan(self) -> "markup.DocumentScan":  # repro: hotpath
+    def scan(self) -> "markup.DocumentScan":
         """The one scan of :attr:`body`, made on first read.
 
         Under audit every later read is checked against a fresh scan.
@@ -244,12 +244,6 @@ class Resource:
     def subtree(self) -> List["Resource"]:
         """This resource plus :meth:`descendants`, in pre-order."""
         return [self] + self.descendants()
-
-
-def split_url(url: str) -> Tuple[str, str]:
-    """Split ``domain/path`` into ``(domain, path)``."""
-    domain, _, path = url.partition("/")
-    return domain, path
 
 
 # ``markup`` renders bodies from the classes above, so it is imported last.

@@ -283,7 +283,6 @@ class HintService:
 
     # -- event handlers ---------------------------------------------------
 
-    # repro: hotpath
     def process_lookup(
         self, lookup: Lookup, now_hours: float
     ) -> Tuple[FleetLookup, float]:
@@ -309,8 +308,6 @@ class HintService:
         if tenant is None:
             # First traffic for this tenant: build its row once, instead
             # of allocating a throwaway default dict on every lookup.
-            # repro: allow[PERF401] runs once per tenant, behind the
-            # None guard — not per lookup.
             tenant = self._tenants[tenant_key] = {
                 "lookups": 0, "hits": 0, "stale_hits": 0, "misses": 0,
             }
@@ -411,7 +408,6 @@ class HintService:
 
     # -- the loop ---------------------------------------------------------
 
-    # repro: hotpath
     def run_to(
         self, until_hours: float, on_lookup: Optional[LookupCallback] = None
     ) -> "HintService":

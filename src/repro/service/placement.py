@@ -526,13 +526,10 @@ class FleetStore:
                     index in allowed,
                     "placement-residency",
                     f"key {key!r} resident on shard {index}, "
-                    # repro: allow[PERF401] audit-only message, gated by
-                    # audit.ENABLED; never runs in benchmark mode.
                     f"owners {sorted(allowed)} "
                     f"(placement v{self.placement.version})",
                 )
 
-    # repro: hotpath
     def lookup(
         self, page_url: str, page: str, device_class: str, now_hours: float
     ) -> FleetLookup:

@@ -124,7 +124,6 @@ class BatchScheduler:
             float(loads_per_job),
         )
 
-    # repro: hotpath
     def enqueue(self, job: ResolutionJob) -> bool:
         """Add a job; a duplicate key coalesces (and bumps demand).
 

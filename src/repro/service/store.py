@@ -180,7 +180,6 @@ class Shard:
     def get(self, key: Tuple[str, str]) -> Optional[StoreEntry]:
         return self._entries.get(key)
 
-    # repro: hotpath
     def lookup(
         self,
         key: Tuple[str, str],

@@ -76,24 +76,6 @@ class TestCpuQueue:
         sim.run()
         assert cpu.busy_time == pytest.approx(2.0)
 
-    def test_when_idle_waits_for_drain(self):
-        sim = Simulator()
-        cpu = CpuQueue(sim)
-        seen = []
-        cpu.submit(1.0, lambda: None)
-        cpu.submit(1.0, lambda: None)
-        cpu.when_idle(lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [2.0]
-
-    def test_when_idle_immediate_if_empty(self):
-        sim = Simulator()
-        cpu = CpuQueue(sim)
-        seen = []
-        cpu.when_idle(lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [0.0]
-
     def test_between_tasks_fires_at_boundary(self):
         """The event loop yields between tasks, not at queue drain."""
         sim = Simulator()

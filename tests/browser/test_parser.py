@@ -146,16 +146,6 @@ class TestBlockingCss:
         names = [sheet.name for sheet in blocking]
         assert names == ["css_early"]
 
-    def test_all_blocking_css(self):
-        doc = build_doc(
-            [
-                child("c1", ResourceType.CSS, 0.1),
-                child("c2", ResourceType.CSS, 0.9),
-            ]
-        )
-        env = FakeEnvironment(doc)
-        assert len(env.parse.all_blocking_css()) == 2
-
 
 class TestStateMachine:
     def test_sync_script_sequence(self):

@@ -1,13 +1,9 @@
 """Unit tests for dependency hints (Table 1 semantics)."""
 
-import pytest
-
 from repro.core.hints import (
     DependencyHint,
     HEADER_BY_PRIORITY,
-    HintBundle,
     bundle_from_hints,
-    parse_headers,
 )
 from repro.pages.resources import Priority
 
@@ -36,26 +32,6 @@ class TestHeaders:
         assert headers["x-unimportant"] == ["a.com/img.jpg"]
         assert "x-semi-important" not in headers
 
-    def test_headers_roundtrip(self):
-        original = bundle_from_hints(
-            "a.com/p.html",
-            [
-                hint("a.com/x.js", Priority.PRELOAD, 0),
-                hint("a.com/a.js", Priority.SEMI_IMPORTANT, 1),
-                hint("a.com/i.jpg", Priority.UNIMPORTANT, 2),
-            ],
-        )
-        parsed = parse_headers("a.com/p.html", original.headers())
-        assert set(parsed.urls()) == set(original.urls())
-        for priority in Priority:
-            assert [h.url for h in parsed.by_priority(priority)] == [
-                h.url for h in original.by_priority(priority)
-            ]
-
-    def test_parse_rejects_unknown_header(self):
-        with pytest.raises(ValueError):
-            parse_headers("a.com/p.html", {"x-bogus": ["a.com/x"]})
-
 
 class TestBundleConstruction:
     def test_dedup_keeps_first(self):
@@ -74,16 +50,6 @@ class TestBundleConstruction:
             "a.com/p.html", [hint("a.com/p.html"), hint("a.com/x.js")]
         )
         assert bundle.urls() == ["a.com/x.js"]
-
-    def test_merge_unions_preserving_first(self):
-        first = bundle_from_hints("a", [hint("u1", Priority.PRELOAD)])
-        second = bundle_from_hints(
-            "b", [hint("u1", Priority.UNIMPORTANT), hint("u2")]
-        )
-        merged = HintBundle.merge([first, second])
-        assert set(merged.urls()) == {"u1", "u2"}
-        u1 = next(h for h in merged if h.url == "u1")
-        assert u1.priority is Priority.PRELOAD
 
     def test_iteration_and_len(self):
         bundle = bundle_from_hints("s", [hint("a"), hint("b")])

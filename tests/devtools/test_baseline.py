@@ -2,7 +2,6 @@
 
 from repro.devtools.baseline import Baseline, BaselineEntry
 from repro.devtools.findings import Finding
-from repro.devtools.runner import lint_package
 
 
 def _finding(code="DET101", path="net/link.py", line=10, message="msg",
@@ -38,32 +37,6 @@ def test_matching_ignores_line_numbers():
     new, suppressed, stale = baseline.partition([_finding(line=99)])
     assert not new and not stale
     assert len(suppressed) == 1
-
-
-def test_baselined_class_may_move(tmp_path):
-    """A PERF405 message names the class's file, not the class's line,
-    so moving the class does not churn the baseline."""
-    layer = tmp_path / "pkg" / "core"
-    layer.mkdir(parents=True)
-    module = layer / "mod.py"
-    source = (
-        "class Plain:\n"
-        "    def __init__(self, value):\n"
-        "        self.value = value\n"
-        "\n"
-        "\n"
-        "# repro: hotpath\n"
-        "def tick(value):\n"
-        "    return Plain(value)\n"
-    )
-    module.write_text(source)
-    first = lint_package(tmp_path / "pkg", package="pkg")
-    assert [finding.code for finding in first.findings] == ["PERF405"]
-    baseline = Baseline.from_findings(first.findings, reason="known debt")
-    module.write_text("# One line above the class.\n" + source)
-    moved = lint_package(tmp_path / "pkg", baseline, package="pkg")
-    assert moved.findings == [] and moved.stale == []
-    assert len(moved.suppressed) == 1
 
 
 def test_occurrences_distinguish_duplicate_violations():

@@ -2,13 +2,13 @@
 
 from pathlib import Path
 
-from repro.devtools.callgraph import cached_project, parse_package
 from repro.devtools.driftrules import (
     normalize_default,
     parse_knob_tables,
     scan_config,
 )
 from repro.devtools.findings import RULES
+from repro.devtools.modules import parse_package
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
@@ -137,7 +137,7 @@ def test_cli_flag_drift_is_cfg603(tmp_path):
 
 
 def test_repo_docs_match_repo_dataclasses():
-    modules, _ = cached_project(PACKAGE_ROOT, "repro")
+    modules = parse_package(PACKAGE_ROOT, "repro")
     assert scan_config(modules, API_DOCS.read_text()) == []
 
 
@@ -147,7 +147,7 @@ def test_corrupting_api_docs_raises_cfg603():
     corrupted = docs.replace("| `ttl_hours` | `12.0` |",
                              "| `ttl_hours` | `9.9` |", 1)
     assert corrupted != docs, "docs/API.md lost its ttl_hours row"
-    modules, _ = cached_project(PACKAGE_ROOT, "repro")
+    modules = parse_package(PACKAGE_ROOT, "repro")
     findings = scan_config(modules, corrupted)
     assert [finding.code for finding in findings] == ["CFG603"]
     assert "ttl_hours" in findings[0].message

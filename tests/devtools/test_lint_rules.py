@@ -18,14 +18,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT = re.compile(r"#\s*expect:\s*([A-Z]+\d+)")
 
 #: Rules raised by the single-module AST scanner.  LAY3xx comes from
-#: the import-graph checker (test_layering.py); PERF4xx needs the call
-#: graph (test_perf_rules.py); CFG6xx needs docs + CLI cross-checks
-#: (test_drift_rules.py).  Together the four fixture suites must cover
-#: the whole registry — test_registry_is_fully_fixture_covered below.
+#: the import-graph checker (test_layering.py); CFG6xx needs docs + CLI
+#: cross-checks (test_drift_rules.py).  Together the three fixture
+#: suites must cover the whole registry —
+#: test_registry_is_fully_fixture_covered below.
 AST_RULES = {
     code
     for code in RULES
-    if not code.startswith(("LAY", "PERF", "CFG"))
+    if not code.startswith(("LAY", "CFG"))
 }
 
 
@@ -80,7 +80,6 @@ def test_registry_is_fully_fixture_covered():
     """Adding a rule to RULES without a fixture fails here, by family."""
     claimed = set(AST_RULES)
     claimed |= {code for code in RULES if code.startswith("LAY")}
-    claimed |= {code for code in RULES if code.startswith("PERF")}
     claimed |= {code for code in RULES if code.startswith("CFG")}
     assert claimed == set(RULES), (
         "new rule family: give it a fixture suite and add its prefix "

@@ -1,7 +1,7 @@
 """Tests for the load matrix as experiments read it, and the report helpers."""
 
 from repro.experiments.parallel import load_matrix
-from repro.experiments.report import describe_series, median_table, print_figure
+from repro.experiments.report import describe_series, print_figure
 from repro.replay.cache import SnapshotCache
 
 
@@ -54,7 +54,3 @@ class TestReport:
         out = capsys.readouterr().out
         assert "Fig X" in out
         assert "(empty)" in block
-
-    def test_median_table(self):
-        table = median_table({"a": [1.0, 3.0], "b": []})
-        assert table == {"a": 2.0}

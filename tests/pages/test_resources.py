@@ -10,7 +10,6 @@ from repro.pages.resources import (
     ResourceSpec,
     ResourceType,
     priority_of,
-    split_url,
 )
 
 
@@ -136,11 +135,6 @@ class TestResource:
         assert child.processable
         assert not child.is_document
         assert root.is_document
-
-
-def test_split_url():
-    assert split_url("a.com/x/y.js") == ("a.com", "x/y.js")
-    assert split_url("a.com") == ("a.com", "")
 
 
 def test_processable_types_frozen():
